@@ -12,47 +12,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import MicrogridEnv, Observation, mask_window
-from .grid import MicrogridConfig, SimState, dispatch_generators
+from .env import MicrogridEnv, Observation
+from .grid import EssArrays, MicrogridConfig, SimState, dispatch_generators, mask_bounds
 from .maddpg import Trainer, TrainSettings, ddpg_groups, maddpg_groups
 
-
-@dataclass(frozen=True)
-class RulePolicyConfig:
-    target_soc: float = 0.5
-    gain: float = 1.0  # full correction within one slot when headroom allows
+RULE_TARGET_SOC = 0.5
 
 
 class RulePolicy:
     """Hold every unit at the target SoC; discharge to serve when islanded.
 
-    Connected: proportional correction toward the setpoint, clipped into the
-    SoC-feasible window. Islanded: discharge covers the residual demand left
-    after PV and generators, split across units proportionally to their
-    available discharge headroom.
+    Connected: full correction toward the setpoint within one slot, clipped
+    into the SoC-feasible window. Islanded: discharge covers the residual
+    demand left after PV and generators, split across units proportionally
+    to their available discharge headroom.
     """
 
-    def __init__(self, config: MicrogridConfig,
-                 rule: RulePolicyConfig = RulePolicyConfig()):
+    def __init__(self, config: MicrogridConfig):
         self.config = config
-        self.rule = rule
+        self.ess_limits = EssArrays.of(config.ess)
 
     def __call__(self, obs: Observation, state: SimState) -> np.ndarray:
         dt = self.config.costs.slot_hours
-        bounds = [mask_window(spec, soc, dt)
-                  for spec, soc in zip(self.config.ess, state.soc)]
+        soc = np.array(state.soc)
+        low, up = mask_bounds(self.ess_limits, soc, dt)
         if state.connected:
-            cmds = []
-            for spec, soc, (low, up) in zip(self.config.ess, state.soc, bounds):
-                raw = self.rule.gain * (self.rule.target_soc - soc) \
-                    * spec.energy_cap / dt
-                cmds.append(min(max(raw, low), up))
-            return np.array(cmds)
+            raw = (RULE_TARGET_SOC - soc) * self.ess_limits.energy_cap / dt
+            return np.minimum(np.maximum(raw, low), up)
         load_sum = sum(state.load_now)
         pv_sum = sum(state.pv_now)
-        gen_sum = sum(dispatch_generators(list(self.config.generators), load_sum))
+        gen_sum = sum(dispatch_generators(self.config.generators, load_sum))
         residual = max(load_sum - pv_sum - gen_sum, 0.0)
-        headroom = np.array([-low for low, _ in bounds])
+        headroom = -low
         total = headroom.sum()
         if residual <= 0.0 or total <= 0.0:
             return np.zeros(len(self.config.ess))
@@ -70,19 +61,8 @@ class TrainedPolicy:
         return actions
 
 
-class SchedulePolicy:
-    """Replays a fixed per-slot command table (used for DP schedules)."""
-
-    def __init__(self, commands: np.ndarray):
-        self.commands = commands
-
-    def __call__(self, obs: Observation, state: SimState) -> np.ndarray:
-        return self.commands[obs.slot].copy()
-
-
 def build_trainer(env: MicrogridEnv, settings: TrainSettings, method: str,
-                  init_rng: np.random.Generator,
-                  mask_enabled: bool = True) -> Trainer:
+                  init_rng: np.random.Generator) -> Trainer:
     """Construct the multi-agent learner or the joint single-actor variant
     on the same machinery."""
     if method == "maddpg":
@@ -94,8 +74,7 @@ def build_trainer(env: MicrogridEnv, settings: TrainSettings, method: str,
     caps = np.concatenate([[s.p_max for s in env.config.pv],
                            [s.p_max for s in env.config.loads]])
     return Trainer(env.config.ess, env.config.costs.slot_hours, groups,
-                   env.obs_window_rows, caps, settings, init_rng,
-                   mask_enabled=mask_enabled)
+                   env.obs_window_rows, caps, settings, init_rng)
 
 
 # ------------------------------------------------------------------- DP
@@ -158,14 +137,15 @@ def _dp_cost(config, pv, load, outage, grid_points, max_combos,
             f"{n_states}^2 state-action combinations exceed the cap "
             f"{max_combos}; reduce grid_points or the number of ESS")
 
-    # Per-unit transition powers and feasibility on the grid.
+    # Per-unit transition powers and feasibility on the grid; column i of
+    # the bounds is unit i's mask at each of its grid SoCs.
+    lows, ups = mask_bounds(EssArrays.of(config.ess), np.stack(grids, axis=1), dt)
     per_net, per_dis, per_feas = [], [], []
-    for spec, grid in zip(config.ess, grids):
+    for i, (spec, grid) in enumerate(zip(config.ess, grids)):
         delta_soc = grid[None, :] - grid[:, None]
         eff = np.where(delta_soc > 0, spec.eff_charge, spec.eff_discharge)
         power = delta_soc * spec.energy_cap / (eff * dt)
-        low = np.array([mask_window(spec, s, dt)[0] for s in grid])
-        up = np.array([mask_window(spec, s, dt)[1] for s in grid])
+        low, up = lows[:, i], ups[:, i]
         feas = (power >= low[:, None] - 1e-12) & (power <= up[:, None] + 1e-12)
         per_net.append(power)
         per_dis.append(np.abs(np.minimum(power, 0.0)))

@@ -11,7 +11,8 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, resolve_dict
+from .config import ConfigError, merge_config, resolve_dict
+from .grid import SLOTS_PER_DAY
 from .maddpg import TrainingDiverged
 
 
@@ -27,7 +28,7 @@ def _parse_stress(text: str) -> dict[str, float]:
 
 def _config_overrides(args) -> dict:
     overrides: dict = {}
-    if getattr(args, "episodes", None):
+    if getattr(args, "episodes", None) is not None:
         overrides.setdefault("train", {})["episodes"] = args.episodes
     if getattr(args, "stress", None):
         stress = _parse_stress(args.stress)
@@ -39,7 +40,7 @@ def _config_overrides(args) -> dict:
     if getattr(args, "lambda_load", None) is not None:
         overrides.setdefault("microgrid", {}).setdefault("costs", {})["load"] = \
             args.lambda_load
-    if getattr(args, "days", None):
+    if getattr(args, "days", None) is not None:
         overrides.setdefault("data", {})["days"] = args.days
     return overrides
 
@@ -47,13 +48,23 @@ def _config_overrides(args) -> dict:
 def _resolve(args) -> dict:
     cfg = resolve_dict(args.config, _config_overrides(args))
     if getattr(args, "scenario", None):
-        from .harness import resolve_dict_overrides
         import yaml
 
         with open(args.scenario) as fh:
             overlay = yaml.safe_load(fh) or {}
-        cfg = resolve_dict_overrides(cfg, overlay)
+        cfg = merge_config(cfg, overlay)
     return cfg
+
+
+def _check_counts(args) -> None:
+    """Integer flags that select units or days must be in range."""
+    problems = []
+    if getattr(args, "fail_agents", 0) < 0:
+        problems.append("--fail-agents: must be >= 0")
+    if getattr(args, "eval_days", None) is not None and args.eval_days < 1:
+        problems.append("--eval-days: must be >= 1")
+    if problems:
+        raise ConfigError(problems)
 
 
 def cmd_train(args) -> int:
@@ -69,6 +80,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     from .harness import eval_run
 
+    _check_counts(args)
     overrides = _config_overrides(args)
     cfg = None
     if args.checkpoint is None:
@@ -101,6 +113,7 @@ def cmd_compare(args) -> int:
 def cmd_audit(args) -> int:
     from .harness import audit_run
 
+    _check_counts(args)
     summary = audit_run(args.checkpoint, args.out, seed=args.seed,
                         days=args.eval_days)
     print(json.dumps(summary))
@@ -114,15 +127,15 @@ def cmd_synth_data(args) -> int:
 
     cfg = _resolve(args)
     mg = build_microgrid(cfg)
-    series = synth_generator(seed_stream(args.seed, "data"), args.days or
-                             cfg["data"]["days"], list(mg.pv), list(mg.loads))
+    series = synth_generator(seed_stream(args.seed, "data"), cfg["data"]["days"],
+                             list(mg.pv), list(mg.loads))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fh:
         ids = [s.id for s in mg.pv] + [s.id for s in mg.loads]
         fh.write("timestamp," + ",".join(ids) + "\n")
         for d in range(series.n_days):
-            for slot in range(96):
+            for slot in range(SLOTS_PER_DAY):
                 hh, mm = divmod(slot * 15, 60)
                 day = d + 1
                 stamp = f"2022-{7 + (day - 1) // 31:02d}-{(day - 1) % 31 + 1:02d}" \

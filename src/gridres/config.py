@@ -50,18 +50,32 @@ YAML schema (all sections optional, defaults apply):
       noise_sigma_end: 0.02
       grad_clip: 1.0
       hidden: 64
-      gru_shared: true        # per-agent encoders are reserved, not implemented
+
+Every leaf must have the type of its default (a float leaf also takes an
+integer; the forced_* keys take an integer or null), and every problem is
+reported at once.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+import functools
+from dataclasses import asdict, fields
 from typing import Any
 
 import yaml
 
-from .grid import CostParams, EssSpec, GeneratorSpec, LoadSpec, MicrogridConfig, PvSpec
+from .env import OutageSettings
+from .grid import (
+    SLOTS_PER_DAY,
+    CostParams,
+    EssSpec,
+    GeneratorSpec,
+    LoadSpec,
+    MicrogridConfig,
+    PvSpec,
+)
+from .maddpg import TrainSettings
 
 
 class ConfigError(ValueError):
@@ -118,16 +132,7 @@ def default_dict() -> dict[str, Any]:
             "pv": [{"id": i, "p_max": p, "bus": bus} for i, p, bus in PV_TABLE],
             "loads": [{"id": i, "p_max": p, "bus": bus} for i, p, bus in LOAD_TABLE],
         },
-        "outage": {
-            "peak_prob": 0.3,
-            "width_slots": 4.0,
-            "breakpoints": 4,
-            "shift_range": 3,
-            "duration_range": [12, 15],
-            "forced_onset": None,
-            "forced_duration": None,
-            "forced_peak_slot": None,
-        },
+        "outage": asdict(OutageSettings()),
         "data": {
             "source": "synth",
             "days": 64,
@@ -137,24 +142,7 @@ def default_dict() -> dict[str, Any]:
             "stress_pv": 1.0,
             "stress_load": 1.0,
         },
-        "train": {
-            "episodes": 400,
-            "gamma": 0.99,
-            "tau": 0.001,
-            "lr_actor": 0.00025,
-            "lr_critic": 0.00025,
-            "lr_gru": 0.00025,
-            "batch_size": 128,
-            "update_every": 24,
-            "updates_per": 1,
-            "warmup_steps": 8000,
-            "replay_capacity": 100000,
-            "noise_sigma_start": 0.2,
-            "noise_sigma_end": 0.02,
-            "grad_clip": 1.0,
-            "hidden": 64,
-            "gru_shared": True,
-        },
+        "train": asdict(TrainSettings()),
     }
 
 
@@ -163,23 +151,35 @@ def _merge(base: dict, override: dict, path: str, problems: list[str]) -> dict:
     for key, value in override.items():
         if key not in base:
             problems.append(f"{path}{key}: unknown key")
-            continue
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        elif not isinstance(base[key], dict):
+            out[key] = copy.deepcopy(value)
+        elif isinstance(value, dict):
             out[key] = _merge(base[key], value, f"{path}{key}.", problems)
         else:
-            out[key] = copy.deepcopy(value)
+            problems.append(f"{path}{key}: must be a mapping")
     return out
+
+
+def merge_config(base: dict[str, Any], *overlays: dict[str, Any]) -> dict[str, Any]:
+    """``base`` with each overlay merged over it in turn, then validated.
+
+    Collects every problem before raising ConfigError, so a bad file is
+    fixed in one round trip.
+    """
+    problems: list[str] = []
+    resolved = base
+    for overlay in overlays:
+        resolved = _merge(resolved, overlay, "", problems)
+    _validate(resolved, problems)
+    if problems:
+        raise ConfigError(problems)
+    return resolved
 
 
 def resolve_dict(path: str | None = None,
                  overrides: dict[str, Any] | None = None) -> dict[str, Any]:
-    """Defaults merged with an optional YAML file and programmatic overrides.
-
-    Collects every validation problem before raising, so a bad file is fixed
-    in one round trip.
-    """
-    problems: list[str] = []
-    resolved = default_dict()
+    """Defaults merged with an optional YAML file and programmatic overrides."""
+    loaded: dict[str, Any] = {}
     if path is not None:
         try:
             with open(path) as fh:
@@ -188,58 +188,95 @@ def resolve_dict(path: str | None = None,
             raise ConfigError([f"{path}: {exc}"]) from None
         if not isinstance(loaded, dict):
             raise ConfigError([f"{path}: top level must be a mapping"])
-        resolved = _merge(resolved, loaded, "", problems)
-    if overrides:
-        resolved = _merge(resolved, overrides, "", problems)
-    _validate(resolved, problems)
-    if problems:
-        raise ConfigError(problems)
-    return resolved
+    return merge_config(default_dict(), loaded, overrides or {})
+
+
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _type_problems(default: Any, value: Any, path: str, bad: dict[str, str]) -> None:
+    """Record in ``bad`` every leaf of ``value`` whose type differs from the
+    default at the same path. A fleet list types each entry like its first
+    default entry, a tuple default is a fixed-length list of integers and a
+    ``None`` default marks an optional integer."""
+    if isinstance(default, dict):
+        for key in default:
+            if key in value:
+                _type_problems(default[key], value[key],
+                               f"{path}.{key}" if path else key, bad)
+    elif isinstance(default, list):
+        if not isinstance(value, list):
+            bad[path] = "must be a list"
+            return
+        for i, entry in enumerate(value):
+            if isinstance(entry, dict):
+                _type_problems(default[0], entry, f"{path}[{i}]", bad)
+            else:
+                bad[f"{path}[{i}]"] = "must be a mapping"
+    elif isinstance(default, tuple):
+        if not (isinstance(value, (list, tuple)) and len(value) == len(default)
+                and all(_is_int(x) for x in value)):
+            bad[path] = f"must be a list of {len(default)} integers"
+    elif default is None:
+        if value is not None and not _is_int(value):
+            bad[path] = "must be an integer or null"
+    elif isinstance(default, int):
+        if not _is_int(value):
+            bad[path] = "must be an integer"
+    elif isinstance(default, float):
+        if not _is_number(value):
+            bad[path] = "must be a number"
+    elif not isinstance(value, str):
+        bad[path] = "must be a string"
+
+
+POSITIVE = (lambda x: x > 0, "must be positive")
+NON_NEGATIVE = (lambda x: x >= 0, "must be >= 0")
+SLOT = (lambda x: x is None or 0 <= x < SLOTS_PER_DAY,
+        f"must be null or a slot in [0, {SLOTS_PER_DAY})")
+RANGES = [
+    *((f"train.{f.name}", *(NON_NEGATIVE if f.name == "warmup_steps" else POSITIVE))
+      for f in fields(TrainSettings)),
+    ("outage.peak_prob", lambda x: 0.0 <= x <= 1.0, "must be in [0, 1]"),
+    ("outage.width_slots", *POSITIVE),
+    ("outage.breakpoints", *POSITIVE),
+    ("outage.shift_range", *NON_NEGATIVE),
+    ("outage.duration_range", lambda r: 0 < r[0] <= r[1], "need integers 0 < lo <= hi"),
+    ("outage.forced_onset", *SLOT),
+    ("outage.forced_duration", lambda x: x is None or x > 0, "must be null or positive"),
+    ("outage.forced_peak_slot", *SLOT),
+    ("data.days", lambda x: x >= 4, "need at least 4 days for a split"),
+    ("data.window", *POSITIVE),
+    ("data.forecast_std_pv", *NON_NEGATIVE),
+    ("data.forecast_std_load", *NON_NEGATIVE),
+    ("data.stress_pv", *POSITIVE),
+    ("data.stress_load", *POSITIVE),
+]
 
 
 def _validate(cfg: dict[str, Any], problems: list[str]) -> None:
+    """Type-check every leaf first, then range-check the well-typed ones."""
+    bad: dict[str, str] = {}
+    _type_problems(default_dict(), cfg, "", bad)
+    problems.extend(f"{path}: {message}" for path, message in bad.items())
+    for path, ok, message in RANGES:
+        value = functools.reduce(dict.__getitem__, path.split("."), cfg)
+        if path not in bad and not ok(value):
+            problems.append(f"{path}: {message}")
     train = cfg["train"]
-    for key in ("episodes", "batch_size", "update_every", "updates_per",
-                "replay_capacity", "hidden"):
-        if not isinstance(train[key], int) or train[key] <= 0:
-            problems.append(f"train.{key}: must be a positive integer")
-    for key in ("gamma", "tau", "lr_actor", "lr_critic", "lr_gru",
-                "noise_sigma_start", "noise_sigma_end", "grad_clip"):
-        if not isinstance(train[key], (int, float)) or train[key] <= 0:
-            problems.append(f"train.{key}: must be positive")
-    if train["warmup_steps"] < 0:
-        problems.append("train.warmup_steps: must be >= 0")
-    if train["gru_shared"] is not True:
-        problems.append("train.gru_shared: only the shared encoder is implemented")
-    total_steps = cfg["train"]["episodes"] * 96
-    if train["warmup_steps"] >= total_steps:
+    if not bad.keys() & {"train.episodes", "train.warmup_steps"} \
+            and train["warmup_steps"] >= train["episodes"] * SLOTS_PER_DAY:
         problems.append("train.warmup_steps: must be below total environment steps")
-
-    outage = cfg["outage"]
-    if not 0.0 <= outage["peak_prob"] <= 1.0:
-        problems.append("outage.peak_prob: must be in [0, 1]")
-    if outage["width_slots"] <= 0:
-        problems.append("outage.width_slots: must be positive")
-    lo, hi = outage["duration_range"]
-    if not (isinstance(lo, int) and isinstance(hi, int) and 0 < lo <= hi):
-        problems.append("outage.duration_range: need integers 0 < lo <= hi")
-
-    data = cfg["data"]
-    if data["window"] < 1:
-        problems.append("data.window: must be >= 1")
-    if data["days"] < 4:
-        problems.append("data.days: need at least 4 days for a split")
-    for key in ("forecast_std_pv", "forecast_std_load"):
-        if data[key] < 0:
-            problems.append(f"data.{key}: must be >= 0")
-    for key in ("stress_pv", "stress_load"):
-        if data[key] <= 0:
-            problems.append(f"data.{key}: must be positive")
-
-    try:
-        build_microgrid(cfg)
-    except (ValueError, KeyError, TypeError) as exc:
-        problems.append(f"microgrid: {exc}")
+    if not any(path.startswith("microgrid.") for path in bad):
+        try:
+            build_microgrid(cfg)
+        except (ValueError, KeyError, TypeError) as exc:
+            problems.append(f"microgrid: {exc}")
 
 
 def build_microgrid(cfg: dict[str, Any]) -> MicrogridConfig:
@@ -260,7 +297,3 @@ def build_microgrid(cfg: dict[str, Any]) -> MicrogridConfig:
         costs=costs,
         initial_soc=mg["initial_soc"],
     )
-
-
-def default_config() -> MicrogridConfig:
-    return build_microgrid(default_dict())

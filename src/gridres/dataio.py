@@ -18,9 +18,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .grid import LoadSpec, PvSpec
-
-SLOTS_PER_DAY = 96
+from .grid import SLOTS_PER_DAY, LoadSpec, PvSpec
 
 
 class SeriesError(ValueError):
@@ -83,7 +81,7 @@ def load_csv(path: str, pv_specs: list[PvSpec], load_specs: list[LoadSpec]) -> S
     """Parse a series CSV into a validated SeriesSet.
 
     Raises SeriesError naming line numbers for malformed rows and listing any
-    day whose slot count is not exactly 96.
+    day whose slot count is not exactly ``SLOTS_PER_DAY``.
     """
     rows: list[tuple[datetime, list[float]]] = []
     with open(path, newline="") as fh:

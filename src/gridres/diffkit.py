@@ -260,8 +260,3 @@ def accumulate(into: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> Non
         else:
             into[key] = g.copy()
 
-
-def check_finite(arrays: dict[str, np.ndarray], context: str) -> None:
-    for name, a in arrays.items():
-        if not np.isfinite(a).all():
-            raise FloatingPointError(f"non-finite values in {name} during {context}")

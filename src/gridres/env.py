@@ -1,4 +1,4 @@
-"""Episode environment: one simulated day of 96 slots.
+"""Episode environment: one simulated day of ``SLOTS_PER_DAY`` slots.
 
 Owns the SoC trajectory, the islanding countdown and the data cursors. The
 policies see (per-ESS SoC, slots-to-risk-peak counter, forecast window) and
@@ -16,10 +16,16 @@ import numpy as np
 
 from .dataio import ForecastTable, SeriesSet
 from .encoder import build_window
-from .grid import DispatchResult, MicrogridConfig, SimState, resolve_slot, reward_for_agent, step_soc
+from .grid import (
+    SLOTS_PER_DAY,
+    DispatchResult,
+    MicrogridConfig,
+    SimState,
+    resolve_slot,
+    reward_for_agent,
+    step_soc,
+)
 from .outage import OutageDraw, build_profile, counter, sample_outage
-
-SLOTS_PER_DAY = 96
 
 
 @dataclass
@@ -27,7 +33,6 @@ class Observation:
     soc: np.ndarray  # per ESS
     counter: int  # slots until the primary risk peak, same for all agents
     window: np.ndarray  # (devices, horizon)
-    slot: int
 
 
 @dataclass
@@ -43,14 +48,7 @@ class OutageSettings:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "OutageSettings":
-        return cls(
-            peak_prob=d["peak_prob"], width_slots=d["width_slots"],
-            breakpoints=d["breakpoints"], shift_range=d["shift_range"],
-            duration_range=tuple(d["duration_range"]),
-            forced_onset=d.get("forced_onset"),
-            forced_duration=d.get("forced_duration"),
-            forced_peak_slot=d.get("forced_peak_slot"),
-        )
+        return cls(**d)
 
 
 @dataclass
@@ -132,7 +130,6 @@ class MicrogridEnv:
             counter=self._counter(slot),
             window=build_window(self.series, self.forecasts, self._day, slot,
                                 self.horizon),
-            slot=slot,
         )
 
     def state(self) -> SimState:
@@ -167,19 +164,3 @@ class MicrogridEnv:
         self.record.results.append(result)
         self.record.soc_trace.append(list(self._soc))
         return result, rewards, self._observe(), done
-
-    def mask_bounds(self, soc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Feasible [low, up] power windows for the given SoC vector."""
-        dt = self.config.costs.slot_hours
-        low = np.empty(self.n_agents)
-        up = np.empty(self.n_agents)
-        for i, spec in enumerate(self.config.ess):
-            low[i], up[i] = mask_window(spec, float(soc[i]), dt)
-        return low, up
-
-
-def mask_window(spec, soc: float, dt: float) -> tuple[float, float]:
-    """SoC-aware feasible power interval for one ESS."""
-    up = min((spec.soc_max - soc) * spec.energy_cap / dt, spec.p_max)
-    low = max((spec.soc_min - soc) * spec.energy_cap / dt, spec.p_min)
-    return low, up

@@ -14,6 +14,9 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
+SLOTS_PER_DAY = 96  # 15-minute slots
 BALANCE_TOL = 1e-9
 COMMAND_TOL = 1e-12
 
@@ -193,6 +196,34 @@ def step_soc(spec: EssSpec, soc: float, p_ess: float, dt: float) -> SocUpdate:
     return SocUpdate(clamped, raw - clamped)
 
 
+class EssArrays(NamedTuple):
+    """Per-unit ESS limits as arrays in fleet order, for vectorised masking."""
+
+    energy_cap: np.ndarray
+    soc_min: np.ndarray
+    soc_max: np.ndarray
+    p_min: np.ndarray
+    p_max: np.ndarray
+
+    @classmethod
+    def of(cls, specs: Sequence[EssSpec]) -> "EssArrays":
+        return cls(*(np.array([getattr(s, name) for s in specs])
+                     for name in cls._fields))
+
+
+def mask_bounds(ess: EssArrays, socs: np.ndarray,
+                dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """SoC-aware feasible [low, up] power window of every unit.
+
+    ``socs`` broadcasts against the unit axis (last). The window keeps the
+    next SoC inside its band before efficiencies, so a discharge at ``low``
+    can still reach the SoC clamp of :func:`step_soc`.
+    """
+    up = np.minimum((ess.soc_max - socs) * ess.energy_cap / dt, ess.p_max)
+    low = np.maximum((ess.soc_min - socs) * ess.energy_cap / dt, ess.p_min)
+    return low, up
+
+
 def dispatch_generators(gens: Sequence[GeneratorSpec], total_load: float) -> list[float]:
     """Generator outputs for one islanded slot.
 
@@ -210,26 +241,6 @@ def dispatch_generators(gens: Sequence[GeneratorSpec], total_load: float) -> lis
     if cap_sum == 0.0:
         return [0.0 for _ in gens]
     return [total_load * g.p_max / cap_sum for g in gens]
-
-
-def compute_shedding(load_sum: float, ess_net: float, pv_sum: float,
-                     gen_sum: float) -> tuple[float, float]:
-    """Shedding fraction for one islanded slot, plus any PV surplus.
-
-    Returns ``(alpha, pv_curtailed)`` where alpha is the supply gap as a
-    fraction of demand clamped to [0, 1]. A negative raw gap means excess
-    generation; it is reported as PV curtailment rather than negative
-    shedding. The surplus is not capped at the available PV here; callers
-    that need a physical dispatch use :func:`resolve_slot`.
-    """
-    _require_finite(load_sum=load_sum, ess_net=ess_net, pv_sum=pv_sum, gen_sum=gen_sum)
-    if load_sum <= 0.0:
-        surplus = -(load_sum + ess_net - pv_sum - gen_sum)
-        return 0.0, max(surplus, 0.0)
-    raw = (load_sum + ess_net - pv_sum - gen_sum) / load_sum
-    if raw < 0.0:
-        return 0.0, -raw * load_sum
-    return min(raw, 1.0), 0.0
 
 
 def resolve_slot(config: MicrogridConfig, state: SimState,
@@ -328,13 +339,6 @@ def _price(result: DispatchResult, costs: CostParams) -> tuple[float, CostBreakd
     return ess + gen + grid + shed, breakdown
 
 
-def compute_cost(result: DispatchResult, costs: CostParams) -> float:
-    """Total slot cost in $: storage wear on discharge, generation, grid
-    exchange magnitude and the shedding penalty, all times the slot length."""
-    total, _ = _price(result, costs)
-    return total
-
-
 def reward_for_agent(n: int, result: DispatchResult, costs: CostParams) -> float:
     """Per-agent reward: negative slot cost where the storage-wear term counts
     only agent ``n``'s discharge while the other terms are shared."""
@@ -344,13 +348,6 @@ def reward_for_agent(n: int, result: DispatchResult, costs: CostParams) -> float
               + costs.lambda_grid * abs(result.p_grid)
               + sum(result.alpha * costs.lambda_load * p for p in result.p_load))
     return -(own + shared) * dt
-
-
-def resilience_metric(results: Sequence[DispatchResult], costs: CostParams) -> float:
-    """Negated cumulative shedding cost; fewer MWh shed means a larger value."""
-    dt = costs.slot_hours
-    shed = sum(r.alpha * costs.lambda_load * p for r in results for p in r.p_load)
-    return -shed * dt
 
 
 def shed_energy_mwh(results: Sequence[DispatchResult], dt: float) -> float:

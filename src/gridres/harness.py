@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import RulePolicy, TrainedPolicy, build_trainer
-from .config import build_microgrid, resolve_dict
+from .config import build_microgrid, merge_config, resolve_dict
 from .dataio import (
     ForecastModel,
     SeriesSet,
@@ -190,6 +190,8 @@ def load_trained_policy(run_dir: str | Path):
     run = Path(run_dir)
     manifest = read_manifest(run)
     cfg = manifest["config"]
+    # Manifests of earlier versions may hold train keys removed since.
+    cfg["train"] = {f.name: cfg["train"][f.name] for f in fields(TrainSettings)}
     seed = manifest["seed"]
     dataset = build_dataset(cfg, seed_stream(seed, "data"))
     env = build_env(cfg, dataset)
@@ -285,7 +287,7 @@ def eval_run(run_dir: str | Path | None, out_dir: str | Path, seed: int | None,
         seed = 0 if seed is None else seed
         policy = RulePolicy(build_microgrid(cfg))
     if overrides:
-        cfg = resolve_dict_overrides(cfg, overrides)
+        cfg = merge_config(cfg, overrides)
     dataset = build_dataset(cfg, seed_stream(seed, "data"))
     env = build_env(cfg, dataset)
     eval_days = dataset.test_days if days is None else dataset.test_days[:days]
@@ -300,32 +302,6 @@ def eval_run(run_dir: str | Path | None, out_dir: str | Path, seed: int | None,
                     "avg_cost_usd": row.avg_cost_usd,
                     "avg_shed_mwh": row.avg_shed_mwh, "status": "ok"})
     return row
-
-
-def resolve_dict_overrides(cfg: dict[str, Any],
-                           overrides: dict[str, Any]) -> dict[str, Any]:
-    """Apply overrides on an already-resolved config, revalidating."""
-    import copy
-
-    merged = copy.deepcopy(cfg)
-
-    def deep(dst: dict, src: dict) -> None:
-        for k, v in src.items():
-            if isinstance(v, dict) and isinstance(dst.get(k), dict):
-                deep(dst[k], v)
-            else:
-                dst[k] = v
-
-    deep(merged, overrides)
-    # Round-trip through the validator.
-    from .config import ConfigError, default_dict, _merge, _validate
-
-    problems: list[str] = []
-    resolved = _merge(default_dict(), merged, "", problems)
-    _validate(resolved, problems)
-    if problems:
-        raise ConfigError(problems)
-    return resolved
 
 
 def compare_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
@@ -408,8 +384,7 @@ def _write_lambda_sweep(out: Path, cfg: dict[str, Any], seed: int,
     """Retrain at each shedding penalty and tabulate the resulting shed."""
     rows = []
     for lam in lambdas:
-        sweep_cfg = resolve_dict_overrides(
-            cfg, {"microgrid": {"costs": {"load": float(lam)}}})
+        sweep_cfg = merge_config(cfg, {"microgrid": {"costs": {"load": float(lam)}}})
         run_dir = out / f"lambda-{lam}"
         train_run(sweep_cfg, seed, run_dir, method="maddpg")
         policy, _, _ = load_trained_policy(run_dir)

@@ -20,10 +20,9 @@ import numpy as np
 
 from . import diffkit as dk
 from .encoder import GruEncoder, VECTOR_DIM
-from .env import mask_window
-from .grid import EssSpec
+from .grid import SLOTS_PER_DAY, EssArrays, EssSpec, mask_bounds, shed_energy_mwh
 
-COUNTER_SCALE = 1.0 / 96.0  # keeps the slots-to-peak feature near unit range
+COUNTER_SCALE = 1.0 / SLOTS_PER_DAY  # keeps the slots-to-peak feature near unit range
 
 
 class TrainingDiverged(RuntimeError):
@@ -50,14 +49,7 @@ class TrainSettings:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "TrainSettings":
-        keys = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in keys})
-
-
-def mask_action(raw_pi: float, spec: EssSpec, soc: float, dt: float) -> float:
-    """Affine map of a raw (-1, 1) output onto the SoC-feasible power range."""
-    low, up = mask_window(spec, soc, dt)
-    return (up - low) * (raw_pi + 1.0) / 2.0 + low
+        return cls(**d)
 
 
 def explore(raw_pi: np.ndarray, rng: np.random.Generator, step: int,
@@ -255,12 +247,11 @@ class Trainer:
     def __init__(self, ess_specs: tuple[EssSpec, ...], dt: float,
                  groups: list[AgentGroup], window_rows: int,
                  capacities: np.ndarray, settings: TrainSettings,
-                 init_rng: np.random.Generator, mask_enabled: bool = True):
-        self.ess_specs = ess_specs
+                 init_rng: np.random.Generator):
+        self.ess_limits = EssArrays.of(ess_specs)
         self.dt = dt
         self.groups = groups
         self.settings = settings
-        self.mask_enabled = mask_enabled
         self.n_ess = len(ess_specs)
         self.state_dim = 2 * self.n_ess + VECTOR_DIM
 
@@ -290,25 +281,12 @@ class Trainer:
 
     # ----------------------------------------------------------- acting
 
-    def mask_bounds(self, socs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        socs = np.atleast_2d(socs)
-        caps = np.array([s.energy_cap for s in self.ess_specs])
-        soc_min = np.array([s.soc_min for s in self.ess_specs])
-        soc_max = np.array([s.soc_max for s in self.ess_specs])
-        p_min = np.array([s.p_min for s in self.ess_specs])
-        p_max = np.array([s.p_max for s in self.ess_specs])
-        up = np.minimum((soc_max - socs) * caps / self.dt, p_max)
-        low = np.maximum((soc_min - socs) * caps / self.dt, p_min)
-        return low, up
-
     def apply_mask(self, pis: np.ndarray, socs: np.ndarray):
-        """Returns (actions, slope); slope is d action / d pi per unit."""
-        pis = np.atleast_2d(pis)
-        if not self.mask_enabled:
-            return pis.copy(), np.ones_like(pis)
-        low, up = self.mask_bounds(socs)
+        """Affine map of raw (-1, 1) outputs onto each unit's SoC-feasible
+        power window. Returns (actions, slope); slope is d action / d pi."""
+        low, up = mask_bounds(self.ess_limits, np.atleast_2d(socs), self.dt)
         slope = (up - low) / 2.0
-        return slope * (pis + 1.0) + low, slope
+        return slope * (np.atleast_2d(pis) + 1.0) + low, slope
 
     def raw_policy(self, socs, counter, v, target: bool = False) -> np.ndarray:
         """All groups' raw outputs assembled in ESS order, one sample."""
@@ -432,67 +410,45 @@ class Trainer:
 
     # ------------------------------------------------------- persistence
 
-    def param_set(self) -> dk.ParamSet:
-        tensors: dict[str, np.ndarray] = {}
-        for name, p in self.encoder.params.items():
-            tensors[f"gru/{name}"] = p
-        for g, group in enumerate(self.groups):
-            for name, p in self.actors[g].params.items():
-                tensors[f"actor{g}/{name}"] = p
-            for name, p in self.critics[g].params.items():
-                tensors[f"critic{g}/{name}"] = p
-            for name, p in self.target_actors[g].params.items():
-                tensors[f"target_actor{g}/{name}"] = p
-            for name, p in self.target_critics[g].params.items():
-                tensors[f"target_critic{g}/{name}"] = p
+    def _adam_states(self) -> list[tuple[str, dk.AdamState]]:
+        states = []
         for g in range(len(self.groups)):
-            for name, m in self.actor_adam[g].m.items():
-                tensors[f"adam/actor{g}/m/{name}"] = m
-            for name, v in self.actor_adam[g].v.items():
-                tensors[f"adam/actor{g}/v/{name}"] = v
-            tensors[f"adam/actor{g}/t"] = np.array([self.actor_adam[g].t], dtype=float)
-            for name, m in self.critic_adam[g].m.items():
-                tensors[f"adam/critic{g}/m/{name}"] = m
-            for name, v in self.critic_adam[g].v.items():
-                tensors[f"adam/critic{g}/v/{name}"] = v
-            tensors[f"adam/critic{g}/t"] = np.array([self.critic_adam[g].t], dtype=float)
-        for name, m in self.gru_adam.m.items():
-            tensors[f"adam/gru/m/{name}"] = m
-        for name, v in self.gru_adam.v.items():
-            tensors[f"adam/gru/v/{name}"] = v
-        tensors["adam/gru/t"] = np.array([self.gru_adam.t], dtype=float)
-        return dk.ParamSet(tensors=tensors)
+            states += [(f"actor{g}", self.actor_adam[g]),
+                       (f"critic{g}", self.critic_adam[g])]
+        return states + [("gru", self.gru_adam)]
+
+    def _checkpoint_entries(self) -> list[tuple[str, dict[str, np.ndarray]]]:
+        """Every checkpointed tensor dict with its key prefix, in file order.
+        An optimizer's step count is stored as ``adam/<net>/t`` after its
+        moments; its one-element dict here is a copy, restored separately."""
+        entries = [("gru", self.encoder.params)]
+        for g in range(len(self.groups)):
+            entries += [(f"actor{g}", self.actors[g].params),
+                        (f"critic{g}", self.critics[g].params),
+                        (f"target_actor{g}", self.target_actors[g].params),
+                        (f"target_critic{g}", self.target_critics[g].params)]
+        for name, state in self._adam_states():
+            entries += [(f"adam/{name}/m", state.m), (f"adam/{name}/v", state.v),
+                        (f"adam/{name}", {"t": np.array([state.t], dtype=float)})]
+        return entries
+
+    def param_set(self) -> dk.ParamSet:
+        return dk.ParamSet(tensors={
+            f"{prefix}/{name}": p
+            for prefix, params in self._checkpoint_entries()
+            for name, p in params.items()})
 
     def load_param_set(self, ps: dk.ParamSet) -> None:
-        t = ps.tensors
-
-        def restore(params: dict[str, np.ndarray], prefix: str) -> None:
+        for prefix, params in self._checkpoint_entries():
             for name in params:
-                src = t[f"{prefix}/{name}"]
+                src = ps.tensors[f"{prefix}/{name}"]
                 if src.shape != params[name].shape:
                     raise dk.ShapeError(
                         f"{prefix}/{name}: checkpoint {src.shape} vs "
                         f"model {params[name].shape}")
                 params[name] = src.copy()
-
-        restore(self.encoder.params, "gru")
-        for g in range(len(self.groups)):
-            restore(self.actors[g].params, f"actor{g}")
-            restore(self.critics[g].params, f"critic{g}")
-            restore(self.target_actors[g].params, f"target_actor{g}")
-            restore(self.target_critics[g].params, f"target_critic{g}")
-            for name in self.actor_adam[g].m:
-                self.actor_adam[g].m[name] = t[f"adam/actor{g}/m/{name}"].copy()
-                self.actor_adam[g].v[name] = t[f"adam/actor{g}/v/{name}"].copy()
-            self.actor_adam[g].t = int(t[f"adam/actor{g}/t"][0])
-            for name in self.critic_adam[g].m:
-                self.critic_adam[g].m[name] = t[f"adam/critic{g}/m/{name}"].copy()
-                self.critic_adam[g].v[name] = t[f"adam/critic{g}/v/{name}"].copy()
-            self.critic_adam[g].t = int(t[f"adam/critic{g}/t"][0])
-        for name in self.gru_adam.m:
-            self.gru_adam.m[name] = t[f"adam/gru/m/{name}"].copy()
-            self.gru_adam.v[name] = t[f"adam/gru/v/{name}"].copy()
-        self.gru_adam.t = int(t["adam/gru/t"][0])
+        for name, state in self._adam_states():
+            state.t = int(ps.tensors[f"adam/{name}/t"][0])
 
 
 def maddpg_groups(n_ess: int) -> list[AgentGroup]:
@@ -536,10 +492,7 @@ def run_training(env, trainer: Trainer, settings: TrainSettings,
     round runs every ``update_every`` steps. Raises TrainingDiverged if any
     loss goes non-finite.
     """
-    from .grid import shed_energy_mwh
-
-    slots = 96
-    total_steps = settings.episodes * slots
+    total_steps = settings.episodes * SLOTS_PER_DAY
     replay = ReplayBuffer(settings.replay_capacity, trainer.n_ess,
                           len(trainer.groups),
                           (env.obs_window_rows, env.horizon))
@@ -552,7 +505,7 @@ def run_training(env, trainer: Trainer, settings: TrainSettings,
         ep_losses: list[float] = []
         ep_objectives: list[float] = []
         ep_reward = 0.0
-        for _ in range(slots):
+        for _ in range(SLOTS_PER_DAY):
             if step < settings.warmup_steps:
                 pis = explore(np.zeros(trainer.n_ess), noise_rng, step,
                               settings, total_steps)

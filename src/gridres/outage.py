@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SLOTS_PER_DAY = 96
+from .grid import SLOTS_PER_DAY
 
 
 @dataclass(frozen=True)

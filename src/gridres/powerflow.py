@@ -94,20 +94,6 @@ def load_ieee33() -> FeederTopology:
                           nominal_load_mw=load_mw, nominal_load_mvar=load_mvar)
 
 
-def load_topology(path: str, base_kv: float = 12.66, slack_bus: int = 1) -> FeederTopology:
-    """Read a plain-text branch list: from_bus,to_bus,r_ohm,x_ohm."""
-    branches = []
-    buses: set[int] = set()
-    with open(path) as fh:
-        for row in csv.DictReader(_strip_comments(fh)):
-            br = Branch(int(row["from_bus"]), int(row["to_bus"]),
-                        float(row["r_ohm"]), float(row["x_ohm"]))
-            branches.append(br)
-            buses.update((br.from_bus, br.to_bus))
-    return FeederTopology(buses=tuple(sorted(buses)), branches=tuple(branches),
-                          base_kv=base_kv, slack_bus=slack_bus)
-
-
 def _strip_comments(fh):
     return (line for line in fh if not line.lstrip().startswith("#"))
 

@@ -6,22 +6,22 @@ import pytest
 from gridres.baselines import (
     DpSizeError,
     RulePolicy,
-    RulePolicyConfig,
-    SchedulePolicy,
     TrainedPolicy,
     build_trainer,
     dp_oracle,
 )
 from gridres.dataio import ForecastModel, SeriesSet, make_forecasts, synth_generator
-from gridres.env import MicrogridEnv, OutageSettings, mask_window
+from gridres.env import MicrogridEnv, OutageSettings
 from gridres.grid import (
     CostParams,
+    EssArrays,
     EssSpec,
     GeneratorSpec,
     LoadSpec,
     MicrogridConfig,
     PvSpec,
     SimState,
+    mask_bounds,
     resolve_slot,
     step_soc,
 )
@@ -82,7 +82,8 @@ class TestRulePolicy:
 
     def test_commands_always_inside_mask(self):
         config = two_ess_config()
-        policy = RulePolicy(config, RulePolicyConfig(gain=5.0))
+        policy = RulePolicy(config)
+        limits = EssArrays.of(config.ess)
         rng = np.random.default_rng(0)
         dt = config.costs.slot_hours
         for _ in range(300):
@@ -93,9 +94,8 @@ class TestRulePolicy:
                              pv_now=[rng.uniform(0, 2)],
                              load_now=[rng.uniform(0, 2.5)])
             cmds = policy(obs_stub(), state)
-            for spec, soc, cmd in zip(config.ess, socs, cmds):
-                low, up = mask_window(spec, soc, dt)
-                assert low - 1e-12 <= cmd <= up + 1e-12
+            low, up = mask_bounds(limits, np.array(socs), dt)
+            assert (low - 1e-12 <= cmds).all() and (cmds <= up + 1e-12).all()
 
     def test_holds_setpoint_on_calm_days(self):
         config = one_ess_config(energy_cap=6.0)
@@ -142,6 +142,7 @@ class TestDpOracle:
         outage = (1, 2)  # slots 1 and 2 islanded
         grid = np.linspace(0.1, 0.9, 3)
         spec = config.ess[0]
+        limits = EssArrays.of(config.ess)
         dt = config.costs.slot_hours
 
         def command(soc_from, soc_to):
@@ -157,7 +158,7 @@ class TestDpOracle:
             for t, gi in enumerate(path):
                 target = grid[gi]
                 p = command(soc, target)
-                low, up = mask_window(spec, soc, dt)
+                (low,), (up,) = mask_bounds(limits, soc, dt)
                 if not low - 1e-12 <= p <= up + 1e-12:
                     feasible = False
                     break
@@ -221,11 +222,9 @@ class TestDpOracle:
                            OutageSettings(forced_onset=outage[0],
                                           forced_duration=outage[1]),
                            horizon=4)
-        policy = SchedulePolicy(out.commands)
-        obs = env.reset(0, np.random.default_rng(8))
-        done = False
-        while not done:
-            _, _, obs, done = env.step(policy(obs, env.state()))
+        env.reset(0, np.random.default_rng(8))
+        for commands in out.commands:
+            env.step(commands)
         assert env.record.cost == pytest.approx(out.cost, abs=1e-8)
 
     def test_dp_lower_bounds_rule_policy(self):

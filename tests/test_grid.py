@@ -12,11 +12,9 @@ from gridres.grid import (
     MicrogridConfig,
     PvSpec,
     SimState,
-    compute_cost,
-    compute_shedding,
+    _price,
     dispatch_generators,
     reward_for_agent,
-    resilience_metric,
     resolve_slot,
     step_soc,
 )
@@ -126,24 +124,37 @@ class TestDispatchGenerators:
             assert sum(out) == pytest.approx(min(6.0, load))
 
 
+def islanded(load, ess_cmd, pv, gen_cap=None):
+    """One islanded slot; a generator of ``gen_cap`` MW runs flat out when
+    the load exceeds it, so the supply terms can be set independently."""
+    gens = (GeneratorSpec(id="G", p_min=0.0, p_max=gen_cap),) if gen_cap else ()
+    cfg = MicrogridConfig(ess=(ess(),), generators=gens,
+                          pv=(PvSpec(id="PV1", p_max=10.0),),
+                          loads=(LoadSpec(id="L1", p_max=10.0),))
+    return resolve_slot(cfg, make_state(False, pv=pv, load=load), [ess_cmd])
+
+
 class TestComputeShedding:
+    """Shedding and curtailment of islanded slots, as resolve_slot computes them."""
+
     def test_deficit(self):
-        alpha, curt = compute_shedding(5.0, 1.0, 2.0, 3.0)
-        assert alpha == pytest.approx(0.2)
-        assert curt == 0.0
+        out = islanded(load=5.0, ess_cmd=1.0, pv=2.0, gen_cap=3.0)
+        assert out.alpha == pytest.approx(0.2)
+        assert out.pv_curtailed == 0.0
 
     def test_exact_balance(self):
-        assert compute_shedding(5.0, 0.0, 2.0, 3.0) == (0.0, 0.0)
+        out = islanded(load=5.0, ess_cmd=0.0, pv=2.0, gen_cap=3.0)
+        assert (out.alpha, out.pv_curtailed) == (0.0, 0.0)
 
     def test_surplus_curtailed(self):
-        alpha, curt = compute_shedding(2.0, 0.0, 4.0, 0.0)
-        assert alpha == 0.0
-        assert curt == pytest.approx(2.0)
+        out = islanded(load=2.0, ess_cmd=0.0, pv=4.0)
+        assert out.alpha == 0.0
+        assert out.pv_curtailed == pytest.approx(2.0)
 
     def test_zero_load(self):
-        alpha, curt = compute_shedding(0.0, 1.0, 3.0, 0.0)
-        assert alpha == 0.0
-        assert curt == pytest.approx(2.0)
+        out = islanded(load=0.0, ess_cmd=1.0, pv=3.0)
+        assert out.alpha == 0.0
+        assert out.pv_curtailed == pytest.approx(2.0)
 
 
 class TestResolveSlot:
@@ -236,25 +247,22 @@ def discharge_result():
 
 class TestCostAndReward:
     def test_worked_cost(self):
-        from gridres.grid import _price
-
         cfg, out = discharge_result()
         total, breakdown = _price(out, cfg.costs)
         assert total == pytest.approx(0.85)
         assert breakdown == pytest.approx((0.10, 0.375, 0.0, 0.375))
-        assert compute_cost(out, cfg.costs) == pytest.approx(0.85)
 
     def test_all_zero_slot(self):
         cfg = small_config()
         out = resolve_slot(cfg, make_state(False, 0.0, 0.0), [0.0])
-        assert compute_cost(out, cfg.costs) == 0.0
+        assert out.cost_total == 0.0
         assert reward_for_agent(0, out, cfg.costs) == 0.0
 
     def test_grid_import_only(self):
         cfg = small_config()
         out = resolve_slot(cfg, make_state(True, 0.0, 4.0), [0.0])
         assert out.p_grid == pytest.approx(4.0)
-        assert compute_cost(out, cfg.costs) == pytest.approx(0.30)
+        assert out.cost_total == pytest.approx(0.30)
 
     def test_reward_owner_vs_idle_agent(self):
         cfg, out = discharge_result()
@@ -274,21 +282,24 @@ class TestCostAndReward:
 
 
 class TestResilienceMetric:
+    """The resilience metric is the negated shedding cost, read from the
+    ``shed`` term of a slot's cost breakdown."""
+
     def test_zero_shedding(self):
         cfg = small_config()
-        outs = [resolve_slot(cfg, make_state(True, 1.0, 4.0), [0.0])]
-        assert resilience_metric(outs, cfg.costs) == 0.0
+        out = resolve_slot(cfg, make_state(True, 1.0, 4.0), [0.0])
+        assert out.cost_breakdown.shed == 0.0
 
     def test_single_slot_value(self):
         cfg, out = discharge_result()
-        assert resilience_metric([out], cfg.costs) == pytest.approx(-0.375)
+        assert -_price(out, cfg.costs)[1].shed == pytest.approx(-0.375)
 
     def test_linearity(self):
         cfg, out = discharge_result()
         from dataclasses import replace
         doubled = replace(out, alpha=0.4)
-        assert resilience_metric([doubled], cfg.costs) == pytest.approx(
-            2 * resilience_metric([out], cfg.costs))
+        assert _price(doubled, cfg.costs)[1].shed == pytest.approx(
+            2 * _price(out, cfg.costs)[1].shed)
 
 
 class TestSpecValidation:

@@ -129,6 +129,19 @@ class TestEvalRun:
         assert (tmp_path / "e1" / "days.csv").read_bytes() == \
             (tmp_path / "e2" / "days.csv").read_bytes()
 
+    def test_manifest_with_removed_train_key_still_loads(self, tmp_path):
+        cfg = small_cfg()
+        run = tmp_path / "run"
+        train_run(cfg, 5, run)
+        eval_run(run, tmp_path / "e1", None)
+        # Earlier versions wrote train.gru_shared into every manifest.
+        manifest = read_manifest(run)
+        manifest["config"]["train"]["gru_shared"] = True
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        eval_run(run, tmp_path / "e2", None)
+        assert (tmp_path / "e1" / "days.csv").read_bytes() == \
+            (tmp_path / "e2" / "days.csv").read_bytes()
+
     def test_rule_eval_without_checkpoint(self, tmp_path):
         cfg = small_cfg()
         row = eval_run(None, tmp_path / "rule", 5, method="rule", cfg=cfg)
@@ -190,6 +203,45 @@ class TestCli:
         code = main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 1
 
+    @pytest.mark.parametrize("yaml_text, problem", [
+        ("outage:\n  duration_range: [12]\n",
+         "outage.duration_range: must be a list of 2 integers"),
+        ("train:\n  warmup_steps: a\n", "train.warmup_steps: must be an integer"),
+        ("train:\n  episodes: a\n", "train.episodes: must be an integer"),
+    ])
+    def test_mistyped_leaf_exits_1(self, tmp_path, capsys, yaml_text, problem):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml_text)
+        code = main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert problem in capsys.readouterr().err
+
+    def test_type_and_range_problems_reported_together(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("train:\n  warmup_steps: a\n  gamma: -1\n"
+                       "outage:\n  duration_range: [12]\n"
+                       "microgrid:\n  ess: [{id: E1, p_min: x}]\n")
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        for problem in ("train.warmup_steps: must be an integer",
+                        "train.gamma: must be positive",
+                        "outage.duration_range: must be a list of 2 integers",
+                        "microgrid.ess[0].p_min: must be a number"):
+            assert problem in err
+
+    @pytest.mark.parametrize("argv, problem", [
+        (["train", "--episodes", "0"], "train.episodes: must be positive"),
+        (["train", "--days", "0"], "data.days: need at least 4 days"),
+        (["eval", "--method", "rule", "--fail-agents", "-1"],
+         "--fail-agents: must be >= 0"),
+        (["eval", "--method", "rule", "--eval-days", "0"],
+         "--eval-days: must be >= 1"),
+    ])
+    def test_out_of_range_count_flag_exits_1(self, tmp_path, capsys, argv, problem):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_train_then_eval_cli(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.yaml"
         cfg_path.write_text(
@@ -209,9 +261,9 @@ class TestCli:
         path = tmp_path / "series.csv"
         assert main(["synth-data", "--days", "4", "--seed", "1",
                      "--out", str(path)]) == 0
-        from gridres.config import default_config
         from gridres.dataio import load_csv
-        mg = default_config()
+        from test_harness_helpers import table_config
+        mg = table_config()
         series = load_csv(str(path), list(mg.pv), list(mg.loads))
         assert series.n_days == 4
 

@@ -5,8 +5,18 @@ from gradcheck import assert_grads_close, numeric_grad
 from gridres import diffkit as dk
 from gridres.dataio import ForecastModel, make_forecasts, synth_generator
 from gridres.encoder import VECTOR_DIM
-from gridres.env import MicrogridEnv, OutageSettings, mask_window
-from gridres.grid import CostParams, EssSpec, GeneratorSpec, LoadSpec, MicrogridConfig, PvSpec
+from gridres.env import MicrogridEnv, OutageSettings
+from gridres.grid import (
+    CostParams,
+    EssArrays,
+    EssSpec,
+    GeneratorSpec,
+    LoadSpec,
+    MicrogridConfig,
+    PvSpec,
+    mask_bounds,
+    step_soc,
+)
 from gridres.maddpg import (
     ActorNet,
     CriticNet,
@@ -16,7 +26,6 @@ from gridres.maddpg import (
     ddpg_groups,
     explore,
     maddpg_groups,
-    mask_action,
     noise_sigma,
     run_training,
 )
@@ -50,7 +59,7 @@ def tiny_env(n_ess=2, days=3, seed=0, peak_prob=0.3):
     return MicrogridEnv(config, series, table, outage, horizon=4)
 
 
-def make_trainer(env, groups=None, settings=None, seed=0, mask_enabled=True):
+def make_trainer(env, groups=None, settings=None, seed=0):
     settings = settings or TrainSettings(hidden=16, batch_size=8,
                                          warmup_steps=16, update_every=8,
                                          episodes=2)
@@ -59,7 +68,7 @@ def make_trainer(env, groups=None, settings=None, seed=0, mask_enabled=True):
                            [s.p_max for s in env.config.loads]])
     return Trainer(env.config.ess, env.config.costs.slot_hours, groups,
                    env.obs_window_rows, caps, settings,
-                   np.random.default_rng(seed), mask_enabled=mask_enabled)
+                   np.random.default_rng(seed))
 
 
 class TestActorNet:
@@ -139,39 +148,50 @@ class TestCriticNet:
 
 
 class TestMaskAction:
-    def test_endpoints(self):
-        low, up = mask_window(ESS1, 0.5, 0.25)
-        assert mask_action(-1.0, ESS1, 0.5, 0.25) == pytest.approx(low)
-        assert mask_action(1.0, ESS1, 0.5, 0.25) == pytest.approx(up)
+    """Trainer.apply_mask: the affine map of raw outputs onto the windows of
+    grid.mask_bounds, here for ESS1 alone."""
+
+    LIMITS = EssArrays.of((ESS1,))
+
+    @pytest.fixture(scope="class")
+    def mask(self):
+        trainer = make_trainer(tiny_env(n_ess=1))
+
+        def masked(pis, socs):
+            actions, _ = trainer.apply_mask(np.reshape(pis, (-1, 1)),
+                                            np.reshape(socs, (-1, 1)))
+            return actions[:, 0]
+        return masked
+
+    def test_endpoints(self, mask):
+        (low,), (up,) = mask_bounds(self.LIMITS, 0.5, 0.25)
+        assert mask([-1.0, 1.0], [0.5, 0.5]) == pytest.approx([low, up])
 
     def test_worked_upper_bound(self):
         # ESS1 near full: headroom (0.9 - 0.88) * 6 / 0.25 = 0.48 MW.
-        _, up = mask_window(ESS1, 0.88, 0.25)
-        assert up == pytest.approx(0.48)
+        _, up = mask_bounds(self.LIMITS, 0.88, 0.25)
+        assert up[0] == pytest.approx(0.48)
 
     def test_full_soc_blocks_charging(self):
-        _, up = mask_window(ESS1, 0.9, 0.25)
-        assert up == 0.0
+        _, up = mask_bounds(self.LIMITS, 0.9, 0.25)
+        assert up[0] == 0.0
 
-    def test_monotone_and_affine(self):
+    def test_monotone_and_affine(self, mask):
         rng = np.random.default_rng(8)
         for _ in range(200):
             soc = rng.uniform(0.1, 0.9)
             a, b, c = sorted(rng.uniform(-1, 1, size=3))
-            fa = mask_action(a, ESS1, soc, 0.25)
-            fb = mask_action(b, ESS1, soc, 0.25)
-            fc = mask_action(c, ESS1, soc, 0.25)
+            fa, fb, fc = mask([a, b, c], [soc] * 3)
             assert fa <= fb <= fc
             if c - a > 1e-9:
                 lam = (b - a) / (c - a)
                 assert fb == pytest.approx((1 - lam) * fa + lam * fc, abs=1e-9)
 
-    def test_masked_soc_step_never_escapes_bounds(self):
-        from gridres.grid import step_soc
+    def test_masked_soc_step_never_escapes_bounds(self, mask):
         rng = np.random.default_rng(9)
-        for _ in range(2000):
-            soc = rng.uniform(0.1, 0.9)
-            a = mask_action(rng.uniform(-1, 1), ESS1, soc, 0.25)
+        socs = rng.uniform(0.1, 0.9, size=2000)
+        actions = mask(rng.uniform(-1, 1, size=2000), socs)
+        for soc, a in zip(socs, actions):
             out = step_soc(ESS1, soc, a, 0.25)
             assert 0.1 <= out.soc <= 0.9
 
@@ -384,15 +404,15 @@ class TestRunTraining:
 
 class TestEquivalenceSingleAgent:
     def test_maddpg_matches_ddpg_bit_for_bit(self):
-        """With one ESS and masking bypassed, the per-agent learner and the
-        joint learner are the same computation on identical frozen batches."""
+        """With one ESS the per-agent learner and the joint learner are the
+        same computation on identical frozen batches."""
         env_a = tiny_env(n_ess=1)
         env_b = tiny_env(n_ess=1)
         settings = TrainSettings(hidden=16, batch_size=8)
         t_madd = make_trainer(env_a, groups=maddpg_groups(1), settings=settings,
-                              seed=11, mask_enabled=False)
+                              seed=11)
         t_ddpg = make_trainer(env_b, groups=ddpg_groups(1), settings=settings,
-                              seed=11, mask_enabled=False)
+                              seed=11)
         for k in t_madd.actors[0].params:
             assert np.array_equal(t_madd.actors[0].params[k],
                                   t_ddpg.actors[0].params[k])
@@ -427,3 +447,24 @@ class TestCheckpoint:
         b = fresh.act(obs.soc, obs.counter, obs.window)
         assert a[0].tobytes() == b[0].tobytes()
         assert fresh.gru_adam.t == trainer.gru_adam.t
+
+    def test_key_names_and_order_for_two_ess(self):
+        trainer = make_trainer(tiny_env(n_ess=2))
+        actor = ["W1", "b1", "g1", "be1", "W2", "b2", "g2", "be2", "W3", "b3"]
+        critic = ["Ws", "bs", "gs", "bes", "Wa", "ba",
+                  "W2", "b2", "g2", "be2", "W3", "b3"]
+        gru = ["emb/W", "emb/b"]
+        for layer in ("l0", "l1"):
+            gru += [f"{layer}/{w}{gate}" for gate in "zrh" for w in "WUb"]
+        gru += ["head/W", "head/b"]
+
+        expected = [f"gru/{k}" for k in gru]
+        for g in (0, 1):
+            for net, names in (("actor", actor), ("critic", critic),
+                               ("target_actor", actor), ("target_critic", critic)):
+                expected += [f"{net}{g}/{k}" for k in names]
+        for net, names in (("actor0", actor), ("critic0", critic),
+                           ("actor1", actor), ("critic1", critic), ("gru", gru)):
+            expected += [f"adam/{net}/{moment}/{k}" for moment in "mv" for k in names]
+            expected.append(f"adam/{net}/t")
+        assert trainer.param_set().names() == expected
