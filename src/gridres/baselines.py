@@ -79,6 +79,9 @@ def build_trainer(env: MicrogridEnv, settings: TrainSettings, method: str,
 
 # ------------------------------------------------------------------- DP
 
+DP_MAX_COMBOS = 5_000_000  # joint state-action pairs one DP pass may hold
+
+
 class DpSizeError(ValueError):
     """The discretized joint state space would be too large."""
 
@@ -94,7 +97,7 @@ class DpResult:
 
 def dp_oracle(config: MicrogridConfig, pv: np.ndarray, load: np.ndarray,
               outage: tuple[int, int] | None, grid_points: int = 21,
-              refine: bool = True, max_combos: int = 5_000_000) -> DpResult:
+              refine: bool = True) -> DpResult:
     """Backward-induction optimum of the day cost over a joint SoC grid.
 
     ``pv``/``load`` are per-device arrays shaped (devices, slots); the outage
@@ -103,11 +106,11 @@ def dp_oracle(config: MicrogridConfig, pv: np.ndarray, load: np.ndarray,
     resolves without corrective scaling, so every evaluated transition is
     exactly replayable through the slot physics.
     """
-    base = _dp_cost(config, pv, load, outage, grid_points, max_combos)
+    base = _dp_cost(config, pv, load, outage, grid_points)
     delta = 0.0
     if refine:
         fine = _dp_cost(config, pv, load, outage, 2 * grid_points - 1,
-                        max_combos, value_only=True)
+                        value_only=True)
         delta = max(base.cost - fine, 0.0)
     return DpResult(cost=base.cost, commands=base.commands,
                     soc_path=base.soc_path, grid_points=grid_points,
@@ -121,8 +124,7 @@ class _DpRaw:
     soc_path: np.ndarray
 
 
-def _dp_cost(config, pv, load, outage, grid_points, max_combos,
-             value_only=False):
+def _dp_cost(config, pv, load, outage, grid_points, value_only=False):
     costs = config.costs
     dt = costs.slot_hours
     n_ess = len(config.ess)
@@ -132,10 +134,10 @@ def _dp_cost(config, pv, load, outage, grid_points, max_combos,
 
     grids = [np.linspace(s.soc_min, s.soc_max, grid_points) for s in config.ess]
     n_states = grid_points ** n_ess
-    if n_states * n_states > max_combos:
+    if n_states * n_states > DP_MAX_COMBOS:
         raise DpSizeError(
             f"{n_states}^2 state-action combinations exceed the cap "
-            f"{max_combos}; reduce grid_points or the number of ESS")
+            f"{DP_MAX_COMBOS}; reduce grid_points or the number of ESS")
 
     # Per-unit transition powers and feasibility on the grid; column i of
     # the bounds is unit i's mask at each of its grid SoCs.

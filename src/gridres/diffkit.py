@@ -4,7 +4,9 @@ Everything is float64 numpy. Each op exposes a forward returning
 ``(output, cache)`` and a backward mapping the upstream gradient to input
 and parameter gradients; there is no general graph, the networks compose
 these by hand. All backward passes are verified against central finite
-differences in the test suite.
+differences in the test suite. The one composite is the network block,
+dense -> LayerNorm -> ReLU (``block_init``/``block_forward``/
+``block_backward``), which every hidden layer of the actor and critic uses.
 
 Batched arrays are (batch, features). Parameter collections are plain dicts
 with deterministic insertion order.
@@ -94,6 +96,32 @@ def mse_loss(pred, target):
         raise ShapeError(f"prediction {pred.shape} vs target {target.shape}")
     diff = pred - target
     return float((diff ** 2).mean()), 2.0 * diff / diff.size
+
+
+# ------------------------------------------------------------ network block
+
+def block_init(rng: np.random.Generator, in_dim: int, out_dim: int,
+               tag: str) -> dict[str, np.ndarray]:
+    """Parameters of one dense -> LayerNorm -> ReLU block, named ``W{tag}``,
+    ``b{tag}``, ``g{tag}`` and ``be{tag}``; draws only the weight."""
+    return {f"W{tag}": uniform_init(rng, (in_dim, out_dim)),
+            f"b{tag}": np.zeros(out_dim),
+            f"g{tag}": np.ones(out_dim), f"be{tag}": np.zeros(out_dim)}
+
+
+def block_forward(x, params, tag: str):
+    z, cd = dense_forward(x, params[f"W{tag}"], params[f"b{tag}"])
+    n, cn = layernorm_forward(z, params[f"g{tag}"], params[f"be{tag}"])
+    h, cr = relu_forward(n)
+    return h, (cd, cn, cr)
+
+
+def block_backward(cache, grad_out, tag: str):
+    """Returns (dx, grads), the grads in ``block_init`` order."""
+    cd, cn, cr = cache
+    dz, dg, dbe = layernorm_backward(cn, relu_backward(cr, grad_out))
+    dx, dw, db = dense_backward(cd, dz)
+    return dx, {f"W{tag}": dw, f"b{tag}": db, f"g{tag}": dg, f"be{tag}": dbe}
 
 
 # ----------------------------------------------------------------- GRU cell

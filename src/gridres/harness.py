@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import RulePolicy, TrainedPolicy, build_trainer
-from .config import build_microgrid, merge_config, resolve_dict
+from .config import ConfigError, build_microgrid, merge_config, resolve_dict
 from .dataio import (
     ForecastModel,
     SeriesSet,
@@ -43,6 +43,7 @@ METRIC_COLUMNS = ("episode", "cost_usd", "shed_mwh", "critic_loss",
 REPORT_COLUMNS = ("method", "avg_cost_usd", "highest_cost_usd",
                   "lowest_cost_usd", "avg_shed_mwh")
 STREAMS = ("env", "noise", "init", "data", "replay")
+METHODS = ("maddpg", "ddpg", "rule")  # compare_run's methods; all but rule train
 
 
 def seed_stream(root_seed: int, name: str) -> np.random.Generator:
@@ -272,9 +273,8 @@ def eval_run(run_dir: str | Path | None, out_dir: str | Path, seed: int | None,
              method: str | None = None, cfg: dict[str, Any] | None = None,
              days: int | None = None, fail_agents: int = 0,
              overrides: dict[str, Any] | None = None) -> ReportRow:
-    """Evaluate a trained run directory or a config-only method ('rule')."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Evaluate a trained run directory or a config-only method ('rule').
+    Usage errors raise ConfigError before the output directory is made."""
     t0 = time.perf_counter()
     if run_dir is not None:
         policy, cfg, run_seed = load_trained_policy(run_dir)
@@ -282,12 +282,18 @@ def eval_run(run_dir: str | Path | None, out_dir: str | Path, seed: int | None,
         seed = run_seed if seed is None else seed
     else:
         if method != "rule":
-            raise ValueError("without a checkpoint only --method rule is valid")
+            raise ConfigError(["eval: give --checkpoint, or --method rule"])
         cfg = cfg if cfg is not None else resolve_dict()
         seed = 0 if seed is None else seed
         policy = RulePolicy(build_microgrid(cfg))
     if overrides:
         cfg = merge_config(cfg, overrides)
+    n_ess = len(cfg["microgrid"]["ess"])
+    if fail_agents > n_ess:
+        raise ConfigError([f"--fail-agents: {fail_agents} exceeds the "
+                           f"{n_ess} ESS units of the fleet"])
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     dataset = build_dataset(cfg, seed_stream(seed, "data"))
     env = build_env(cfg, dataset)
     eval_days = dataset.test_days if days is None else dataset.test_days[:days]
@@ -305,7 +311,7 @@ def eval_run(run_dir: str | Path | None, out_dir: str | Path, seed: int | None,
 
 
 def compare_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
-                methods: Sequence[str] = ("maddpg", "ddpg", "rule"),
+                methods: Sequence[str] = METHODS,
                 lambda_sweep: Sequence[float] | None = None) -> list[ReportRow]:
     """Train/evaluate each method on the identical seeded scenario and emit
     the aligned report table, learning curves and outage-window trajectories."""
@@ -317,12 +323,12 @@ def compare_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
 
     for method in methods:
         t0 = time.perf_counter()
-        if method in ("maddpg", "ddpg"):
+        if method == "rule":
+            policy = RulePolicy(build_microgrid(cfg))
+        elif method in METHODS:
             run_dir = out / f"train-{method}"
             curves[method] = train_run(cfg, seed, run_dir, method=method)
             policy, _, _ = load_trained_policy(run_dir)
-        elif method == "rule":
-            policy = RulePolicy(build_microgrid(cfg))
         else:
             raise ValueError(f"unknown method {method!r}")
         dataset = build_dataset(cfg, seed_stream(seed, "data"))

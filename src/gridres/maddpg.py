@@ -13,6 +13,7 @@ With one ESS the two are the same computation, which the tests exploit.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -75,12 +76,8 @@ class ActorNet:
     def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int,
                  out_dim: int):
         self.params = {
-            "W1": dk.uniform_init(rng, (in_dim, hidden)),
-            "b1": np.zeros(hidden),
-            "g1": np.ones(hidden), "be1": np.zeros(hidden),
-            "W2": dk.uniform_init(rng, (hidden, hidden)),
-            "b2": np.zeros(hidden),
-            "g2": np.ones(hidden), "be2": np.zeros(hidden),
+            **dk.block_init(rng, in_dim, hidden, "1"),
+            **dk.block_init(rng, hidden, hidden, "2"),
             # Final layer scaled down so initial actions start near zero.
             "W3": dk.uniform_init(rng, (hidden, out_dim),
                                   scale=1e-3 / np.sqrt(hidden)),
@@ -89,30 +86,18 @@ class ActorNet:
 
     def forward(self, x: np.ndarray):
         p = self.params
-        z1, c1 = dk.dense_forward(x, p["W1"], p["b1"])
-        n1, cn1 = dk.layernorm_forward(z1, p["g1"], p["be1"])
-        h1, cr1 = dk.relu_forward(n1)
-        z2, c2 = dk.dense_forward(h1, p["W2"], p["b2"])
-        n2, cn2 = dk.layernorm_forward(z2, p["g2"], p["be2"])
-        h2, cr2 = dk.relu_forward(n2)
+        h1, c1 = dk.block_forward(x, p, "1")
+        h2, c2 = dk.block_forward(h1, p, "2")
         z3, c3 = dk.dense_forward(h2, p["W3"], p["b3"])
         pi, ct = dk.tanh_forward(z3)
-        return pi, (c1, cn1, cr1, c2, cn2, cr2, c3, ct)
+        return pi, (c1, c2, c3, ct)
 
     def backward(self, cache, dpi: np.ndarray):
-        c1, cn1, cr1, c2, cn2, cr2, c3, ct = cache
-        dz3 = dk.tanh_backward(ct, dpi)
-        dh2, dW3, db3 = dk.dense_backward(c3, dz3)
-        dn2 = dk.relu_backward(cr2, dh2)
-        dz2, dg2, dbe2 = dk.layernorm_backward(cn2, dn2)
-        dh1, dW2, db2 = dk.dense_backward(c2, dz2)
-        dn1 = dk.relu_backward(cr1, dh1)
-        dz1, dg1, dbe1 = dk.layernorm_backward(cn1, dn1)
-        dx, dW1, db1 = dk.dense_backward(c1, dz1)
-        grads = {"W1": dW1, "b1": db1, "g1": dg1, "be1": dbe1,
-                 "W2": dW2, "b2": db2, "g2": dg2, "be2": dbe2,
-                 "W3": dW3, "b3": db3}
-        return grads, dx
+        c1, c2, c3, ct = cache
+        dh2, dW3, db3 = dk.dense_backward(c3, dk.tanh_backward(ct, dpi))
+        dh1, g2 = dk.block_backward(c2, dh2, "2")
+        dx, g1 = dk.block_backward(c1, dh1, "1")
+        return {**g1, **g2, "W3": dW3, "b3": db3}, dx
 
 
 class CriticNet:
@@ -122,49 +107,31 @@ class CriticNet:
     def __init__(self, rng: np.random.Generator, state_dim: int, act_dim: int,
                  hidden: int):
         self.params = {
-            "Ws": dk.uniform_init(rng, (state_dim, hidden)),
-            "bs": np.zeros(hidden),
-            "gs": np.ones(hidden), "bes": np.zeros(hidden),
+            **dk.block_init(rng, state_dim, hidden, "s"),
             "Wa": dk.uniform_init(rng, (act_dim, hidden)),
             "ba": np.zeros(hidden),
-            "W2": dk.uniform_init(rng, (hidden, hidden)),
-            "b2": np.zeros(hidden),
-            "g2": np.ones(hidden), "be2": np.zeros(hidden),
+            **dk.block_init(rng, hidden, hidden, "2"),
             "W3": dk.uniform_init(rng, (hidden, 1)),
             "b3": np.zeros(1),
         }
 
     def forward(self, state: np.ndarray, actions: np.ndarray):
         p = self.params
-        zs, cs = dk.dense_forward(state, p["Ws"], p["bs"])
-        ns, cns = dk.layernorm_forward(zs, p["gs"], p["bes"])
-        hs, crs = dk.relu_forward(ns)
+        hs, cs = dk.block_forward(state, p, "s")
         za, ca = dk.dense_forward(actions, p["Wa"], p["ba"])
         ea, cra = dk.relu_forward(za)
-        h = hs + ea
-        z2, c2 = dk.dense_forward(h, p["W2"], p["b2"])
-        n2, cn2 = dk.layernorm_forward(z2, p["g2"], p["be2"])
-        h2, cr2 = dk.relu_forward(n2)
+        h2, c2 = dk.block_forward(hs + ea, p, "2")
         q, c3 = dk.dense_forward(h2, p["W3"], p["b3"])
-        return q[:, 0], (cs, cns, crs, ca, cra, c2, cn2, cr2, c3)
+        return q[:, 0], (cs, ca, cra, c2, c3)
 
     def backward(self, cache, dq: np.ndarray):
-        cs, cns, crs, ca, cra, c2, cn2, cr2, c3 = cache
-        dq = dq[:, None]
-        dh2, dW3, db3 = dk.dense_backward(c3, dq)
-        dn2 = dk.relu_backward(cr2, dh2)
-        dz2, dg2, dbe2 = dk.layernorm_backward(cn2, dn2)
-        dh, dW2, db2 = dk.dense_backward(c2, dz2)
+        cs, ca, cra, c2, c3 = cache
+        dh2, dW3, db3 = dk.dense_backward(c3, dq[:, None])
+        dh, g2 = dk.block_backward(c2, dh2, "2")
         # dh splits into the state tower and the action embedding.
-        dza = dk.relu_backward(cra, dh)
-        dact, dWa, dba = dk.dense_backward(ca, dza)
-        dns = dk.relu_backward(crs, dh)
-        dzs, dgs, dbes = dk.layernorm_backward(cns, dns)
-        dstate, dWs, dbs = dk.dense_backward(cs, dzs)
-        grads = {"Ws": dWs, "bs": dbs, "gs": dgs, "bes": dbes,
-                 "Wa": dWa, "ba": dba,
-                 "W2": dW2, "b2": db2, "g2": dg2, "be2": dbe2,
-                 "W3": dW3, "b3": db3}
+        dact, dWa, dba = dk.dense_backward(ca, dk.relu_backward(cra, dh))
+        dstate, gs = dk.block_backward(cs, dh, "s")
+        grads = {**gs, "Wa": dWa, "ba": dba, **g2, "W3": dW3, "b3": db3}
         return grads, dstate, dact
 
 
@@ -172,38 +139,29 @@ class CriticNet:
 class AgentGroup:
     """One actor commanding a slice of the ESS fleet."""
 
-    name: str
     ess_indices: tuple[int, ...]
     own_obs: int | None  # observe a single unit's SoC, or None for all
 
 
-def global_features(socs: np.ndarray, counters: np.ndarray,
-                    v: np.ndarray) -> np.ndarray:
-    """Critic input: (soc, scaled counter) per agent then the shared vector."""
+def features(socs: np.ndarray, counters: np.ndarray, v: np.ndarray,
+             own: int | None = None) -> np.ndarray:
+    """Network input: (soc, scaled counter) per unit, then the shared
+    characteristic vector. The critic sees every unit; a per-agent actor
+    sees the same layout restricted to unit ``own``."""
     socs = np.atleast_2d(socs)
-    counters = np.atleast_1d(counters).astype(float)
-    v = np.atleast_2d(v)
-    n = socs.shape[1]
-    parts = np.empty((socs.shape[0], 2 * n))
-    parts[:, 0::2] = socs
-    parts[:, 1::2] = counters[:, None] * COUNTER_SCALE
-    return np.concatenate([parts, v], axis=1)
-
-
-def group_features(group: AgentGroup, socs: np.ndarray, counters: np.ndarray,
-                   v: np.ndarray) -> np.ndarray:
-    if group.own_obs is None:
-        return global_features(socs, counters, v)
-    socs = np.atleast_2d(socs)
-    counters = np.atleast_1d(counters).astype(float)
-    v = np.atleast_2d(v)
-    own = socs[:, group.own_obs:group.own_obs + 1]
-    scaled = counters[:, None] * COUNTER_SCALE
-    return np.concatenate([own, scaled, v], axis=1)
+    if own is not None:
+        socs = socs[:, own:own + 1]
+    n = 2 * socs.shape[1]
+    out = np.empty((socs.shape[0], n + VECTOR_DIM))
+    out[:, 0:n:2] = socs
+    out[:, 1:n:2] = np.atleast_1d(counters)[:, None] * COUNTER_SCALE
+    out[:, n:] = v
+    return out
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO of transitions in flat arrays."""
+    """Fixed-capacity FIFO of transitions in flat arrays. ``actions`` holds
+    the masked commands (MW) the environment received."""
 
     def __init__(self, capacity: int, n_ess: int, n_groups: int,
                  window_shape: tuple[int, int]):
@@ -213,7 +171,7 @@ class ReplayBuffer:
         self.socs = np.zeros((capacity, n_ess))
         self.counters = np.zeros(capacity)
         self.v = np.zeros((capacity, VECTOR_DIM))
-        self.pis = np.zeros((capacity, n_ess))
+        self.actions = np.zeros((capacity, n_ess))
         self.rewards = np.zeros((capacity, n_groups))
         self.next_socs = np.zeros((capacity, n_ess))
         self.next_counters = np.zeros(capacity)
@@ -221,13 +179,13 @@ class ReplayBuffer:
         self.dones = np.zeros(capacity)
         self.windows = np.zeros((capacity,) + window_shape)
 
-    def add(self, socs, counter, v, pis, rewards, next_socs, next_counter,
+    def add(self, socs, counter, v, actions, rewards, next_socs, next_counter,
             next_v, done, window) -> None:
         i = self._cursor
         self.socs[i] = socs
         self.counters[i] = counter
         self.v[i] = v
-        self.pis[i] = pis
+        self.actions[i] = actions
         self.rewards[i] = rewards
         self.next_socs[i] = next_socs
         self.next_counters[i] = next_counter
@@ -269,12 +227,8 @@ class Trainer:
             critic = CriticNet(init_rng, self.state_dim, self.n_ess, settings.hidden)
             self.actors.append(actor)
             self.critics.append(critic)
-            tgt_a = ActorNet.__new__(ActorNet)
-            tgt_a.params = {k: p.copy() for k, p in actor.params.items()}
-            tgt_c = CriticNet.__new__(CriticNet)
-            tgt_c.params = {k: p.copy() for k, p in critic.params.items()}
-            self.target_actors.append(tgt_a)
-            self.target_critics.append(tgt_c)
+            self.target_actors.append(copy.deepcopy(actor))
+            self.target_critics.append(copy.deepcopy(critic))
             self.actor_adam.append(dk.AdamState.for_params(actor.params))
             self.critic_adam.append(dk.AdamState.for_params(critic.params))
         self.gru_adam = dk.AdamState.for_params(self.encoder.params)
@@ -288,15 +242,21 @@ class Trainer:
         slope = (up - low) / 2.0
         return slope * (np.atleast_2d(pis) + 1.0) + low, slope
 
-    def raw_policy(self, socs, counter, v, target: bool = False) -> np.ndarray:
-        """All groups' raw outputs assembled in ESS order, one sample."""
-        actors = self.target_actors if target else self.actors
-        pis = np.zeros(self.n_ess)
+    def joint_pis(self, actors: list[ActorNet], socs, counters, v):
+        """Every group's raw outputs assembled in ESS order, (batch, n_ess),
+        and each group's actor cache."""
+        socs = np.atleast_2d(socs)
+        pis = np.zeros((socs.shape[0], self.n_ess))
+        caches = []
         for group, actor in zip(self.groups, actors):
-            feats = group_features(group, socs, counter, v)
-            out, _ = actor.forward(feats)
-            pis[list(group.ess_indices)] = out[0]
-        return pis
+            out, cache = actor.forward(features(socs, counters, v, group.own_obs))
+            pis[:, list(group.ess_indices)] = out
+            caches.append(cache)
+        return pis, caches
+
+    def raw_policy(self, socs, counter, v) -> np.ndarray:
+        """The behaviour actors' raw outputs in ESS order, one sample."""
+        return self.joint_pis(self.actors, socs, counter, v)[0][0]
 
     def act(self, socs: np.ndarray, counter: int, window: np.ndarray):
         """Greedy (noise-free) raw outputs and masked commands."""
@@ -307,33 +267,21 @@ class Trainer:
 
     # ----------------------------------------------------------- updates
 
-    def _batch_actions(self, replay: ReplayBuffer, idx: np.ndarray,
-                       target: bool, next_state: bool) -> np.ndarray:
-        socs = replay.next_socs[idx] if next_state else replay.socs[idx]
-        counters = replay.next_counters[idx] if next_state else replay.counters[idx]
-        v = replay.next_v[idx] if next_state else replay.v[idx]
-        actors = self.target_actors if target else self.actors
-        pis = np.zeros((len(idx), self.n_ess))
-        for group, actor in zip(self.groups, actors):
-            feats = group_features(group, socs, counters, v)
-            out, _ = actor.forward(feats)
-            pis[:, list(group.ess_indices)] = out
-        actions, _ = self.apply_mask(pis, socs)
-        return actions
-
     def critic_update(self, g: int, replay: ReplayBuffer, idx: np.ndarray) -> float:
         """Temporal-difference regression toward the target networks."""
         s = self.settings
-        next_actions = self._batch_actions(replay, idx, target=True, next_state=True)
-        next_state = global_features(replay.next_socs[idx],
-                                     replay.next_counters[idx], replay.next_v[idx])
-        q_next, _ = self.target_critics[g].forward(next_state, next_actions)
+        next_socs = replay.next_socs[idx]
+        next_counters = replay.next_counters[idx]
+        next_v = replay.next_v[idx]
+        next_pis, _ = self.joint_pis(self.target_actors, next_socs,
+                                     next_counters, next_v)
+        next_actions, _ = self.apply_mask(next_pis, next_socs)
+        q_next, _ = self.target_critics[g].forward(
+            features(next_socs, next_counters, next_v), next_actions)
         y = replay.rewards[idx, g] + s.gamma * (1.0 - replay.dones[idx]) * q_next
 
-        state = global_features(replay.socs[idx], replay.counters[idx],
-                                replay.v[idx])
-        actions, _ = self.apply_mask(replay.pis[idx], replay.socs[idx])
-        q, cache = self.critics[g].forward(state, actions)
+        state = features(replay.socs[idx], replay.counters[idx], replay.v[idx])
+        q, cache = self.critics[g].forward(state, replay.actions[idx])
         loss, dq = dk.mse_loss(q, y)
         if not np.isfinite(loss):
             raise TrainingDiverged(f"critic loss non-finite in group {g}")
@@ -350,47 +298,44 @@ class Trainer:
         path is differentiated. The characteristic vector feeding the actors
         is re-encoded from the stored windows so the gradient reaches the
         shared encoder; the critic's state input keeps the stored vector.
-        Returns (objective, encoder gradient contribution).
+        The critic's backward is seeded with -1/batch, so every gradient
+        here is that of -objective and the descent-style optimizer ascends.
+        Returns (objective, encoder gradient of -objective).
         """
         s = self.settings
         batch = len(idx)
         socs = replay.socs[idx]
         counters = replay.counters[idx]
         v_live, gru_cache = self.encoder.forward(replay.windows[idx])
-
-        pis = np.zeros((batch, self.n_ess))
-        cache_g = None
-        for h, (group, actor) in enumerate(zip(self.groups, self.actors)):
-            feats = group_features(group, socs, counters, v_live)
-            out, cache = actor.forward(feats)
-            pis[:, list(group.ess_indices)] = out
-            if h == g:
-                cache_g = cache
+        pis, caches = self.joint_pis(self.actors, socs, counters, v_live)
         actions, slope = self.apply_mask(pis, socs)
 
-        state = global_features(socs, counters, replay.v[idx])
+        state = features(socs, counters, replay.v[idx])
         q, critic_cache = self.critics[g].forward(state, actions)
         objective = float(q.mean())
         if not np.isfinite(objective):
             raise TrainingDiverged(f"actor objective non-finite in group {g}")
 
-        _, _, dact = self.critics[g].backward(critic_cache, np.full(batch, 1.0 / batch))
+        _, _, dact = self.critics[g].backward(critic_cache,
+                                              np.full(batch, -1.0 / batch))
         cols = list(self.groups[g].ess_indices)
-        dpi = dact[:, cols] * slope[:, cols]
-        grads, dfeat = self.actors[g].backward(cache_g, dpi)
-
-        # Ascent: negate before the descent-style optimizer.
+        grads, dfeat = self.actors[g].backward(caches[g],
+                                               dact[:, cols] * slope[:, cols])
         dk.clip_grads(grads, s.grad_clip)
-        neg = {k: -v for k, v in grads.items()}
-        dk.adam_step(self.actors[g].params, neg, self.actor_adam[g], s.lr_actor)
-
-        dv = dfeat[:, -VECTOR_DIM:]
-        gru_grads = self.encoder.backward(gru_cache, dv)
+        dk.adam_step(self.actors[g].params, grads, self.actor_adam[g], s.lr_actor)
+        gru_grads = self.encoder.backward(gru_cache, dfeat[:, -VECTOR_DIM:])
         return objective, gru_grads
 
     def update(self, replay: ReplayBuffer, rng: np.random.Generator):
         """One full round: per group critic + actor + soft targets, then one
-        summed encoder step at its own learning rate."""
+        summed encoder step at its own learning rate.
+
+        Groups update in sequence (Gauss-Seidel, as in Algorithm 1 of Lowe
+        et al. 2017): group ``g``'s critic target uses the already
+        soft-updated target actors of groups ``< g``, and its actor step sees
+        their already-stepped actors. The encoder takes one step on the sum
+        of every group's encoder gradient after all groups.
+        """
         s = self.settings
         gru_total: dict[str, np.ndarray] = {}
         losses = []
@@ -404,8 +349,7 @@ class Trainer:
             dk.soft_update(self.target_critics[g].params, self.critics[g].params, s.tau)
             dk.soft_update(self.target_actors[g].params, self.actors[g].params, s.tau)
         dk.clip_grads(gru_total, s.grad_clip)
-        neg = {k: -v for k, v in gru_total.items()}
-        dk.adam_step(self.encoder.params, neg, self.gru_adam, s.lr_gru)
+        dk.adam_step(self.encoder.params, gru_total, self.gru_adam, s.lr_gru)
         return losses, objectives
 
     # ------------------------------------------------------- persistence
@@ -452,12 +396,11 @@ class Trainer:
 
 
 def maddpg_groups(n_ess: int) -> list[AgentGroup]:
-    return [AgentGroup(name=f"agent{n}", ess_indices=(n,), own_obs=n)
-            for n in range(n_ess)]
+    return [AgentGroup(ess_indices=(n,), own_obs=n) for n in range(n_ess)]
 
 
 def ddpg_groups(n_ess: int) -> list[AgentGroup]:
-    return [AgentGroup(name="joint", ess_indices=tuple(range(n_ess)), own_obs=None)]
+    return [AgentGroup(ess_indices=tuple(range(n_ess)), own_obs=None)]
 
 
 def group_reward(group: AgentGroup, agent_rewards: np.ndarray,
@@ -519,7 +462,7 @@ def run_training(env, trainer: Trainer, settings: TrainSettings,
                 for group in trainer.groups])
             ep_reward += float(rewards.sum())
             next_v = trainer.encoder.encode(next_obs.window)
-            replay.add(obs.soc, obs.counter, v, pis, rewards, next_obs.soc,
+            replay.add(obs.soc, obs.counter, v, actions[0], rewards, next_obs.soc,
                        next_obs.counter, next_v, done, obs.window)
             obs, v = next_obs, next_v
             step += 1

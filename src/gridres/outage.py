@@ -24,11 +24,6 @@ class DisconnectionProfile:
     breakpoint_peaks: tuple[int, ...]  # primary first
     probabilities: np.ndarray  # (n_breakpoints, slots)
 
-    @property
-    def combined(self) -> np.ndarray:
-        """Per-slot probability that at least one breakpoint trips."""
-        return 1.0 - np.prod(1.0 - self.probabilities, axis=0)
-
 
 @dataclass(frozen=True)
 class OutageDraw:

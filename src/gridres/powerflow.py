@@ -54,7 +54,6 @@ class FeederTopology:
 @dataclass(frozen=True)
 class PowerFlowSolution:
     v_mag: dict[int, float]  # pu
-    v_angle: dict[int, float]  # rad
     branch_current: dict[tuple[int, int], float]  # pu magnitude
     branch_loss_mw: dict[tuple[int, int], float]
     total_loss_mw: float
@@ -189,7 +188,6 @@ def solve_bfs(topology: FeederTopology, p_mw: dict[int, float],
         total_loss += loss
     return PowerFlowSolution(
         v_mag={b: abs(v[b]) for b in topology.buses},
-        v_angle={b: float(np.angle(v[b])) for b in topology.buses},
         branch_current=currents,
         branch_loss_mw=losses,
         total_loss_mw=total_loss,

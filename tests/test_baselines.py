@@ -202,8 +202,7 @@ class TestDpOracle:
         config = two_ess_config()
         pv, load = scenario_arrays(config)
         with pytest.raises(DpSizeError):
-            dp_oracle(config, pv, load, None, grid_points=81, refine=False,
-                      max_combos=10_000)
+            dp_oracle(config, pv, load, None, grid_points=81, refine=False)
 
     def test_schedule_replays_to_reported_cost(self):
         config = one_ess_config(energy_cap=1.0)

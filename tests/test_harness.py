@@ -236,6 +236,13 @@ class TestCli:
          "--fail-agents: must be >= 0"),
         (["eval", "--method", "rule", "--eval-days", "0"],
          "--eval-days: must be >= 1"),
+        (["eval", "--method", "rule", "--fail-agents", "9"],
+         "--fail-agents: 9 exceeds the 5 ESS units"),
+        (["eval"], "eval: give --checkpoint, or --method rule"),
+        (["eval", "--method", "maddpg"], "eval: give --checkpoint, or --method rule"),
+        (["compare", "--methods", "rule,bogus"], "--methods: unknown method 'bogus'"),
+        (["compare", "--lambda-sweep", "a,b"],
+         "--lambda-sweep: expected a comma list of numbers"),
     ])
     def test_out_of_range_count_flag_exits_1(self, tmp_path, capsys, argv, problem):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1

@@ -100,6 +100,7 @@ class TestActorNet:
 
         _, cache = net.forward(x)
         grads, dx = net.backward(cache, seed)
+        assert list(grads) == list(net.params)
         assert_grads_close(dx, numeric_grad(lambda _: loss(), x), context="dx")
         for name in net.params:
             num = numeric_grad(lambda _: loss(), net.params[name])
@@ -140,6 +141,7 @@ class TestCriticNet:
 
         _, cache = net.forward(state, act)
         grads, dstate, dact = net.backward(cache, seed)
+        assert list(grads) == list(net.params)
         assert_grads_close(dstate, numeric_grad(lambda _: loss(), state), context="ds")
         assert_grads_close(dact, numeric_grad(lambda _: loss(), act), context="da")
         for name in net.params:
@@ -261,7 +263,7 @@ def fill_replay(env, trainer, steps=40, seed=0):
         from gridres.maddpg import group_reward
         rewards = [group_reward(g, agent_rewards, result.cost_total)
                    for g in trainer.groups]
-        replay.add(obs.soc, obs.counter, v, pis, rewards, next_obs.soc,
+        replay.add(obs.soc, obs.counter, v, actions[0], rewards, next_obs.soc,
                    next_obs.counter, next_v, done, obs.window)
         obs, v = next_obs, next_v
         if done:
