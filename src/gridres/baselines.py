@@ -106,25 +106,14 @@ def dp_oracle(config: MicrogridConfig, pv: np.ndarray, load: np.ndarray,
     resolves without corrective scaling, so every evaluated transition is
     exactly replayable through the slot physics.
     """
-    base = _dp_cost(config, pv, load, outage, grid_points)
-    delta = 0.0
+    result = _dp_cost(config, pv, load, outage, grid_points)
     if refine:
-        fine = _dp_cost(config, pv, load, outage, 2 * grid_points - 1,
-                        value_only=True)
-        delta = max(base.cost - fine, 0.0)
-    return DpResult(cost=base.cost, commands=base.commands,
-                    soc_path=base.soc_path, grid_points=grid_points,
-                    delta_grid=delta)
+        fine = _dp_cost(config, pv, load, outage, 2 * grid_points - 1)
+        result.delta_grid = max(result.cost - fine.cost, 0.0)
+    return result
 
 
-@dataclass
-class _DpRaw:
-    cost: float
-    commands: np.ndarray
-    soc_path: np.ndarray
-
-
-def _dp_cost(config, pv, load, outage, grid_points, value_only=False):
+def _dp_cost(config, pv, load, outage, grid_points) -> DpResult:
     costs = config.costs
     dt = costs.slot_hours
     n_ess = len(config.ess)
@@ -204,9 +193,6 @@ def _dp_cost(config, pv, load, outage, grid_points, value_only=False):
     start_idx = _nearest_state(grids, config.initial_soc)
     best = float(value[start_idx])
 
-    if value_only:
-        return best
-
     commands = np.zeros((slots, n_ess))
     soc_path = np.zeros((slots + 1, n_ess))
     shape = (grid_points,) * n_ess
@@ -220,7 +206,8 @@ def _dp_cost(config, pv, load, outage, grid_points, value_only=False):
             commands[t, i] = per_net[i][from_idx[i], to_idx[i]]
             soc_path[t + 1, i] = grids[i][to_idx[i]]
         state = action
-    return _DpRaw(cost=best, commands=commands, soc_path=soc_path)
+    return DpResult(cost=best, commands=commands, soc_path=soc_path,
+                    grid_points=grid_points, delta_grid=0.0)
 
 
 def _nearest_state(grids: list[np.ndarray], soc: float) -> int:

@@ -20,9 +20,12 @@ def _parse_stress(text: str) -> dict[str, float]:
     out = {}
     for part in text.split(","):
         key, _, value = part.partition("=")
-        if key not in ("pv", "load") or not value:
+        try:
+            out[key] = float(value)
+        except ValueError:
+            key = None
+        if key not in ("pv", "load"):
             raise ConfigError([f"--stress: expected pv=<f>,load=<f>, got {text!r}"])
-        out[key] = float(value)
     return out
 
 
@@ -81,6 +84,9 @@ def cmd_eval(args) -> int:
     from .harness import eval_run
 
     _check_counts(args)
+    if args.checkpoint is not None and (args.config or args.scenario):
+        raise ConfigError(["eval: --config and --scenario do not apply to "
+                           "--checkpoint, which carries its own config"])
     overrides = _config_overrides(args)
     cfg = None
     if args.checkpoint is None:
@@ -166,14 +172,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, seed_default=0):
-        p.add_argument("--config", help="YAML config file (defaults built in)")
-        p.add_argument("--scenario", help="YAML overlay applied after --config")
         p.add_argument("--seed", type=int, default=seed_default,
                        help="root seed; split into env/noise/init/data/replay")
         p.add_argument("--out", required=True, help="output directory or file")
 
+    def configured(p, seed_default=0):
+        p.add_argument("--config", help="YAML config file (defaults built in)")
+        p.add_argument("--scenario", help="YAML overlay applied after --config")
+        common(p, seed_default)
+
     p = sub.add_parser("train", help="train a dispatch policy")
-    common(p)
+    configured(p)
     p.add_argument("--method", choices=("maddpg", "ddpg"), default="maddpg")
     p.add_argument("--episodes", type=int, help="override train.episodes")
     p.add_argument("--lambda-load", type=float, dest="lambda_load",
@@ -182,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or the rule policy")
-    common(p, seed_default=None)
+    configured(p, seed_default=None)
     p.add_argument("--checkpoint", help="training run directory")
     p.add_argument("--method", help="rule (when no checkpoint is given)")
     p.add_argument("--eval-days", type=int, dest="eval_days",
@@ -194,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="train/evaluate methods side by side")
-    common(p)
+    configured(p)
     p.add_argument("--methods", default="maddpg,ddpg,rule")
     p.add_argument("--episodes", type=int)
     p.add_argument("--lambda-sweep", dest="lambda_sweep",
@@ -208,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("synth-data", help="write a synthetic series CSV")
-    common(p)
+    configured(p)
     p.add_argument("--days", type=int)
     p.set_defaults(func=cmd_synth_data)
     return parser
@@ -216,7 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; it is input
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -165,8 +165,8 @@ class DispatchResult:
     p_grid: float
     alpha: float  # shedding fraction, uniform across loads
     p_load: tuple[float, ...]
-    pv_available: float
-    pv_curtailed: float
+    p_pv: tuple[float, ...]  # per plant, before curtailment
+    pv_curtailed: float  # fleet total, taken from the plants pro rata
     connected: bool
     balance_residual: float
     cost_total: float
@@ -318,7 +318,7 @@ def resolve_slot(config: MicrogridConfig, state: SimState,
         p_grid=p_grid,
         alpha=alpha,
         p_load=tuple(load_now),
-        pv_available=pv_sum,
+        p_pv=tuple(pv_now),
         pv_curtailed=pv_curtailed,
         connected=state.connected,
         balance_residual=residual,

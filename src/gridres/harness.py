@@ -314,7 +314,17 @@ def compare_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
                 methods: Sequence[str] = METHODS,
                 lambda_sweep: Sequence[float] | None = None) -> list[ReportRow]:
     """Train/evaluate each method on the identical seeded scenario and emit
-    the aligned report table, learning curves and outage-window trajectories."""
+    the aligned report table, learning curves and outage-window trajectories.
+    Every swept penalty is validated before anything runs."""
+    sweep, problems = [], []
+    for lam in lambda_sweep or ():
+        try:
+            sweep.append((lam, merge_config(
+                cfg, {"microgrid": {"costs": {"load": float(lam)}}})))
+        except ConfigError as exc:
+            problems += [f"lambda_sweep {fmt(lam)}: {p}" for p in exc.problems]
+    if problems:
+        raise ConfigError(problems)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows: list[ReportRow] = []
@@ -343,8 +353,8 @@ def compare_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
     write_report(out / "comparison.csv", rows, with_time=True)
     _write_curves(out / "learning_curves.csv", curves)
     _write_trajectories(out / "trajectories.csv", trajectories)
-    if lambda_sweep:
-        _write_lambda_sweep(out, cfg, seed, lambda_sweep)
+    if sweep:
+        _write_lambda_sweep(out, seed, sweep)
     write_manifest(out, cfg, seed, "compare", "-", 0.0,
                    {"methods": list(methods), "status": "ok"})
     return rows
@@ -385,12 +395,11 @@ def _write_trajectories(path: Path, trajectories) -> None:
                     f"{fmt(sum(result.p_ess))},{fmt(float(np.mean(soc)))}\n")
 
 
-def _write_lambda_sweep(out: Path, cfg: dict[str, Any], seed: int,
-                        lambdas: Sequence[float]) -> None:
+def _write_lambda_sweep(out: Path, seed: int,
+                        sweep: list[tuple[float, dict[str, Any]]]) -> None:
     """Retrain at each shedding penalty and tabulate the resulting shed."""
     rows = []
-    for lam in lambdas:
-        sweep_cfg = merge_config(cfg, {"microgrid": {"costs": {"load": float(lam)}}})
+    for lam, sweep_cfg in sweep:
         run_dir = out / f"lambda-{lam}"
         train_run(sweep_cfg, seed, run_dir, method="maddpg")
         policy, _, _ = load_trained_policy(run_dir)

@@ -1,10 +1,12 @@
-"""Radial distribution power flow by backward/forward sweep.
+"""Radial distribution power flow by the direct BIBC/BCBV method.
 
-The backward pass accumulates branch currents from the leaves toward the
-slack bus, the forward pass propagates voltage drops outward; the two
-alternate until the largest voltage change falls below tolerance. Feeders
-must be trees; reactive injections are supported but the microgrid model
-runs at unity power factor.
+After Teng (IEEE Trans. Power Delivery 18(3), 2003): with the 0/1 path
+matrix ``P`` over the non-slack buses (row i marks the branches between the
+slack and bus i), each iteration maps injection currents to branch currents
+by ``P.T`` (BIBC) and branch voltage drops to bus voltages by ``P`` (BCBV),
+until the largest voltage change falls below tolerance. Feeders must be
+trees; reactive injections are supported but the microgrid model runs at
+unity power factor.
 
 Power-flow runs are post-hoc verification of dispatches, never part of the
 training loop, and reports are advisory: they flag voltage-band violations
@@ -54,7 +56,6 @@ class FeederTopology:
 @dataclass(frozen=True)
 class PowerFlowSolution:
     v_mag: dict[int, float]  # pu
-    branch_current: dict[tuple[int, int], float]  # pu magnitude
     branch_loss_mw: dict[tuple[int, int], float]
     total_loss_mw: float
     converged: bool
@@ -69,10 +70,6 @@ class FeasibilityReport:
     v_min: float
     v_max: float
     loss_mw: float
-
-    @property
-    def feasible(self) -> bool:
-        return self.converged and not self.violations
 
 
 def load_ieee33() -> FeederTopology:
@@ -136,7 +133,7 @@ def _tree_order(topology: FeederTopology, slack: int):
 def solve_bfs(topology: FeederTopology, p_mw: dict[int, float],
               q_mvar: dict[int, float] | None = None, tol: float = 1e-8,
               max_iter: int = 100, slack_bus: int | None = None) -> PowerFlowSolution:
-    """Backward/forward sweep. Injections are net consumption per bus in MW
+    """Direct BIBC/BCBV power flow. Injections are net consumption per bus in MW
     (generation negative). Non-convergence is reported, never raised."""
     slack = topology.slack_bus if slack_bus is None else slack_bus
     if slack not in topology.buses:
@@ -144,53 +141,40 @@ def solve_bfs(topology: FeederTopology, p_mw: dict[int, float],
     order, parent = _tree_order(topology, slack)
     q_mvar = q_mvar or {}
 
-    s_pu = {bus: complex(p_mw.get(bus, 0.0), q_mvar.get(bus, 0.0)) / topology.base_mva
-            for bus in topology.buses}
-    z_pu = {bus: complex(br.r_ohm, br.x_ohm) / topology.z_base
-            for bus, (_, br) in parent.items()}
+    # Non-slack bus k and the branch feeding it share index k (BFS order).
+    nodes = order[1:]
+    index = {bus: k for k, bus in enumerate(nodes)}
+    path = np.zeros((len(nodes), len(nodes)))
+    z = np.empty(len(nodes), dtype=complex)
+    for k, bus in enumerate(nodes):
+        up, br = parent[bus]
+        if up != slack:
+            path[k] = path[index[up]]
+        path[k, k] = 1.0
+        z[k] = complex(br.r_ohm, br.x_ohm) / topology.z_base
+    s = np.array([complex(p_mw.get(bus, 0.0), q_mvar.get(bus, 0.0))
+                  for bus in nodes]) / topology.base_mva
 
-    v = {bus: complex(1.0, 0.0) for bus in topology.buses}
-    i_branch: dict[int, complex] = {}
+    v = np.ones(len(nodes), dtype=complex)
+    i_br = np.zeros(len(nodes), dtype=complex)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        # Backward: accumulate currents from leaves to root.
-        i_branch = {bus: np.conj(s_pu[bus] / v[bus]) for bus in topology.buses
-                    if bus != slack}
-        for bus in reversed(order):
-            if bus == slack:
-                continue
-            up = parent[bus][0]
-            if up != slack:
-                i_branch[up] += i_branch[bus]
-        # Forward: propagate voltage drops from the root.
-        max_dv = 0.0
-        for bus in order:
-            if bus == slack:
-                continue
-            up = parent[bus][0]
-            new_v = v[up] - z_pu[bus] * i_branch[bus]
-            max_dv = max(max_dv, abs(new_v - v[bus]))
-            v[bus] = new_v
+        i_br = path.T @ np.conj(s / v)  # BIBC: branch current from injections
+        new_v = 1.0 - path @ (z * i_br)  # BCBV: bus voltage from branch currents
+        max_dv = np.max(np.abs(new_v - v), initial=0.0)
+        v = new_v
         if max_dv < tol:
             converged = True
             break
 
-    losses: dict[tuple[int, int], float] = {}
-    currents: dict[tuple[int, int], float] = {}
-    total_loss = 0.0
-    for bus, (up, br) in parent.items():
-        key = (up, bus)
-        i_mag = abs(i_branch.get(bus, 0.0))
-        currents[key] = i_mag
-        loss = (i_mag ** 2) * z_pu[bus].real * topology.base_mva
-        losses[key] = loss
-        total_loss += loss
+    loss = np.abs(i_br) ** 2 * z.real * topology.base_mva
+    losses = {(parent[bus][0], bus): float(l) for bus, l in zip(nodes, loss)}
+    v_mag = np.abs(v).tolist()
     return PowerFlowSolution(
-        v_mag={b: abs(v[b]) for b in topology.buses},
-        branch_current=currents,
+        v_mag={b: 1.0 if b == slack else v_mag[index[b]] for b in topology.buses},
         branch_loss_mw=losses,
-        total_loss_mw=total_loss,
+        total_loss_mw=sum(losses.values()),
         converged=converged,
         iterations=iterations,
     )
@@ -200,18 +184,17 @@ def dispatch_injections(topology: FeederTopology, config: MicrogridConfig,
                         result: DispatchResult) -> dict[int, float]:
     """Map a resolved slot onto net bus consumption in MW.
 
-    Served load counts positive; PV (after pro-rata curtailment), generators
-    and ESS discharge count negative; ESS charging positive.
+    Served load counts positive; each PV plant's output (after pro-rata
+    curtailment), generators and ESS discharge count negative; ESS charging
+    positive.
     """
     inj = {bus: 0.0 for bus in topology.buses}
     for spec, p in zip(config.loads, result.p_load):
         inj[spec.bus] += (1.0 - result.alpha) * p
-    pv_scale = 1.0
-    if result.pv_available > 0.0:
-        pv_scale = 1.0 - result.pv_curtailed / result.pv_available
-    share = result.pv_available / len(config.pv) if config.pv else 0.0
-    for spec in config.pv:
-        inj[spec.bus] -= share * pv_scale
+    pv_sum = sum(result.p_pv)
+    pv_scale = 1.0 - result.pv_curtailed / pv_sum if pv_sum > 0.0 else 1.0
+    for spec, p in zip(config.pv, result.p_pv):
+        inj[spec.bus] -= p * pv_scale
     for spec, p in zip(config.generators, result.p_gen):
         inj[spec.bus] -= p
     for spec, p in zip(config.ess, result.p_ess):

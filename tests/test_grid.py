@@ -239,7 +239,7 @@ def discharge_result():
     cfg = small_config()
     out = DispatchResult(
         p_ess=(-2.0,), p_gen=(3.0,), p_grid=0.0, alpha=0.2, p_load=(5.0,),
-        pv_available=0.0, pv_curtailed=0.0, connected=False,
+        p_pv=(0.0,), pv_curtailed=0.0, connected=False,
         balance_residual=0.0, cost_total=0.0,
         cost_breakdown=CostBreakdown(0.0, 0.0, 0.0, 0.0))
     return cfg, out

@@ -8,8 +8,10 @@ from gridres.cli import main
 from gridres.config import ConfigError, resolve_dict
 from gridres.harness import (
     aggregate,
+    audit_run,
     build_dataset,
     build_env,
+    compare_run,
     eval_run,
     read_manifest,
     run_days,
@@ -180,6 +182,68 @@ class TestEvalRun:
         assert np.array_equal(stressed.forecasts.pv, base.forecasts.pv)
 
 
+def tiny_cfg():
+    return small_cfg({"train": {"episodes": 3, "warmup_steps": 96}})
+
+
+def csv_rows(path):
+    lines = path.read_text().splitlines()
+    return lines[0], [line.split(",") for line in lines[1:]]
+
+
+class TestCompareRun:
+    def test_outputs_line_up(self, tmp_path):
+        cfg = tiny_cfg()
+        out = tmp_path / "cmp"
+        rows = compare_run(cfg, 4, out, methods=("maddpg", "rule"),
+                           lambda_sweep=[0.5, 30.0])
+        assert [r.method for r in rows] == ["maddpg", "rule"]
+        n_days = len(build_dataset(cfg, seed_stream(4, "data")).test_days)
+        _, report = csv_rows(out / "report.csv")
+        header, comparison = csv_rows(out / "comparison.csv")
+        assert [r[0] for r in report] == [r[0] for r in comparison] == \
+            ["maddpg", "rule"]
+        assert header.endswith(",computation_time_s")
+        for row, cells in zip(rows, report):
+            _, days = csv_rows(out / f"days-{row.method}.csv")
+            assert len(days) == n_days
+            assert float(cells[1]) == row.avg_cost_usd == pytest.approx(
+                float(np.mean([float(d[1]) for d in days])))
+        header, curves = csv_rows(out / "learning_curves.csv")
+        assert header == "method,episode,cost_usd,shed_mwh,reward"
+        assert [(c[0], c[1]) for c in curves] == [("maddpg", str(e))
+                                                  for e in range(3)]
+        _, trajectories = csv_rows(out / "trajectories.csv")
+        assert [t[0] for t in trajectories] == ["maddpg"] * 96 + ["rule"] * 96
+        assert [t[1] for t in trajectories[:96]] == [str(s) for s in range(96)]
+        header, sweep = csv_rows(out / "lambda_sweep.csv")
+        assert header == "lambda_load,avg_shed_mwh"
+        assert [s[0] for s in sweep] == ["0.5", "30.0"]
+        assert all(float(s[1]) >= 0.0 for s in sweep)
+        for run in ("train-maddpg", "lambda-0.5", "lambda-30.0"):
+            assert (out / run / "checkpoint.npz").exists()
+        assert not (out / "train-rule").exists()
+
+
+class TestAuditRun:
+    def test_summary_totals_equal_csv_sums(self, tmp_path):
+        cfg = tiny_cfg()
+        run = tmp_path / "run"
+        train_run(cfg, 5, run)
+        out = tmp_path / "audit"
+        summary = audit_run(run, out)
+        header, rows = csv_rows(out / "audit.csv")
+        assert header == "day,slot,converged,violations,v_min,v_max,loss_mw"
+        n_days = len(build_dataset(cfg, seed_stream(5, "data")).test_days)
+        assert summary["slots"] == len(rows) == 96 * n_days
+        assert summary["violations"] == sum(int(r[3]) for r in rows)
+        assert summary["nonconverged"] == sum(r[2] == "0" for r in rows)
+        assert json.loads((out / "audit_summary.json").read_text()) == summary
+        for r in rows:
+            assert 0.0 < float(r[4]) <= float(r[5])
+            assert float(r[6]) >= 0.0
+
+
 class TestRunDays:
     def test_failed_agents_never_move(self, tmp_path):
         cfg = small_cfg()
@@ -243,6 +307,17 @@ class TestCli:
         (["compare", "--methods", "rule,bogus"], "--methods: unknown method 'bogus'"),
         (["compare", "--lambda-sweep", "a,b"],
          "--lambda-sweep: expected a comma list of numbers"),
+        (["eval", "--method", "rule", "--stress", "pv=abc"],
+         "--stress: expected pv=<f>,load=<f>, got 'pv=abc'"),
+        (["compare", "--lambda-sweep", "-5"],
+         "lambda_sweep -5.0: microgrid: lambda_load must be >= 0"),
+        (["audit", "--checkpoint", "run", "--scenario", "nonexist.yaml"],
+         "unrecognized arguments: --scenario nonexist.yaml"),
+        (["eval", "--checkpoint", "run", "--config", "nonexist.yaml"],
+         "eval: --config and --scenario do not apply to --checkpoint"),
+        (["train", "--episodes", "abc"],
+         "argument --episodes: invalid int value: 'abc'"),
+        (["train", "--bogus"], "unrecognized arguments: --bogus"),
     ])
     def test_out_of_range_count_flag_exits_1(self, tmp_path, capsys, argv, problem):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1

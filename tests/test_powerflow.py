@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -125,10 +127,11 @@ class TestSolveBfs:
             sol = solve_bfs(topo, p, tol=1e-12)
             assert sol.converged
             assert all(l >= 0 for l in sol.branch_loss_mw.values())
-            # Slack supplies loads plus losses: root branch flows out of bus 1.
-            root_current = sum(
-                i for (up, _), i in sol.branch_current.items() if up == 1)
-            assert root_current > 0
+            # Slack supplies loads plus losses: current flows out of bus 1,
+            # so the branches leaving it carry a positive loss.
+            root_loss = sum(
+                l for (up, _), l in sol.branch_loss_mw.items() if up == 1)
+            assert root_loss > 0
 
     def test_branch_order_invariance(self):
         topo = load_ieee33()
@@ -166,8 +169,8 @@ def make_result(config, alpha=0.0, load_scale=1.0, connected=True, gens=None):
     p_gen = tuple(gens if gens is not None else [0.0] * len(config.generators))
     return DispatchResult(
         p_ess=(0.0,) * len(config.ess), p_gen=p_gen, p_grid=0.0, alpha=alpha,
-        p_load=loads, pv_available=0.0, pv_curtailed=0.0, connected=connected,
-        balance_residual=0.0, cost_total=0.0,
+        p_load=loads, p_pv=(0.0,) * len(config.pv), pv_curtailed=0.0,
+        connected=connected, balance_residual=0.0, cost_total=0.0,
         cost_breakdown=CostBreakdown(0, 0, 0, 0))
 
 
@@ -176,7 +179,7 @@ class TestCheckDispatch:
         topo = load_ieee33()
         config = table_config()
         report = check_dispatch(topo, config, make_result(config, load_scale=0.0))
-        assert report.feasible
+        assert report.converged
         assert report.violations == ()
 
     def test_inflated_load_violates(self):
@@ -204,3 +207,13 @@ class TestInjections:
         result = make_result(config, load_scale=0.5)
         inj = dispatch_injections(topo, config, result)
         assert sum(inj.values()) == pytest.approx(0.5 * sum(s.p_max for s in config.loads))
+
+    def test_each_plant_injects_its_curtailed_output_at_its_bus(self):
+        topo = load_ieee33()
+        config = table_config()
+        p_pv = tuple(0.5 * s.p_max for s in config.pv)  # plants of 1 and 2 MW
+        result = replace(make_result(config, load_scale=0.0), p_pv=p_pv,
+                         pv_curtailed=0.25 * sum(p_pv))
+        inj = dispatch_injections(topo, config, result)
+        for spec, p in zip(config.pv, p_pv):
+            assert inj[spec.bus] == pytest.approx(-0.75 * p)
