@@ -13,7 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import MicrogridEnv, Observation
-from .grid import EssArrays, MicrogridConfig, SimState, dispatch_generators, mask_bounds
+from .grid import (
+    SLOT_HOURS,
+    EssArrays,
+    MicrogridConfig,
+    SimState,
+    dispatch_generators,
+    mask_bounds,
+)
 from .maddpg import Trainer, TrainSettings, ddpg_groups, maddpg_groups
 
 RULE_TARGET_SOC = 0.5
@@ -33,11 +40,10 @@ class RulePolicy:
         self.ess_limits = EssArrays.of(config.ess)
 
     def __call__(self, obs: Observation, state: SimState) -> np.ndarray:
-        dt = self.config.costs.slot_hours
         soc = np.array(state.soc)
-        low, up = mask_bounds(self.ess_limits, soc, dt)
+        low, up = mask_bounds(self.ess_limits, soc, SLOT_HOURS)
         if state.connected:
-            raw = (RULE_TARGET_SOC - soc) * self.ess_limits.energy_cap / dt
+            raw = (RULE_TARGET_SOC - soc) * self.ess_limits.energy_cap / SLOT_HOURS
             return np.minimum(np.maximum(raw, low), up)
         load_sum = sum(state.load_now)
         pv_sum = sum(state.pv_now)
@@ -73,8 +79,8 @@ def build_trainer(env: MicrogridEnv, settings: TrainSettings, method: str,
         raise ValueError(f"unknown learned method {method!r}")
     caps = np.concatenate([[s.p_max for s in env.config.pv],
                            [s.p_max for s in env.config.loads]])
-    return Trainer(env.config.ess, env.config.costs.slot_hours, groups,
-                   env.obs_window_rows, caps, settings, init_rng)
+    return Trainer(env.config.ess, groups, env.obs_window_rows, caps, settings,
+                   init_rng)
 
 
 # ------------------------------------------------------------------- DP
@@ -90,8 +96,6 @@ class DpSizeError(ValueError):
 class DpResult:
     cost: float
     commands: np.ndarray  # (slots, n_ess) MW
-    soc_path: np.ndarray  # (slots + 1, n_ess)
-    grid_points: int
     delta_grid: float  # refinement slack; 0.0 when refinement was skipped
 
 
@@ -115,7 +119,6 @@ def dp_oracle(config: MicrogridConfig, pv: np.ndarray, load: np.ndarray,
 
 def _dp_cost(config, pv, load, outage, grid_points) -> DpResult:
     costs = config.costs
-    dt = costs.slot_hours
     n_ess = len(config.ess)
     slots = pv.shape[1]
     if load.shape[1] != slots:
@@ -130,12 +133,12 @@ def _dp_cost(config, pv, load, outage, grid_points) -> DpResult:
 
     # Per-unit transition powers and feasibility on the grid; column i of
     # the bounds is unit i's mask at each of its grid SoCs.
-    lows, ups = mask_bounds(EssArrays.of(config.ess), np.stack(grids, axis=1), dt)
+    lows, ups = mask_bounds(EssArrays.of(config.ess), np.stack(grids, axis=1), SLOT_HOURS)
     per_net, per_dis, per_feas = [], [], []
     for i, (spec, grid) in enumerate(zip(config.ess, grids)):
         delta_soc = grid[None, :] - grid[:, None]
         eff = np.where(delta_soc > 0, spec.eff_charge, spec.eff_discharge)
-        power = delta_soc * spec.energy_cap / (eff * dt)
+        power = delta_soc * spec.energy_cap / (eff * SLOT_HOURS)
         low, up = lows[:, i], ups[:, i]
         feas = (power >= low[:, None] - 1e-12) & (power <= up[:, None] + 1e-12)
         per_net.append(power)
@@ -168,13 +171,13 @@ def _dp_cost(config, pv, load, outage, grid_points) -> DpResult:
         onset, duration = outage
         return not onset <= t < onset + duration
 
-    wear = costs.lambda_ess * dis * dt
+    wear = costs.lambda_ess * dis * SLOT_HOURS
     value = np.zeros(n_states)
     policy = np.zeros((slots, n_states), dtype=np.int32)
     for t in reversed(range(slots)):
         if connected_at(t):
             slot_cost = wear + costs.lambda_grid * np.abs(
-                load_sum[t] + net - pv_sum[t]) * dt
+                load_sum[t] + net - pv_sum[t]) * SLOT_HOURS
             ok = feas
         else:
             gap = load_sum[t] + net - pv_sum[t] - gen_sum[t]
@@ -184,8 +187,8 @@ def _dp_cost(config, pv, load, outage, grid_points) -> DpResult:
                 alpha = np.clip(gap / load_sum[t], 0.0, 1.0)
             else:
                 alpha = np.zeros_like(gap)
-            slot_cost = (wear + costs.lambda_gen * gen_sum[t] * dt
-                         + costs.lambda_load * alpha * load_sum[t] * dt)
+            slot_cost = (wear + costs.lambda_gen * gen_sum[t] * SLOT_HOURS
+                         + costs.lambda_load * alpha * load_sum[t] * SLOT_HOURS)
         total = np.where(ok, slot_cost + value[None, :], np.inf)
         policy[t] = np.argmin(total, axis=1)
         value = total[np.arange(n_states), policy[t]]
@@ -194,20 +197,16 @@ def _dp_cost(config, pv, load, outage, grid_points) -> DpResult:
     best = float(value[start_idx])
 
     commands = np.zeros((slots, n_ess))
-    soc_path = np.zeros((slots + 1, n_ess))
     shape = (grid_points,) * n_ess
     state = start_idx
-    soc_path[0] = [grids[i][j] for i, j in enumerate(np.unravel_index(state, shape))]
     for t in range(slots):
         action = int(policy[t, state])
         from_idx = np.unravel_index(state, shape)
         to_idx = np.unravel_index(action, shape)
         for i in range(n_ess):
             commands[t, i] = per_net[i][from_idx[i], to_idx[i]]
-            soc_path[t + 1, i] = grids[i][to_idx[i]]
         state = action
-    return DpResult(cost=best, commands=commands, soc_path=soc_path,
-                    grid_points=grid_points, delta_grid=0.0)
+    return DpResult(cost=best, commands=commands, delta_grid=0.0)
 
 
 def _nearest_state(grids: list[np.ndarray], soc: float) -> int:

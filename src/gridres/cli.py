@@ -9,10 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from .config import ConfigError, merge_config, resolve_dict
-from .grid import SLOTS_PER_DAY
+from .config import ConfigError, default_dict, load_yaml, merge_config
 from .maddpg import TrainingDiverged
 
 
@@ -49,14 +47,9 @@ def _config_overrides(args) -> dict:
 
 
 def _resolve(args) -> dict:
-    cfg = resolve_dict(args.config, _config_overrides(args))
-    if getattr(args, "scenario", None):
-        import yaml
-
-        with open(args.scenario) as fh:
-            overlay = yaml.safe_load(fh) or {}
-        cfg = merge_config(cfg, overlay)
-    return cfg
+    """Defaults < --config < --scenario < flags; each later source wins."""
+    return merge_config(default_dict(), load_yaml(args.config),
+                        load_yaml(args.scenario), _config_overrides(args))
 
 
 def _check_counts(args) -> None:
@@ -137,30 +130,15 @@ def cmd_audit(args) -> int:
 
 def cmd_synth_data(args) -> int:
     from .config import build_microgrid
-    from .dataio import synth_generator
+    from .dataio import synth_generator, write_csv
     from .harness import seed_stream
 
     cfg = _resolve(args)
     mg = build_microgrid(cfg)
     series = synth_generator(seed_stream(args.seed, "data"), cfg["data"]["days"],
                              list(mg.pv), list(mg.loads))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        ids = [s.id for s in mg.pv] + [s.id for s in mg.loads]
-        fh.write("timestamp," + ",".join(ids) + "\n")
-        for d in range(series.n_days):
-            for slot in range(SLOTS_PER_DAY):
-                hh, mm = divmod(slot * 15, 60)
-                day = d + 1
-                stamp = f"2022-{7 + (day - 1) // 31:02d}-{(day - 1) % 31 + 1:02d}" \
-                        f"T{hh:02d}:{mm:02d}:00"
-                values = [f"{series.pv[i, d, slot]:.6f}"
-                          for i in range(series.pv.shape[0])]
-                values += [f"{series.load[i, d, slot]:.6f}"
-                           for i in range(series.load.shape[0])]
-                fh.write(stamp + "," + ",".join(values) + "\n")
-    print(f"wrote {series.n_days} synthetic days to {out}")
+    write_csv(args.out, series, list(mg.pv), list(mg.loads))
+    print(f"wrote {series.n_days} synthetic days to {args.out}")
     return 0
 
 

@@ -9,7 +9,6 @@ the published feeder data.
 YAML schema (all sections optional, defaults apply):
 
     microgrid:
-      slot_hours: 0.25
       initial_soc: 0.5
       costs: {ess: 0.2, gen: 0.5, grid: 0.3, load: 1.5}
       ess:        [{id, p_min, p_max, energy_cap, soc_min, soc_max,
@@ -116,7 +115,6 @@ def default_dict() -> dict[str, Any]:
     """The fully resolved default configuration as plain data."""
     return {
         "microgrid": {
-            "slot_hours": 0.25,
             "initial_soc": 0.5,
             "costs": {"ess": 0.2, "gen": 0.5, "grid": 0.3, "load": 1.5},
             "ess": [
@@ -176,19 +174,24 @@ def merge_config(base: dict[str, Any], *overlays: dict[str, Any]) -> dict[str, A
     return resolved
 
 
+def load_yaml(path: str | None) -> dict[str, Any]:
+    """A YAML overlay file as a mapping; ``{}`` for no file."""
+    if path is None:
+        return {}
+    try:
+        with open(path) as fh:
+            loaded = yaml.safe_load(fh) or {}
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigError([f"{path}: {exc}"]) from None
+    if not isinstance(loaded, dict):
+        raise ConfigError([f"{path}: top level must be a mapping"])
+    return loaded
+
+
 def resolve_dict(path: str | None = None,
                  overrides: dict[str, Any] | None = None) -> dict[str, Any]:
     """Defaults merged with an optional YAML file and programmatic overrides."""
-    loaded: dict[str, Any] = {}
-    if path is not None:
-        try:
-            with open(path) as fh:
-                loaded = yaml.safe_load(fh) or {}
-        except (OSError, yaml.YAMLError) as exc:
-            raise ConfigError([f"{path}: {exc}"]) from None
-        if not isinstance(loaded, dict):
-            raise ConfigError([f"{path}: top level must be a mapping"])
-    return merge_config(default_dict(), loaded, overrides or {})
+    return merge_config(default_dict(), load_yaml(path), overrides or {})
 
 
 def _is_int(x: Any) -> bool:
@@ -287,7 +290,6 @@ def build_microgrid(cfg: dict[str, Any]) -> MicrogridConfig:
         lambda_gen=mg["costs"]["gen"],
         lambda_grid=mg["costs"]["grid"],
         lambda_load=mg["costs"]["load"],
-        slot_hours=mg["slot_hours"],
     )
     return MicrogridConfig(
         ess=tuple(EssSpec(**e) for e in mg["ess"]),

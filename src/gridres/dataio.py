@@ -14,11 +14,12 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 
-from .grid import SLOTS_PER_DAY, LoadSpec, PvSpec
+from .grid import SLOT_HOURS, SLOTS_PER_DAY, LoadSpec, PvSpec
 
 
 class SeriesError(ValueError):
@@ -134,6 +135,24 @@ def load_csv(path: str, pv_specs: list[PvSpec], load_specs: list[LoadSpec]) -> S
         load = np.transpose(data[:, :, n_pv:], (2, 0, 1))
     return SeriesSet(pv=np.ascontiguousarray(pv), load=np.ascontiguousarray(load),
                      day_labels=labels)
+
+
+def write_csv(path: str, series: SeriesSet, pv_specs: list[PvSpec],
+              load_specs: list[LoadSpec]) -> None:
+    """Write a series in the per-device schema that :func:`load_csv` reads,
+    its days as consecutive calendar days from 2022-07-01."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    start, slot_length = datetime(2022, 7, 1), timedelta(hours=SLOT_HOURS)
+    with open(out, "w") as fh:
+        ids = [s.id for s in pv_specs] + [s.id for s in load_specs]
+        fh.write("timestamp," + ",".join(ids) + "\n")
+        for d in range(series.n_days):
+            for slot in range(SLOTS_PER_DAY):
+                stamp = start + (d * SLOTS_PER_DAY + slot) * slot_length
+                values = [f"{x:.6f}" for x in series.pv[:, d, slot]]
+                values += [f"{x:.6f}" for x in series.load[:, d, slot]]
+                fh.write(stamp.isoformat() + "," + ",".join(values) + "\n")
 
 
 def scale_to_capacity(series: SeriesSet, pv_specs: list[PvSpec],

@@ -207,9 +207,6 @@ class ParamSet:
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
     version: str = PARAMSET_VERSION
 
-    def names(self) -> list[str]:
-        return list(self.tensors)
-
     def save(self, path: str) -> None:
         order = np.array(list(self.tensors), dtype=np.str_)
         np.savez(path, __version__=np.array(self.version, dtype=np.str_),

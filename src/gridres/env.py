@@ -17,6 +17,7 @@ import numpy as np
 from .dataio import ForecastTable, SeriesSet
 from .encoder import build_window
 from .grid import (
+    SLOT_HOURS,
     SLOTS_PER_DAY,
     DispatchResult,
     MicrogridConfig,
@@ -62,6 +63,11 @@ class EpisodeRecord:
     def cost(self) -> float:
         return sum(r.cost_total for r in self.results)
 
+    @property
+    def shed_mwh(self) -> float:
+        """Load energy left unserved over the day."""
+        return sum(r.alpha * sum(r.p_load) for r in self.results) * SLOT_HOURS
+
 
 class MicrogridEnv:
     """Steps one day at a time; owned by a single rollout at a time."""
@@ -96,7 +102,7 @@ class MicrogridEnv:
         cfg = self.outage_cfg
         if cfg.forced_onset is not None:
             duration = cfg.forced_duration or cfg.duration_range[0]
-            self._outage = OutageDraw(cfg.forced_onset, duration, 0)
+            self._outage = OutageDraw(cfg.forced_onset, duration)
             self._peak_slot = (cfg.forced_peak_slot if cfg.forced_peak_slot
                                is not None else cfg.forced_onset)
         elif cfg.peak_prob <= 0.0:
@@ -134,15 +140,9 @@ class MicrogridEnv:
 
     def state(self) -> SimState:
         slot = self._slot
-        connected = self._connected(slot)
-        remaining = 0
-        if not connected:
-            remaining = self._outage.onset_slot + self._outage.duration_slots - slot
         return SimState(
-            slot_index=slot,
             soc=list(self._soc),
-            connected=connected,
-            outage_slots_remaining=remaining,
+            connected=self._connected(slot),
             pv_now=list(self.series.pv[:, self._day, slot]),
             load_now=list(self.series.load[:, self._day, slot]),
         )
@@ -156,8 +156,7 @@ class MicrogridEnv:
         result = resolve_slot(self.config, state, list(commands_mw))
         rewards = np.array([reward_for_agent(n, result, self.config.costs)
                             for n in range(self.n_agents)])
-        dt = self.config.costs.slot_hours
-        self._soc = [step_soc(spec, soc, p, dt).soc
+        self._soc = [step_soc(spec, soc, p, SLOT_HOURS).soc
                      for spec, soc, p in zip(self.config.ess, self._soc, result.p_ess)]
         self._slot += 1
         done = self._slot >= SLOTS_PER_DAY

@@ -11,12 +11,13 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-SLOTS_PER_DAY = 96  # 15-minute slots
+SLOTS_PER_DAY = 96
+SLOT_HOURS = 24 / SLOTS_PER_DAY  # 0.25 h, a power of two: scaling by it is exact
 BALANCE_TOL = 1e-9
 COMMAND_TOL = 1e-12
 
@@ -98,14 +99,11 @@ class CostParams:
     lambda_gen: float = 0.5
     lambda_grid: float = 0.3
     lambda_load: float = 1.5
-    slot_hours: float = 0.25
 
     def __post_init__(self) -> None:
         for name in ("lambda_ess", "lambda_gen", "lambda_grid", "lambda_load"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.slot_hours <= 0.0:
-            raise ValueError("slot_hours must be positive")
 
 
 @dataclass(frozen=True)
@@ -137,16 +135,10 @@ class MicrogridConfig:
 class SimState:
     """Per-slot dynamic state owned by exactly one episode at a time."""
 
-    slot_index: int
     soc: list[float]
     connected: bool
-    outage_slots_remaining: int
     pv_now: list[float]
     load_now: list[float]
-
-    def __post_init__(self) -> None:
-        if (self.outage_slots_remaining == 0) != self.connected:
-            raise ValueError("outage_slots_remaining must be 0 iff connected")
 
 
 class CostBreakdown(NamedTuple):
@@ -312,7 +304,8 @@ def resolve_slot(config: MicrogridConfig, state: SimState,
     pv_used = pv_sum - pv_curtailed
     residual = (1.0 - alpha) * load_sum - pv_used + ess_net - gen_sum - p_grid
 
-    result = DispatchResult(
+    breakdown = price_slot(config.costs, p_ess, p_gen, p_grid, alpha, load_now)
+    return DispatchResult(
         p_ess=tuple(p_ess),
         p_gen=tuple(p_gen),
         p_grid=p_grid,
@@ -322,34 +315,25 @@ def resolve_slot(config: MicrogridConfig, state: SimState,
         pv_curtailed=pv_curtailed,
         connected=state.connected,
         balance_residual=residual,
-        cost_total=0.0,
-        cost_breakdown=CostBreakdown(0.0, 0.0, 0.0, 0.0),
+        cost_total=sum(breakdown),
+        cost_breakdown=breakdown,
     )
-    total, breakdown = _price(result, config.costs)
-    return replace(result, cost_total=total, cost_breakdown=breakdown)
 
 
-def _price(result: DispatchResult, costs: CostParams) -> tuple[float, CostBreakdown]:
-    dt = costs.slot_hours
-    ess = sum(costs.lambda_ess * abs(min(p, 0.0)) for p in result.p_ess) * dt
-    gen = sum(costs.lambda_gen * p for p in result.p_gen) * dt
-    grid = costs.lambda_grid * abs(result.p_grid) * dt
-    shed = sum(result.alpha * costs.lambda_load * p for p in result.p_load) * dt
-    breakdown = CostBreakdown(ess, gen, grid, shed)
-    return ess + gen + grid + shed, breakdown
+def price_slot(costs: CostParams, p_ess: Sequence[float], p_gen: Sequence[float],
+               p_grid: float, alpha: float, p_load: Sequence[float]) -> CostBreakdown:
+    """The slot's cost in $, term by term, for its resolved powers."""
+    return CostBreakdown(
+        ess=sum(costs.lambda_ess * abs(min(p, 0.0)) for p in p_ess) * SLOT_HOURS,
+        gen=sum(costs.lambda_gen * p for p in p_gen) * SLOT_HOURS,
+        grid=costs.lambda_grid * abs(p_grid) * SLOT_HOURS,
+        shed=sum(alpha * costs.lambda_load * p for p in p_load) * SLOT_HOURS,
+    )
 
 
 def reward_for_agent(n: int, result: DispatchResult, costs: CostParams) -> float:
     """Per-agent reward: negative slot cost where the storage-wear term counts
-    only agent ``n``'s discharge while the other terms are shared."""
-    dt = costs.slot_hours
-    own = costs.lambda_ess * abs(min(result.p_ess[n], 0.0))
-    shared = (sum(costs.lambda_gen * p for p in result.p_gen)
-              + costs.lambda_grid * abs(result.p_grid)
-              + sum(result.alpha * costs.lambda_load * p for p in result.p_load))
-    return -(own + shared) * dt
-
-
-def shed_energy_mwh(results: Sequence[DispatchResult], dt: float) -> float:
-    """Total load energy left unserved over a sequence of slots."""
-    return sum(r.alpha * sum(r.p_load) for r in results) * dt
+    only agent ``n``'s discharge while the other, priced terms are shared."""
+    b = result.cost_breakdown
+    own = costs.lambda_ess * abs(min(result.p_ess[n], 0.0)) * SLOT_HOURS
+    return -(own + (b.gen + b.grid + b.shed))

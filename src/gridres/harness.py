@@ -34,7 +34,7 @@ from .dataio import (
 )
 from .diffkit import ParamSet
 from .env import MicrogridEnv, OutageSettings
-from .grid import shed_energy_mwh
+from .grid import SLOT_HOURS
 from .maddpg import EpisodeMetrics, TrainSettings, run_training
 from .powerflow import check_dispatch, load_ieee33
 
@@ -191,8 +191,12 @@ def load_trained_policy(run_dir: str | Path):
     run = Path(run_dir)
     manifest = read_manifest(run)
     cfg = manifest["config"]
-    # Manifests of earlier versions may hold train keys removed since.
+    # Manifests of earlier versions may hold keys removed since.
     cfg["train"] = {f.name: cfg["train"][f.name] for f in fields(TrainSettings)}
+    slot_hours = cfg["microgrid"].pop("slot_hours", SLOT_HOURS)
+    if slot_hours != SLOT_HOURS:
+        raise ConfigError([f"{run_dir}: microgrid.slot_hours {slot_hours} differs "
+                           f"from the fixed {SLOT_HOURS} h slot"])
     seed = manifest["seed"]
     dataset = build_dataset(cfg, seed_stream(seed, "data"))
     env = build_env(cfg, dataset)
@@ -212,7 +216,6 @@ def run_days(env: MicrogridEnv, policy: Callable, days: Sequence[int],
     """
     records: list[DayRecord] = []
     episodes = []
-    dt = env.config.costs.slot_hours
     for day in days:
         obs = env.reset(int(day), env_rng)
         done = False
@@ -225,7 +228,7 @@ def run_days(env: MicrogridEnv, policy: Callable, days: Sequence[int],
         records.append(DayRecord(
             day=int(day),
             cost_usd=rec.cost,
-            shed_mwh=shed_energy_mwh(rec.results, dt),
+            shed_mwh=rec.shed_mwh,
             outage_onset=rec.outage.onset_slot if rec.outage else None,
             outage_duration=rec.outage.duration_slots if rec.outage else None,
         ))
@@ -277,8 +280,11 @@ def eval_run(run_dir: str | Path | None, out_dir: str | Path, seed: int | None,
     Usage errors raise ConfigError before the output directory is made."""
     t0 = time.perf_counter()
     if run_dir is not None:
+        if method is not None:
+            raise ConfigError(["eval: --method does not apply to --checkpoint, "
+                               "which is evaluated as the method it was trained with"])
         policy, cfg, run_seed = load_trained_policy(run_dir)
-        method = method or read_manifest(Path(run_dir))["method"]
+        method = read_manifest(Path(run_dir))["method"]
         seed = run_seed if seed is None else seed
     else:
         if method != "rule":

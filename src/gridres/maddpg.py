@@ -21,7 +21,7 @@ import numpy as np
 
 from . import diffkit as dk
 from .encoder import GruEncoder, VECTOR_DIM
-from .grid import SLOTS_PER_DAY, EssArrays, EssSpec, mask_bounds, shed_energy_mwh
+from .grid import SLOT_HOURS, SLOTS_PER_DAY, EssArrays, EssSpec, mask_bounds
 
 COUNTER_SCALE = 1.0 / SLOTS_PER_DAY  # keeps the slots-to-peak feature near unit range
 
@@ -202,12 +202,11 @@ class ReplayBuffer:
 class Trainer:
     """Owns the networks, targets, optimizer state and the update rules."""
 
-    def __init__(self, ess_specs: tuple[EssSpec, ...], dt: float,
+    def __init__(self, ess_specs: tuple[EssSpec, ...],
                  groups: list[AgentGroup], window_rows: int,
                  capacities: np.ndarray, settings: TrainSettings,
                  init_rng: np.random.Generator):
         self.ess_limits = EssArrays.of(ess_specs)
-        self.dt = dt
         self.groups = groups
         self.settings = settings
         self.n_ess = len(ess_specs)
@@ -238,7 +237,7 @@ class Trainer:
     def apply_mask(self, pis: np.ndarray, socs: np.ndarray):
         """Affine map of raw (-1, 1) outputs onto each unit's SoC-feasible
         power window. Returns (actions, slope); slope is d action / d pi."""
-        low, up = mask_bounds(self.ess_limits, np.atleast_2d(socs), self.dt)
+        low, up = mask_bounds(self.ess_limits, np.atleast_2d(socs), SLOT_HOURS)
         slope = (up - low) / 2.0
         return slope * (np.atleast_2d(pis) + 1.0) + low, slope
 
@@ -477,7 +476,7 @@ def run_training(env, trainer: Trainer, settings: TrainSettings,
         row = EpisodeMetrics(
             episode=episode,
             cost=record.cost,
-            shed_mwh=shed_energy_mwh(record.results, env.config.costs.slot_hours),
+            shed_mwh=record.shed_mwh,
             critic_loss=float(np.mean(ep_losses)) if ep_losses else float("nan"),
             actor_objective=(float(np.mean(ep_objectives)) if ep_objectives
                              else float("nan")),

@@ -19,8 +19,6 @@ from .grid import SLOTS_PER_DAY
 @dataclass(frozen=True)
 class DisconnectionProfile:
     peak_slot: int  # primary breakpoint
-    peak_prob: float
-    width_slots: float
     breakpoint_peaks: tuple[int, ...]  # primary first
     probabilities: np.ndarray  # (n_breakpoints, slots)
 
@@ -29,7 +27,6 @@ class DisconnectionProfile:
 class OutageDraw:
     onset_slot: int
     duration_slots: int
-    breakpoint: int
 
 
 def build_profile(rng: np.random.Generator, slots_per_day: int = SLOTS_PER_DAY,
@@ -55,8 +52,6 @@ def build_profile(rng: np.random.Generator, slots_per_day: int = SLOTS_PER_DAY,
     ])
     return DisconnectionProfile(
         peak_slot=primary,
-        peak_prob=peak_prob,
-        width_slots=width,
         breakpoint_peaks=tuple(peaks),
         probabilities=probs,
     )
@@ -70,12 +65,10 @@ def sample_outage(rng: np.random.Generator, profile: DisconnectionProfile,
     hits = draws < profile.probabilities
     if not hits.any():
         return None
-    any_hit = hits.any(axis=0)
-    onset = int(np.argmax(any_hit))
-    breakpoint = int(np.argmax(hits[:, onset]))
+    onset = int(np.argmax(hits.any(axis=0)))
     lo, hi = duration_range
     duration = int(rng.integers(lo, hi + 1))
-    return OutageDraw(onset_slot=onset, duration_slots=duration, breakpoint=breakpoint)
+    return OutageDraw(onset_slot=onset, duration_slots=duration)
 
 
 def counter(t: int, peak_slot: int, disconnected: bool) -> int:

@@ -66,7 +66,7 @@ class TestCriterion1PhysicsExactness:
         draws = [(rng.uniform(spec.soc_min, spec.soc_max, size=120_000),
                   rng.uniform(-1.0, 1.0, size=120_000)) for spec in ESS_FLEET]
         socs = np.stack([d[0] for d in draws], axis=1)
-        cmds = fleet_mask(ESS_FLEET, dt)(np.stack([d[1] for d in draws], axis=1), socs)
+        cmds = fleet_mask(ESS_FLEET)(np.stack([d[1] for d in draws], axis=1), socs)
         for i, spec in enumerate(ESS_FLEET):
             for soc, p in zip(socs[:, i], cmds[:, i]):
                 out = step_soc(spec, soc, p, dt)
@@ -85,13 +85,12 @@ class TestCriterion1PhysicsExactness:
         connected = rng.integers(2, size=n).astype(bool)
         pv = rng.uniform(0, 4, size=n)
         load = rng.uniform(0, 6, size=n)
-        cmds = fleet_mask(config.ess, dt)(rng.uniform(-1, 1, size=(n, 2)), 0.5)
+        cmds = fleet_mask(config.ess)(rng.uniform(-1, 1, size=(n, 2)), 0.5)
         worst_residual = 0.0
         bad = 0
         for i in range(n):
             state = SimState(
-                slot_index=0, soc=[0.5, 0.5], connected=bool(connected[i]),
-                outage_slots_remaining=0 if connected[i] else 10,
+                soc=[0.5, 0.5], connected=bool(connected[i]),
                 pv_now=[float(pv[i])], load_now=[float(load[i])])
             result = resolve_slot(config, state, list(cmds[i]))
             worst_residual = max(worst_residual, abs(result.balance_residual))
@@ -225,7 +224,7 @@ class TestCriterion3Masking:
         unit = rng.integers(len(ESS_FLEET), size=n)
         soc = rng.uniform(limits.soc_min[unit], limits.soc_max[unit])
         pi = rng.uniform(-1, 1, size=n)
-        mask = fleet_mask(ESS_FLEET, dt)
+        mask = fleet_mask(ESS_FLEET)
         rows = np.arange(n)
 
         def pick(per_unit):
@@ -282,9 +281,8 @@ class TestCriterion8Equivalence:
                                [s.p_max for s in config.loads]])
 
         def make(groups, seed):
-            return Trainer(config.ess, config.costs.slot_hours, groups,
-                           env.obs_window_rows, caps, settings,
-                           np.random.default_rng(seed))
+            return Trainer(config.ess, groups, env.obs_window_rows, caps,
+                           settings, np.random.default_rng(seed))
 
         t_multi = make(maddpg_groups(1), 7)
         t_joint = make(ddpg_groups(1), 7)

@@ -13,6 +13,7 @@ from gridres.baselines import (
 from gridres.dataio import ForecastModel, SeriesSet, make_forecasts, synth_generator
 from gridres.env import MicrogridEnv, OutageSettings
 from gridres.grid import (
+    SLOT_HOURS,
     CostParams,
     EssArrays,
     EssSpec,
@@ -60,23 +61,21 @@ class TestRulePolicy:
     def test_setpoint_reached_means_idle(self):
         config = one_ess_config()
         policy = RulePolicy(config)
-        state = SimState(slot_index=0, soc=[0.5], connected=True,
-                         outage_slots_remaining=0, pv_now=[0.0], load_now=[1.0])
+        state = SimState(soc=[0.5], connected=True, pv_now=[0.0], load_now=[1.0])
         assert policy(obs_stub(), state)[0] == 0.0
 
     def test_below_setpoint_charges(self):
         config = one_ess_config()
         policy = RulePolicy(config)
-        state = SimState(slot_index=0, soc=[0.3], connected=True,
-                         outage_slots_remaining=0, pv_now=[0.0], load_now=[1.0])
+        state = SimState(soc=[0.3], connected=True, pv_now=[0.0], load_now=[1.0])
         assert policy(obs_stub(), state)[0] > 0.0
 
     def test_islanded_proportional_headroom_split(self):
         config = two_ess_config()
         policy = RulePolicy(config)
         # Both units mid-range: headrooms are the power limits 2 and 1.
-        state = SimState(slot_index=0, soc=[0.5, 0.5], connected=False,
-                         outage_slots_remaining=5, pv_now=[0.0], load_now=[1.0])
+        state = SimState(soc=[0.5, 0.5], connected=False, pv_now=[0.0],
+                         load_now=[1.0])
         cmds = policy(obs_stub(), state)
         assert cmds == pytest.approx([-2.0 / 3.0, -1.0 / 3.0])
 
@@ -85,16 +84,14 @@ class TestRulePolicy:
         policy = RulePolicy(config)
         limits = EssArrays.of(config.ess)
         rng = np.random.default_rng(0)
-        dt = config.costs.slot_hours
         for _ in range(300):
             socs = list(rng.uniform(0.1, 0.9, size=2))
             connected = bool(rng.integers(2))
-            state = SimState(slot_index=0, soc=socs, connected=connected,
-                             outage_slots_remaining=0 if connected else 4,
+            state = SimState(soc=socs, connected=connected,
                              pv_now=[rng.uniform(0, 2)],
                              load_now=[rng.uniform(0, 2.5)])
             cmds = policy(obs_stub(), state)
-            low, up = mask_bounds(limits, np.array(socs), dt)
+            low, up = mask_bounds(limits, np.array(socs), SLOT_HOURS)
             assert (low - 1e-12 <= cmds).all() and (cmds <= up + 1e-12).all()
 
     def test_holds_setpoint_on_calm_days(self):
@@ -143,7 +140,7 @@ class TestDpOracle:
         grid = np.linspace(0.1, 0.9, 3)
         spec = config.ess[0]
         limits = EssArrays.of(config.ess)
-        dt = config.costs.slot_hours
+        dt = SLOT_HOURS
 
         def command(soc_from, soc_to):
             eff = spec.eff_charge if soc_to > soc_from else spec.eff_discharge
@@ -163,8 +160,7 @@ class TestDpOracle:
                     feasible = False
                     break
                 connected = not (outage[0] <= t < outage[0] + outage[1])
-                state = SimState(slot_index=t, soc=[soc], connected=connected,
-                                 outage_slots_remaining=0 if connected else 1,
+                state = SimState(soc=[soc], connected=connected,
                                  pv_now=list(pv[:, t]), load_now=list(load[:, t]))
                 result = resolve_slot(config, state, [p])
                 if abs(result.p_ess[0] - p) > 1e-9:

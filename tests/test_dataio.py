@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gridres import dataio
 from gridres.dataio import (
     ForecastModel,
     SeriesError,
@@ -176,6 +177,19 @@ class TestSynthGenerator:
             # Collapse peaks closer than 10 slots into one group.
             groups = 1 + sum(1 for a, b in zip(peaks, peaks[1:]) if b - a > 10)
             assert groups == 2, f"day {d}: peaks at {peaks}"
+
+
+class TestWriteCsv:
+    def test_93_days_round_trip_through_loader(self, tmp_path):
+        series = synth_generator(np.random.default_rng(10), 93, PV2, LOAD2)
+        path = str(tmp_path / "synth.csv")
+        dataio.write_csv(path, series, PV2, LOAD2)
+        loaded = load_csv(path, PV2, LOAD2)
+        # July and August have 31 days and September 30, so day 93 is 1 October.
+        assert loaded.day_labels[0] == "2022-07-01"
+        assert loaded.day_labels[91:] == ("2022-09-30", "2022-10-01")
+        np.testing.assert_allclose(loaded.pv, series.pv, rtol=0, atol=5e-7)
+        np.testing.assert_allclose(loaded.load, series.load, rtol=0, atol=5e-7)
 
 
 class TestSplitDays:

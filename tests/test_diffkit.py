@@ -202,7 +202,7 @@ class TestParamSet:
         path = str(tmp_path / "ckpt.npz")
         ps.save(path)
         loaded = dk.ParamSet.load(path)
-        assert loaded.names() == ps.names()
+        assert list(loaded.tensors) == list(ps.tensors)
         for name in tensors:
             assert loaded.tensors[name].tobytes() == tensors[name].tobytes()
 

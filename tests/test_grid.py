@@ -11,9 +11,10 @@ from gridres.grid import (
     LoadSpec,
     MicrogridConfig,
     PvSpec,
+    SLOT_HOURS,
     SimState,
-    _price,
     dispatch_generators,
+    price_slot,
     reward_for_agent,
     resolve_slot,
     step_soc,
@@ -42,10 +43,8 @@ def small_config(n_ess=1, gens=True):
 
 def make_state(connected, pv, load, n_ess=1, soc=0.5):
     return SimState(
-        slot_index=0,
         soc=[soc] * n_ess,
         connected=connected,
-        outage_slots_remaining=0 if connected else 12,
         pv_now=[pv],
         load_now=[load],
     )
@@ -217,15 +216,17 @@ class TestResolveSlot:
         rng = np.random.default_rng(19)
         for _ in range(500):
             connected = bool(rng.integers(2))
-            st = SimState(
-                slot_index=0, soc=[0.5, 0.5], connected=connected,
-                outage_slots_remaining=0 if connected else 13,
-                pv_now=[rng.uniform(0, 10)], load_now=[rng.uniform(0, 10)])
+            st = SimState(soc=[0.5, 0.5], connected=connected,
+                          pv_now=[rng.uniform(0, 10)], load_now=[rng.uniform(0, 10)])
             cmds = list(rng.uniform(-2, 2, size=2))
             out = resolve_slot(cfg, st, cmds)
             assert abs(out.balance_residual) <= 1e-9
             assert out.cost_total >= 0.0
             assert sum(out.cost_breakdown) == pytest.approx(out.cost_total, abs=1e-12)
+
+
+def price(out, costs):
+    return price_slot(costs, out.p_ess, out.p_gen, out.p_grid, out.alpha, out.p_load)
 
 
 def discharge_result():
@@ -234,23 +235,22 @@ def discharge_result():
     Built directly (not via resolve_slot) to pin the pricing formula on
     hand-picked powers.
     """
-    from gridres.grid import CostBreakdown, DispatchResult
+    from gridres.grid import DispatchResult
 
     cfg = small_config()
+    breakdown = price_slot(cfg.costs, (-2.0,), (3.0,), 0.0, 0.2, (5.0,))
     out = DispatchResult(
         p_ess=(-2.0,), p_gen=(3.0,), p_grid=0.0, alpha=0.2, p_load=(5.0,),
         p_pv=(0.0,), pv_curtailed=0.0, connected=False,
-        balance_residual=0.0, cost_total=0.0,
-        cost_breakdown=CostBreakdown(0.0, 0.0, 0.0, 0.0))
+        balance_residual=0.0, cost_total=sum(breakdown), cost_breakdown=breakdown)
     return cfg, out
 
 
 class TestCostAndReward:
     def test_worked_cost(self):
         cfg, out = discharge_result()
-        total, breakdown = _price(out, cfg.costs)
-        assert total == pytest.approx(0.85)
-        assert breakdown == pytest.approx((0.10, 0.375, 0.0, 0.375))
+        assert out.cost_total == pytest.approx(0.85)
+        assert out.cost_breakdown == pytest.approx((0.10, 0.375, 0.0, 0.375))
 
     def test_all_zero_slot(self):
         cfg = small_config()
@@ -280,6 +280,23 @@ class TestCostAndReward:
             out = resolve_slot(cfg, st, [rng.uniform(-2, 2)])
             assert reward_for_agent(0, out, cfg.costs) <= 0.0
 
+    def test_reward_equals_scaled_per_agent_cost_bit_for_bit(self):
+        # The reward reads the slot's priced terms; scaling by the slot
+        # length is exact, so it equals pricing the agent's share in MW first.
+        cfg = small_config(n_ess=2)
+        c = cfg.costs
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            st = SimState(soc=[0.5, 0.5], connected=bool(rng.integers(2)),
+                          pv_now=[rng.uniform(0, 10)], load_now=[rng.uniform(0, 10)])
+            out = resolve_slot(cfg, st, list(rng.uniform(-2, 2, size=2)))
+            shared = (sum(c.lambda_gen * p for p in out.p_gen)
+                      + c.lambda_grid * abs(out.p_grid)
+                      + sum(out.alpha * c.lambda_load * p for p in out.p_load))
+            for n in range(2):
+                own = c.lambda_ess * abs(min(out.p_ess[n], 0.0))
+                assert reward_for_agent(n, out, c) == -(own + shared) * SLOT_HOURS
+
 
 class TestResilienceMetric:
     """The resilience metric is the negated shedding cost, read from the
@@ -292,14 +309,14 @@ class TestResilienceMetric:
 
     def test_single_slot_value(self):
         cfg, out = discharge_result()
-        assert -_price(out, cfg.costs)[1].shed == pytest.approx(-0.375)
+        assert -price(out, cfg.costs).shed == pytest.approx(-0.375)
 
     def test_linearity(self):
         cfg, out = discharge_result()
         from dataclasses import replace
         doubled = replace(out, alpha=0.4)
-        assert _price(doubled, cfg.costs)[1].shed == pytest.approx(
-            2 * _price(out, cfg.costs)[1].shed)
+        assert price(doubled, cfg.costs).shed == pytest.approx(
+            2 * price(out, cfg.costs).shed)
 
 
 class TestSpecValidation:
@@ -309,8 +326,3 @@ class TestSpecValidation:
                     soc_min=0.1, soc_max=0.9)
         with pytest.raises(ValueError):
             ess(eff_ch=1.1)
-
-    def test_sim_state_consistency(self):
-        with pytest.raises(ValueError):
-            SimState(slot_index=0, soc=[0.5], connected=True,
-                     outage_slots_remaining=3, pv_now=[0.0], load_now=[1.0])

@@ -1,11 +1,14 @@
 import json
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from gridres.cli import main
-from gridres.config import ConfigError, resolve_dict
+from gridres import config
+from gridres.cli import _resolve, build_parser, main
+from gridres.config import ConfigError, default_dict, resolve_dict
 from gridres.harness import (
     aggregate,
     audit_run,
@@ -48,7 +51,6 @@ class TestConfig:
         assert len(mg["pv"]) == 6
         assert len(mg["loads"]) == 20
         assert mg["costs"] == {"ess": 0.2, "gen": 0.5, "grid": 0.3, "load": 1.5}
-        assert mg["slot_hours"] == 0.25
         assert cfg["train"]["lr_actor"] == 0.00025
         assert cfg["train"]["warmup_steps"] == 8000
 
@@ -71,6 +73,30 @@ class TestConfig:
         assert cfg["train"]["episodes"] == 7
         assert cfg["outage"]["peak_prob"] == 0.1
         assert cfg["train"]["gamma"] == 0.99  # untouched default
+
+    def test_docstring_schema_matches_defaults(self):
+        def shape(x):
+            """Keys and scalar leaves; a fleet list by its entries' keys."""
+            if isinstance(x, dict):
+                return {k: shape(v) for k, v in x.items()}
+            if isinstance(x, list) and isinstance(x[0], dict):
+                return sorted(x[0])
+            return list(x) if isinstance(x, tuple) else x
+
+        doc = config.__doc__
+        schema = textwrap.dedent(doc[doc.index("    microgrid:"):doc.index("Every leaf")])
+        assert shape(yaml.safe_load(schema)) == shape(default_dict())
+
+    def test_flags_beat_scenario_beat_config_beat_defaults(self, tmp_path):
+        base, scenario = tmp_path / "c.yaml", tmp_path / "s.yaml"
+        base.write_text("train: {episodes: 300, gamma: 0.9, tau: 0.01}\n")
+        scenario.write_text("train: {episodes: 400, gamma: 0.95}\n")
+        args = build_parser().parse_args(
+            ["train", "--config", str(base), "--scenario", str(scenario),
+             "--episodes", "85", "--out", str(tmp_path / "o")])
+        train = _resolve(args)["train"]
+        assert (train["episodes"], train["gamma"], train["tau"]) == (85, 0.95, 0.01)
+        assert train["hidden"] == 64
 
 
 class TestSeedStreams:
@@ -135,14 +161,30 @@ class TestEvalRun:
         cfg = small_cfg()
         run = tmp_path / "run"
         train_run(cfg, 5, run)
+        stress = {"data": {"stress_pv": 0.85, "stress_load": 1.15}}
         eval_run(run, tmp_path / "e1", None)
-        # Earlier versions wrote train.gru_shared into every manifest.
+        eval_run(run, tmp_path / "s1", None, overrides=stress)
+        # Earlier versions wrote train.gru_shared and microgrid.slot_hours
+        # into every manifest.
         manifest = read_manifest(run)
         manifest["config"]["train"]["gru_shared"] = True
+        manifest["config"]["microgrid"]["slot_hours"] = 0.25
         (run / "manifest.json").write_text(json.dumps(manifest))
         eval_run(run, tmp_path / "e2", None)
-        assert (tmp_path / "e1" / "days.csv").read_bytes() == \
-            (tmp_path / "e2" / "days.csv").read_bytes()
+        eval_run(run, tmp_path / "s2", None, overrides=stress)
+        for old, new in (("e1", "e2"), ("s1", "s2")):
+            assert (tmp_path / old / "days.csv").read_bytes() == \
+                (tmp_path / new / "days.csv").read_bytes()
+
+    def test_manifest_with_another_slot_length_is_refused(self, tmp_path):
+        run = tmp_path / "run"
+        train_run(small_cfg(), 5, run)
+        manifest = read_manifest(run)
+        manifest["config"]["microgrid"]["slot_hours"] = 0.5
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match="slot_hours 0.5"):
+            eval_run(run, tmp_path / "e", None)
+        assert not (tmp_path / "e").exists()
 
     def test_rule_eval_without_checkpoint(self, tmp_path):
         cfg = small_cfg()
@@ -318,8 +360,18 @@ class TestCli:
         (["train", "--episodes", "abc"],
          "argument --episodes: invalid int value: 'abc'"),
         (["train", "--bogus"], "unrecognized arguments: --bogus"),
+        (["eval", "--checkpoint", "run", "--method", "rule"],
+         "eval: --method does not apply to --checkpoint"),
+        (["train", "--scenario", "malformed.yaml"], "malformed.yaml: while parsing"),
+        (["train", "--scenario", "list.yaml"], "list.yaml: top level must be a mapping"),
+        (["train", "--scenario", "nonexist.yaml"],
+         "nonexist.yaml: [Errno 2] No such file or directory"),
     ])
-    def test_out_of_range_count_flag_exits_1(self, tmp_path, capsys, argv, problem):
+    def test_out_of_range_count_flag_exits_1(self, tmp_path, capsys, monkeypatch,
+                                             argv, problem):
+        monkeypatch.chdir(tmp_path)
+        Path("malformed.yaml").write_text("train: [1,\n")
+        Path("list.yaml").write_text("- train\n")
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1
         assert problem in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

@@ -11,9 +11,9 @@ def table_config():
     return build_microgrid(default_dict())
 
 
-def fleet_mask(ess, dt):
+def fleet_mask(ess):
     """Commands for raw outputs and SoCs, shaped (samples, units), through
     Trainer.apply_mask: the masking path every learner acts with."""
-    trainer = Trainer(ess, dt, maddpg_groups(len(ess)), 1, np.ones(1),
+    trainer = Trainer(ess, maddpg_groups(len(ess)), 1, np.ones(1),
                       TrainSettings(hidden=4), np.random.default_rng(0))
     return lambda pis, socs: trainer.apply_mask(pis, socs)[0]

@@ -66,8 +66,7 @@ def make_trainer(env, groups=None, settings=None, seed=0):
     groups = groups or maddpg_groups(env.n_agents)
     caps = np.concatenate([[s.p_max for s in env.config.pv],
                            [s.p_max for s in env.config.loads]])
-    return Trainer(env.config.ess, env.config.costs.slot_hours, groups,
-                   env.obs_window_rows, caps, settings,
+    return Trainer(env.config.ess, groups, env.obs_window_rows, caps, settings,
                    np.random.default_rng(seed))
 
 
@@ -469,4 +468,4 @@ class TestCheckpoint:
                            ("actor1", actor), ("critic1", critic), ("gru", gru)):
             expected += [f"adam/{net}/{moment}/{k}" for moment in "mv" for k in names]
             expected.append(f"adam/{net}/t")
-        assert trainer.param_set().names() == expected
+        assert list(trainer.param_set().tensors) == expected

@@ -10,8 +10,8 @@ def fixed_profile(peak_slot=40, peak_prob=0.3, width=4.0, n_breakpoints=1):
         peak_prob * np.exp(-((t - peak_slot) ** 2) / (2 * width ** 2))
         for _ in range(n_breakpoints)
     ])
-    return DisconnectionProfile(peak_slot, peak_prob, width,
-                                tuple([peak_slot] * n_breakpoints), probs)
+    return DisconnectionProfile(peak_slot, tuple([peak_slot] * n_breakpoints),
+                                probs)
 
 
 class TestBuildProfile:

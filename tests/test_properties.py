@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gridres.grid import (
     BALANCE_TOL,
-    CostParams,
+    SLOT_HOURS,
     EssArrays,
     EssSpec,
     GeneratorSpec,
@@ -50,14 +50,11 @@ def slots(draw):
                  for i in range(draw(st.integers(1, 3)))),
         loads=tuple(LoadSpec(id=f"L{i}", p_max=draw(between(0.1, 5.0)))
                     for i in range(draw(st.integers(1, 3)))),
-        costs=CostParams(slot_hours=draw(between(0.05, 1.0))),
     )
     connected = draw(st.booleans())
     state = SimState(
-        slot_index=0,
         soc=[draw(between(s.soc_min, s.soc_max)) for s in ess],
         connected=connected,
-        outage_slots_remaining=0 if connected else 1,
         pv_now=[draw(between(0.0, s.p_max)) for s in config.pv],
         load_now=[draw(between(0.0, s.p_max)) for s in config.loads],
     )
@@ -69,11 +66,10 @@ def slots(draw):
 @given(slots())
 def test_mask_maps_unit_interval_ends_to_bounds(slot):
     config, state, _ = slot
-    dt = config.costs.slot_hours
     n = len(config.ess)
-    low, up = mask_bounds(EssArrays.of(config.ess), np.array(state.soc), dt)
+    low, up = mask_bounds(EssArrays.of(config.ess), np.array(state.soc), SLOT_HOURS)
     assert (low <= 0.0).all() and (up >= 0.0).all()
-    mask = fleet_mask(config.ess, dt)
+    mask = fleet_mask(config.ess)
     ends = mask(np.array([-np.ones(n), np.ones(n)]), state.soc)
     np.testing.assert_allclose(ends, [low, up], rtol=0.0, atol=1e-12)
 
@@ -82,8 +78,7 @@ def test_mask_maps_unit_interval_ends_to_bounds(slot):
 @given(slots())
 def test_masked_slot_keeps_the_physics_invariants(slot):
     config, state, pis = slot
-    dt = config.costs.slot_hours
-    commands = fleet_mask(config.ess, dt)(pis, state.soc)[0]
+    commands = fleet_mask(config.ess)(pis, state.soc)[0]
     # Raises DispatchError if a masked command fell outside its power limits.
     result = resolve_slot(config, state, list(commands))
 
@@ -95,9 +90,9 @@ def test_masked_slot_keeps_the_physics_invariants(slot):
                                               rel=1e-12, abs=1e-12)
     assert result.cost_total >= 0.0
     for spec, soc, p in zip(config.ess, state.soc, result.p_ess):
-        update = step_soc(spec, soc, p, dt)
+        update = step_soc(spec, soc, p, SLOT_HOURS)
         assert spec.soc_min <= update.soc <= spec.soc_max
         # The mask ignores eff_discharge, so only a discharge may clamp, and
         # by no more than its efficiency loss.
-        slack = (spec.eff_discharge - 1.0) * abs(p) * dt / spec.energy_cap
+        slack = (spec.eff_discharge - 1.0) * abs(p) * SLOT_HOURS / spec.energy_cap
         assert abs(update.excess) <= slack + 1e-12
