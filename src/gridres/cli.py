@@ -94,23 +94,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .harness import METHODS, compare_run
+    from .harness import compare_run
 
-    methods = args.methods.split(",")
-    problems = [f"--methods: unknown method {m!r} (known: {', '.join(METHODS)})"
-                for m in methods if m not in METHODS]
     sweep = None
     if args.lambda_sweep:
         try:
             sweep = [float(x) for x in args.lambda_sweep.split(",")]
         except ValueError:
-            problems.append("--lambda-sweep: expected a comma list of numbers, "
-                            f"got {args.lambda_sweep!r}")
-    if problems:
-        raise ConfigError(problems)
-    cfg = _resolve(args)
-    rows = compare_run(cfg, args.seed, args.out, methods=methods,
-                       lambda_sweep=sweep)
+            raise ConfigError(["--lambda-sweep: expected a comma list of numbers, "
+                               f"got {args.lambda_sweep!r}"]) from None
+    rows = compare_run(_resolve(args), args.seed, args.out,
+                       methods=args.methods.split(","), lambda_sweep=sweep)
     for row in rows:
         print(f"{row.method:8s} avg ${row.avg_cost_usd:8.2f} "
               f"shed {row.avg_shed_mwh:6.2f} MWh/day "

@@ -51,14 +51,15 @@ YAML schema (all sections optional, defaults apply):
       hidden: 64
 
 Every leaf must have the type of its default (a float leaf also takes an
-integer; the forced_* keys take an integer or null), and every problem is
-reported at once.
+integer and must be finite; the forced_* keys take an integer or null), and
+every problem is reported at once.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
+import math
 from dataclasses import asdict, fields
 from typing import Any
 
@@ -234,6 +235,8 @@ def _type_problems(default: Any, value: Any, path: str, bad: dict[str, str]) -> 
     elif isinstance(default, float):
         if not _is_number(value):
             bad[path] = "must be a number"
+        elif isinstance(value, float) and not math.isfinite(value):
+            bad[path] = "must be a finite number"
     elif not isinstance(value, str):
         bad[path] = "must be a string"
 

@@ -242,11 +242,10 @@ def synth_generator(rng: np.random.Generator, days: int, pv_specs: list[PvSpec],
     return SeriesSet(pv=pv, load=load, day_labels=labels)
 
 
-def split_days(n_days: int, rng: np.random.Generator,
-               test_fraction: float = 0.25) -> tuple[list[int], list[int]]:
-    """Deterministic whole-day train/test split (75/25 by default)."""
+def split_days(n_days: int, rng: np.random.Generator) -> tuple[list[int], list[int]]:
+    """Deterministic whole-day train/test split, 75/25."""
     order = rng.permutation(n_days)
-    n_test = max(1, round(n_days * test_fraction))
+    n_test = max(1, round(n_days * 0.25))
     test = sorted(int(i) for i in order[:n_test])
     train = sorted(int(i) for i in order[n_test:])
     return train, test

@@ -109,9 +109,8 @@ class MicrogridEnv:
             self._outage = None
             self._peak_slot = int(rng.integers(SLOTS_PER_DAY))
         else:
-            profile = build_profile(rng, SLOTS_PER_DAY, cfg.peak_prob,
-                                    cfg.width_slots, cfg.breakpoints,
-                                    cfg.shift_range)
+            profile = build_profile(rng, cfg.peak_prob, cfg.width_slots,
+                                    cfg.breakpoints, cfg.shift_range)
             self._outage = sample_outage(rng, profile, cfg.duration_range)
             self._peak_slot = profile.peak_slot
         self.record = EpisodeRecord(day=day, outage=self._outage)

@@ -186,25 +186,27 @@ def train_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
     return metrics
 
 
-def load_trained_policy(run_dir: str | Path):
-    """Rebuild the greedy policy recorded in a training run directory."""
-    run = Path(run_dir)
-    manifest = read_manifest(run)
+def read_run(run_dir: str | Path) -> tuple[dict[str, Any], int, str]:
+    """Config, seed and method of a training run directory. Train keys that
+    earlier versions wrote are dropped; another slot length is refused, since
+    evaluating at 15-minute slots would silently change its physics."""
+    manifest = read_manifest(Path(run_dir))
     cfg = manifest["config"]
-    # Manifests of earlier versions may hold keys removed since.
     cfg["train"] = {f.name: cfg["train"][f.name] for f in fields(TrainSettings)}
     slot_hours = cfg["microgrid"].pop("slot_hours", SLOT_HOURS)
     if slot_hours != SLOT_HOURS:
         raise ConfigError([f"{run_dir}: microgrid.slot_hours {slot_hours} differs "
                            f"from the fixed {SLOT_HOURS} h slot"])
-    seed = manifest["seed"]
-    dataset = build_dataset(cfg, seed_stream(seed, "data"))
-    env = build_env(cfg, dataset)
-    settings = TrainSettings.from_dict(cfg["train"])
-    trainer = build_trainer(env, settings, manifest["method"],
+    return cfg, manifest["seed"], manifest["method"]
+
+
+def load_trained_policy(run_dir: str | Path, env: MicrogridEnv) -> TrainedPolicy:
+    """The greedy policy of a training run, sized on the env it will act in."""
+    cfg, seed, method = read_run(run_dir)
+    trainer = build_trainer(env, TrainSettings.from_dict(cfg["train"]), method,
                             seed_stream(seed, "init"))
-    trainer.load_param_set(ParamSet.load(str(run / "checkpoint.npz")))
-    return TrainedPolicy(trainer), cfg, seed
+    trainer.load_param_set(ParamSet.load(str(Path(run_dir) / "checkpoint.npz")))
+    return TrainedPolicy(trainer)
 
 
 def run_days(env: MicrogridEnv, policy: Callable, days: Sequence[int],
@@ -277,34 +279,33 @@ def eval_run(run_dir: str | Path | None, out_dir: str | Path, seed: int | None,
              days: int | None = None, fail_agents: int = 0,
              overrides: dict[str, Any] | None = None) -> ReportRow:
     """Evaluate a trained run directory or a config-only method ('rule').
-    Usage errors raise ConfigError before the output directory is made."""
+    Usage errors and a missing checkpoint raise before the output dir is made."""
     t0 = time.perf_counter()
     if run_dir is not None:
         if method is not None:
             raise ConfigError(["eval: --method does not apply to --checkpoint, "
                                "which is evaluated as the method it was trained with"])
-        policy, cfg, run_seed = load_trained_policy(run_dir)
-        method = read_manifest(Path(run_dir))["method"]
+        cfg, run_seed, method = read_run(run_dir)
         seed = run_seed if seed is None else seed
     else:
         if method != "rule":
             raise ConfigError(["eval: give --checkpoint, or --method rule"])
         cfg = cfg if cfg is not None else resolve_dict()
         seed = 0 if seed is None else seed
-        policy = RulePolicy(build_microgrid(cfg))
     if overrides:
         cfg = merge_config(cfg, overrides)
     n_ess = len(cfg["microgrid"]["ess"])
     if fail_agents > n_ess:
         raise ConfigError([f"--fail-agents: {fail_agents} exceeds the "
                            f"{n_ess} ESS units of the fleet"])
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     dataset = build_dataset(cfg, seed_stream(seed, "data"))
     env = build_env(cfg, dataset)
-    eval_days = dataset.test_days if days is None else dataset.test_days[:days]
-    records, _ = run_days(env, policy, eval_days, seed_stream(seed, "env"),
-                          fail_agents=fail_agents)
+    policy = (RulePolicy(env.config) if run_dir is None
+              else load_trained_policy(run_dir, env))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    records, _ = run_days(env, policy, dataset.test_days[:days],
+                          seed_stream(seed, "env"), fail_agents=fail_agents)
     row = aggregate(method, records, time.perf_counter() - t0)
     write_day_records(out / "days.csv", records)
     write_report(out / "report.csv", [row])
@@ -321,8 +322,10 @@ def compare_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
                 lambda_sweep: Sequence[float] | None = None) -> list[ReportRow]:
     """Train/evaluate each method on the identical seeded scenario and emit
     the aligned report table, learning curves and outage-window trajectories.
-    Every swept penalty is validated before anything runs."""
-    sweep, problems = [], []
+    The methods and every swept penalty are validated before anything runs."""
+    problems = [f"--methods: unknown method {m!r} (known: {', '.join(METHODS)})"
+                for m in methods if m not in METHODS]
+    sweep = []
     for lam in lambda_sweep or ():
         try:
             sweep.append((lam, merge_config(
@@ -333,6 +336,8 @@ def compare_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
         raise ConfigError(problems)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    dataset = build_dataset(cfg, seed_stream(seed, "data"))
+    env = build_env(cfg, dataset)
     rows: list[ReportRow] = []
     curves: dict[str, list[EpisodeMetrics]] = {}
     trajectories: dict[str, Any] = {}
@@ -340,15 +345,11 @@ def compare_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
     for method in methods:
         t0 = time.perf_counter()
         if method == "rule":
-            policy = RulePolicy(build_microgrid(cfg))
-        elif method in METHODS:
+            policy = RulePolicy(env.config)
+        else:
             run_dir = out / f"train-{method}"
             curves[method] = train_run(cfg, seed, run_dir, method=method)
-            policy, _, _ = load_trained_policy(run_dir)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        dataset = build_dataset(cfg, seed_stream(seed, "data"))
-        env = build_env(cfg, dataset)
+            policy = load_trained_policy(run_dir, env)
         records, episodes = run_days(env, policy, dataset.test_days,
                                      seed_stream(seed, "env"))
         rows.append(aggregate(method, records, time.perf_counter() - t0))
@@ -360,7 +361,7 @@ def compare_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
     _write_curves(out / "learning_curves.csv", curves)
     _write_trajectories(out / "trajectories.csv", trajectories)
     if sweep:
-        _write_lambda_sweep(out, seed, sweep)
+        _write_lambda_sweep(out, seed, sweep, dataset)
     write_manifest(out, cfg, seed, "compare", "-", 0.0,
                    {"methods": list(methods), "status": "ok"})
     return rows
@@ -402,17 +403,17 @@ def _write_trajectories(path: Path, trajectories) -> None:
 
 
 def _write_lambda_sweep(out: Path, seed: int,
-                        sweep: list[tuple[float, dict[str, Any]]]) -> None:
+                        sweep: list[tuple[float, dict[str, Any]]],
+                        dataset: Dataset) -> None:
     """Retrain at each shedding penalty and tabulate the resulting shed."""
     rows = []
     for lam, sweep_cfg in sweep:
         run_dir = out / f"lambda-{lam}"
         train_run(sweep_cfg, seed, run_dir, method="maddpg")
-        policy, _, _ = load_trained_policy(run_dir)
-        dataset = build_dataset(sweep_cfg, seed_stream(seed, "data"))
+        # Only microgrid.costs.load differs, which build_dataset never reads.
         env = build_env(sweep_cfg, dataset)
-        records, _ = run_days(env, policy, dataset.test_days,
-                              seed_stream(seed, "env"))
+        records, _ = run_days(env, load_trained_policy(run_dir, env),
+                              dataset.test_days, seed_stream(seed, "env"))
         rows.append((lam, float(np.mean([r.shed_mwh for r in records]))))
     with open(out / "lambda_sweep.csv", "w") as fh:
         fh.write("lambda_load,avg_shed_mwh\n")
@@ -424,16 +425,16 @@ def audit_run(run_dir: str | Path, out_dir: str | Path,
               seed: int | None = None, days: int | None = None) -> dict[str, Any]:
     """Replay an evaluation through the feeder power flow and count
     voltage-band violations and non-convergence per slot."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    policy, cfg, run_seed = load_trained_policy(run_dir)
+    cfg, run_seed, _ = read_run(run_dir)
     seed = run_seed if seed is None else seed
     dataset = build_dataset(cfg, seed_stream(seed, "data"))
     env = build_env(cfg, dataset)
+    policy = load_trained_policy(run_dir, env)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _, episodes = run_days(env, policy, dataset.test_days[:days],
+                           seed_stream(seed, "env"))
     topology = load_ieee33()
-    mg = build_microgrid(cfg)
-    eval_days = dataset.test_days if days is None else dataset.test_days[:days]
-    _, episodes = run_days(env, policy, eval_days, seed_stream(seed, "env"))
 
     slots_total = 0
     violations_total = 0
@@ -442,7 +443,7 @@ def audit_run(run_dir: str | Path, out_dir: str | Path,
         fh.write("day,slot,converged,violations,v_min,v_max,loss_mw\n")
         for rec in episodes:
             for slot, result in enumerate(rec.results):
-                report = check_dispatch(topology, mg, result)
+                report = check_dispatch(topology, env.config, result)
                 slots_total += 1
                 violations_total += len(report.violations)
                 nonconverged += int(not report.converged)

@@ -29,9 +29,9 @@ class OutageDraw:
     duration_slots: int
 
 
-def build_profile(rng: np.random.Generator, slots_per_day: int = SLOTS_PER_DAY,
-                  peak_prob: float = 0.3, width: float = 4.0,
-                  n_breakpoints: int = 4, shift_range: int = 3) -> DisconnectionProfile:
+def build_profile(rng: np.random.Generator, peak_prob: float = 0.3,
+                  width: float = 4.0, n_breakpoints: int = 4,
+                  shift_range: int = 3) -> DisconnectionProfile:
     """Sample one day of disconnection probabilities.
 
     The primary peak slot is uniform over the day; each additional breakpoint
@@ -42,11 +42,11 @@ def build_profile(rng: np.random.Generator, slots_per_day: int = SLOTS_PER_DAY,
         raise ValueError("peak_prob must be in (0, 1]")
     if width <= 0.0:
         raise ValueError("width must be positive")
-    primary = int(rng.integers(slots_per_day))
+    primary = int(rng.integers(SLOTS_PER_DAY))
     peaks = [primary]
     for _ in range(n_breakpoints - 1):
         peaks.append(primary + int(rng.integers(-shift_range, shift_range + 1)))
-    t = np.arange(slots_per_day, dtype=float)
+    t = np.arange(SLOTS_PER_DAY, dtype=float)
     probs = np.stack([
         peak_prob * np.exp(-((t - p) ** 2) / (2.0 * width ** 2)) for p in peaks
     ])

@@ -23,6 +23,9 @@ import numpy as np
 
 from .grid import DispatchResult, MicrogridConfig
 
+V_BAND = (0.90, 1.05)  # pu voltage band of the advisory check
+MAX_ITER = 100  # iterations before a solve is reported unconverged
+
 
 class TopologyError(ValueError):
     """Feeder graph is not a tree rooted at the slack bus."""
@@ -132,7 +135,7 @@ def _tree_order(topology: FeederTopology, slack: int):
 
 def solve_bfs(topology: FeederTopology, p_mw: dict[int, float],
               q_mvar: dict[int, float] | None = None, tol: float = 1e-8,
-              max_iter: int = 100, slack_bus: int | None = None) -> PowerFlowSolution:
+              slack_bus: int | None = None) -> PowerFlowSolution:
     """Direct BIBC/BCBV power flow. Injections are net consumption per bus in MW
     (generation negative). Non-convergence is reported, never raised."""
     slack = topology.slack_bus if slack_bus is None else slack_bus
@@ -159,7 +162,7 @@ def solve_bfs(topology: FeederTopology, p_mw: dict[int, float],
     i_br = np.zeros(len(nodes), dtype=complex)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         i_br = path.T @ np.conj(s / v)  # BIBC: branch current from injections
         new_v = 1.0 - path @ (z * i_br)  # BCBV: bus voltage from branch currents
         max_dv = np.max(np.abs(new_v - v), initial=0.0)
@@ -203,8 +206,7 @@ def dispatch_injections(topology: FeederTopology, config: MicrogridConfig,
 
 
 def check_dispatch(topology: FeederTopology, config: MicrogridConfig,
-                   result: DispatchResult, v_band: tuple[float, float] = (0.90, 1.05),
-                   tol: float = 1e-8) -> FeasibilityReport:
+                   result: DispatchResult) -> FeasibilityReport:
     """Advisory deliverability check of one resolved slot.
 
     When islanded the slack moves to the bus of the largest online generator
@@ -223,8 +225,8 @@ def check_dispatch(topology: FeederTopology, config: MicrogridConfig,
             slack = config.ess[0].bus
     inj = dispatch_injections(topology, config, result)
     inj[slack] = 0.0  # slack bus absorbs its own injection plus losses
-    sol = solve_bfs(topology, inj, tol=tol, slack_bus=slack)
-    lo, hi = v_band
+    sol = solve_bfs(topology, inj, slack_bus=slack)
+    lo, hi = V_BAND
     violations = tuple((bus, v) for bus, v in sorted(sol.v_mag.items())
                        if not lo <= v <= hi)
     mags = list(sol.v_mag.values())

@@ -286,6 +286,33 @@ class TestAuditRun:
             assert float(r[6]) >= 0.0
 
 
+class TestBuildsOnce:
+    def test_each_command_builds_its_dataset_once(self, tmp_path, monkeypatch):
+        import gridres.harness as harness
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return build_dataset(*args)
+
+        cfg = tiny_cfg()
+        run = tmp_path / "run"
+        train_run(cfg, 5, run)
+        monkeypatch.setattr(harness, "build_dataset", counted)
+        counts = []
+        for command in (
+                lambda: eval_run(run, tmp_path / "eval", None),
+                lambda: audit_run(run, tmp_path / "audit", days=1),
+                lambda: compare_run(cfg, 4, tmp_path / "cmp",
+                                    methods=("maddpg", "ddpg", "rule"),
+                                    lambda_sweep=[0.5, 30.0])):
+            calls.clear()
+            command()
+            counts.append(len(calls))
+        # compare: its own build plus one in each of its four training runs
+        assert counts == [1, 1, 5]
+
+
 class TestRunDays:
     def test_failed_agents_never_move(self, tmp_path):
         cfg = small_cfg()
@@ -314,6 +341,9 @@ class TestCli:
          "outage.duration_range: must be a list of 2 integers"),
         ("train:\n  warmup_steps: a\n", "train.warmup_steps: must be an integer"),
         ("train:\n  episodes: a\n", "train.episodes: must be an integer"),
+        ("train:\n  gamma: .inf\n", "train.gamma: must be a finite number"),
+        ("microgrid:\n  ess: [{id: E1, p_max: .nan}]\n",
+         "microgrid.ess[0].p_max: must be a finite number"),
     ])
     def test_mistyped_leaf_exits_1(self, tmp_path, capsys, yaml_text, problem):
         bad = tmp_path / "bad.yaml"
@@ -366,6 +396,10 @@ class TestCli:
         (["train", "--scenario", "list.yaml"], "list.yaml: top level must be a mapping"),
         (["train", "--scenario", "nonexist.yaml"],
          "nonexist.yaml: [Errno 2] No such file or directory"),
+        (["eval", "--method", "rule", "--lambda-load", "nan"],
+         "microgrid.costs.load: must be a finite number"),
+        (["eval", "--method", "rule", "--stress", "pv=inf"],
+         "data.stress_pv: must be a finite number"),
     ])
     def test_out_of_range_count_flag_exits_1(self, tmp_path, capsys, monkeypatch,
                                              argv, problem):
@@ -375,6 +409,18 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1
         assert problem in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_missing_checkpoint_exits_2_without_output(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        train_run(tiny_cfg(), 5, run)
+        (run / "checkpoint.npz").unlink()
+        for command in ("eval", "audit"):
+            for checkpoint in (run, tmp_path / "nonexist"):
+                out = tmp_path / f"{command}-{checkpoint.name}"
+                assert main([command, "--checkpoint", str(checkpoint),
+                             "--out", str(out)]) == 2
+                assert "No such file or directory" in capsys.readouterr().err
+                assert not out.exists()
 
     def test_train_then_eval_cli(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.yaml"
