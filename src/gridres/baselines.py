@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoder import DayEncoding
 from .env import MicrogridEnv, Observation
 from .grid import (
     SLOT_HOURS,
@@ -57,14 +58,20 @@ class RulePolicy:
 
 
 class TrainedPolicy:
-    """Greedy adapter around a trainer: no noise, no learning."""
+    """Greedy adapter around a trainer: no noise, no learning. A day's
+    windows are encoded in one pass when the policy first sees the day."""
 
     def __init__(self, trainer: Trainer):
         self.trainer = trainer
+        self._day: DayEncoding | None = None
 
     def __call__(self, obs: Observation, state: SimState) -> np.ndarray:
-        _, actions, _ = self.trainer.act(obs.soc, obs.counter, obs.window)
-        return actions
+        if self._day is None or self._day.windows is not obs.windows:
+            self._day = DayEncoding(self.trainer.encoder, obs.windows)
+        pis = self.trainer.raw_policy(obs.soc, obs.counter,
+                                      self._day.vector(obs.slot))
+        actions, _ = self.trainer.apply_mask(pis, obs.soc)
+        return actions[0]
 
 
 def build_trainer(env: MicrogridEnv, settings: TrainSettings, method: str,

@@ -46,10 +46,11 @@ def _config_overrides(args) -> dict:
     return overrides
 
 
-def _resolve(args) -> dict:
+def _resolve(args, split: bool = True) -> dict:
     """Defaults < --config < --scenario < flags; each later source wins."""
     return merge_config(default_dict(), load_yaml(args.config),
-                        load_yaml(args.scenario), _config_overrides(args))
+                        load_yaml(args.scenario), _config_overrides(args),
+                        split=split)
 
 
 def _check_counts(args) -> None:
@@ -127,7 +128,7 @@ def cmd_synth_data(args) -> int:
     from .dataio import synth_generator, write_csv
     from .harness import seed_stream
 
-    cfg = _resolve(args)
+    cfg = _resolve(args, split=False)  # the series is written, not split
     mg = build_microgrid(cfg)
     series = synth_generator(seed_stream(args.seed, "data"), cfg["data"]["days"],
                              list(mg.pv), list(mg.loads))

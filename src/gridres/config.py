@@ -159,17 +159,19 @@ def _merge(base: dict, override: dict, path: str, problems: list[str]) -> dict:
     return out
 
 
-def merge_config(base: dict[str, Any], *overlays: dict[str, Any]) -> dict[str, Any]:
+def merge_config(base: dict[str, Any], *overlays: dict[str, Any],
+                 split: bool = True) -> dict[str, Any]:
     """``base`` with each overlay merged over it in turn, then validated.
 
     Collects every problem before raising ConfigError, so a bad file is
-    fixed in one round trip.
+    fixed in one round trip. ``split=False`` drops the train/test split's
+    minimum day count, for writing a series that nothing splits.
     """
     problems: list[str] = []
     resolved = base
     for overlay in overlays:
         resolved = _merge(resolved, overlay, "", problems)
-    _validate(resolved, problems)
+    _validate(resolved, problems, split)
     if problems:
         raise ConfigError(problems)
     return resolved
@@ -243,6 +245,7 @@ def _type_problems(default: Any, value: Any, path: str, bad: dict[str, str]) -> 
 
 POSITIVE = (lambda x: x > 0, "must be positive")
 NON_NEGATIVE = (lambda x: x >= 0, "must be >= 0")
+SPLIT_DAYS = (lambda x: x >= 4, "need at least 4 days for a split")
 SLOT = (lambda x: x is None or 0 <= x < SLOTS_PER_DAY,
         f"must be null or a slot in [0, {SLOTS_PER_DAY})")
 RANGES = [
@@ -256,7 +259,6 @@ RANGES = [
     ("outage.forced_onset", *SLOT),
     ("outage.forced_duration", lambda x: x is None or x > 0, "must be null or positive"),
     ("outage.forced_peak_slot", *SLOT),
-    ("data.days", lambda x: x >= 4, "need at least 4 days for a split"),
     ("data.window", *POSITIVE),
     ("data.forecast_std_pv", *NON_NEGATIVE),
     ("data.forecast_std_load", *NON_NEGATIVE),
@@ -265,12 +267,13 @@ RANGES = [
 ]
 
 
-def _validate(cfg: dict[str, Any], problems: list[str]) -> None:
+def _validate(cfg: dict[str, Any], problems: list[str], split: bool) -> None:
     """Type-check every leaf first, then range-check the well-typed ones."""
     bad: dict[str, str] = {}
     _type_problems(default_dict(), cfg, "", bad)
     problems.extend(f"{path}: {message}" for path, message in bad.items())
-    for path, ok, message in RANGES:
+    days = ("data.days", *(SPLIT_DAYS if split else POSITIVE))
+    for path, ok, message in RANGES + [days]:
         value = functools.reduce(dict.__getitem__, path.split("."), cfg)
         if path not in bad and not ok(value):
             problems.append(f"{path}: {message}")

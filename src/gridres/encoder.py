@@ -71,13 +71,8 @@ class GruEncoder:
         self.params["head/b"] = np.zeros(out_dim)
 
     def forward(self, windows: np.ndarray):
-        """Encode a batch of (rows, T) windows; returns (v, cache).
-
-        ``windows`` may also be a single (rows, T) matrix.
-        """
-        single = windows.ndim == 2
-        if single:
-            windows = windows[None]
+        """Encode a (batch, rows, T) stack of windows; returns (v, cache)
+        with v of shape (batch, out_dim)."""
         batch, rows, horizon = windows.shape
         if rows != self.in_dim:
             raise dk.ShapeError(f"window rows {rows} vs encoder input {self.in_dim}")
@@ -100,18 +95,11 @@ class GruEncoder:
         head_pre, head_cache = dk.dense_forward(h[-1], self.params["head/W"],
                                                 self.params["head/b"])
         v, head_relu = dk.relu_forward(head_pre)
-        cache = (steps, head_cache, head_relu, batch, horizon, single)
-        return (v[0] if single else v), cache
-
-    def encode(self, window: np.ndarray) -> np.ndarray:
-        v, _ = self.forward(window)
-        return v
+        return v, (steps, head_cache, head_relu, batch, horizon)
 
     def backward(self, cache, grad_v: np.ndarray) -> dict[str, np.ndarray]:
         """Backpropagate through time; returns parameter gradients."""
-        steps, head_cache, head_relu, batch, horizon, single = cache
-        if single:
-            grad_v = grad_v[None]
+        steps, head_cache, head_relu, batch, horizon = cache
         grads: dict[str, np.ndarray] = {}
         d_head_pre = dk.relu_backward(head_relu, grad_v)
         dh_last, dW, db = dk.dense_backward(head_cache, d_head_pre)
@@ -137,3 +125,28 @@ class GruEncoder:
             _, dW, db = dk.dense_backward(emb_cache, d_emb_pre)
             dk.accumulate(grads, {"emb/W": dW, "emb/b": db})
         return grads
+
+
+class DayEncoding:
+    """Characteristic vectors of one day's window stack, encoded in one
+    batched pass from the first slot asked for to the end of the day.
+
+    A window depends only on (day, slot), so the vectors stay valid until
+    the encoder's parameters change; ``clear`` then drops them and the next
+    ``vector`` call re-encodes the remaining slots under the new parameters.
+    """
+
+    def __init__(self, encoder: GruEncoder, windows: np.ndarray):
+        self.encoder = encoder
+        self.windows = windows
+        self.clear()
+
+    def clear(self) -> None:
+        self._first = 0
+        self._v: np.ndarray | None = None
+
+    def vector(self, slot: int) -> np.ndarray:
+        if self._v is None:
+            self._first = slot
+            self._v, _ = self.encoder.forward(self.windows[slot:])
+        return self._v[slot - self._first]

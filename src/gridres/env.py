@@ -33,7 +33,13 @@ from .outage import OutageDraw, build_profile, counter, sample_outage
 class Observation:
     soc: np.ndarray  # per ESS
     counter: int  # slots until the primary risk peak, same for all agents
-    window: np.ndarray  # (devices, horizon)
+    slot: int  # the slot whose window this is; 95 on the terminal observation
+    windows: np.ndarray  # the day's (SLOTS_PER_DAY, devices, horizon) stack
+
+    @property
+    def window(self) -> np.ndarray:
+        """This slot's (devices, horizon) window, a view into ``windows``."""
+        return self.windows[self.slot]
 
 
 @dataclass
@@ -86,6 +92,8 @@ class MicrogridEnv:
         self._soc = [config.initial_soc] * self.n_agents
         self._outage: OutageDraw | None = None
         self._peak_slot = 0
+        self._windows: np.ndarray | None = None
+        self._state: SimState | None = None
         self.record: EpisodeRecord | None = None
 
     @property
@@ -99,6 +107,11 @@ class MicrogridEnv:
         self._day = day
         self._slot = 0
         self._soc = [self.config.initial_soc] * self.n_agents
+        self._state = None
+        # A new array every day: policies key their per-day encoding on it.
+        self._windows = np.stack([
+            build_window(self.series, self.forecasts, day, t, self.horizon)
+            for t in range(SLOTS_PER_DAY)])
         cfg = self.outage_cfg
         if cfg.forced_onset is not None:
             duration = cfg.forced_duration or cfg.duration_range[0]
@@ -133,18 +146,22 @@ class MicrogridEnv:
         return Observation(
             soc=np.array(self._soc),
             counter=self._counter(slot),
-            window=build_window(self.series, self.forecasts, self._day, slot,
-                                self.horizon),
+            slot=slot,
+            windows=self._windows,
         )
 
     def state(self) -> SimState:
-        slot = self._slot
-        return SimState(
-            soc=list(self._soc),
-            connected=self._connected(slot),
-            pv_now=list(self.series.pv[:, self._day, slot]),
-            load_now=list(self.series.load[:, self._day, slot]),
-        )
+        """The current slot's state, built once per slot: ``step`` resolves
+        the same object a policy was given."""
+        if self._state is None:
+            slot = self._slot
+            self._state = SimState(
+                soc=list(self._soc),
+                connected=self._connected(slot),
+                pv_now=list(self.series.pv[:, self._day, slot]),
+                load_now=list(self.series.load[:, self._day, slot]),
+            )
+        return self._state
 
     def step(self, commands_mw: np.ndarray):
         """Resolve the current slot. Returns
@@ -158,6 +175,7 @@ class MicrogridEnv:
         self._soc = [step_soc(spec, soc, p, SLOT_HOURS).soc
                      for spec, soc, p in zip(self.config.ess, self._soc, result.p_ess)]
         self._slot += 1
+        self._state = None
         done = self._slot >= SLOTS_PER_DAY
         self.record.results.append(result)
         self.record.soc_trace.append(list(self._soc))

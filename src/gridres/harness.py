@@ -325,6 +325,8 @@ def compare_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
     The methods and every swept penalty are validated before anything runs."""
     problems = [f"--methods: unknown method {m!r} (known: {', '.join(METHODS)})"
                 for m in methods if m not in METHODS]
+    problems += [f"--methods: {m!r} listed twice"
+                 for i, m in enumerate(methods) if m in methods[:i]]
     sweep = []
     for lam in lambda_sweep or ():
         try:

@@ -20,7 +20,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import diffkit as dk
-from .encoder import GruEncoder, VECTOR_DIM
+from .encoder import DayEncoding, GruEncoder, VECTOR_DIM
 from .grid import SLOT_HOURS, SLOTS_PER_DAY, EssArrays, EssSpec, mask_bounds
 
 COUNTER_SCALE = 1.0 / SLOTS_PER_DAY  # keeps the slots-to-peak feature near unit range
@@ -257,13 +257,6 @@ class Trainer:
         """The behaviour actors' raw outputs in ESS order, one sample."""
         return self.joint_pis(self.actors, socs, counter, v)[0][0]
 
-    def act(self, socs: np.ndarray, counter: int, window: np.ndarray):
-        """Greedy (noise-free) raw outputs and masked commands."""
-        v = self.encoder.encode(window)
-        pis = self.raw_policy(socs, counter, v)
-        actions, _ = self.apply_mask(pis, socs)
-        return pis, actions[0], v
-
     # ----------------------------------------------------------- updates
 
     def critic_update(self, g: int, replay: ReplayBuffer, idx: np.ndarray) -> float:
@@ -433,6 +426,11 @@ def run_training(env, trainer: Trainer, settings: TrainSettings,
     and updates only start after the warmup; from then on one full update
     round runs every ``update_every`` steps. Raises TrainingDiverged if any
     loss goes non-finite.
+
+    Each update-free segment of a day is encoded in one batched pass. Every
+    stored vector is encoded under the parameters current at its step, and
+    the vector an agent acts on at slot t is the one stored as slot t-1's
+    ``next_v``, so it predates an update that lands between the two slots.
     """
     total_steps = settings.episodes * SLOTS_PER_DAY
     replay = ReplayBuffer(settings.replay_capacity, trainer.n_ess,
@@ -443,7 +441,8 @@ def run_training(env, trainer: Trainer, settings: TrainSettings,
     for episode in range(settings.episodes):
         day = int(train_days[env_rng.integers(len(train_days))])
         obs = env.reset(day, env_rng)
-        v = trainer.encoder.encode(obs.window)
+        encoded = DayEncoding(trainer.encoder, obs.windows)
+        v = encoded.vector(obs.slot)
         ep_losses: list[float] = []
         ep_objectives: list[float] = []
         ep_reward = 0.0
@@ -460,7 +459,7 @@ def run_training(env, trainer: Trainer, settings: TrainSettings,
                 group_reward(group, agent_rewards, result.cost_total)
                 for group in trainer.groups])
             ep_reward += float(rewards.sum())
-            next_v = trainer.encoder.encode(next_obs.window)
+            next_v = encoded.vector(next_obs.slot)
             replay.add(obs.soc, obs.counter, v, actions[0], rewards, next_obs.soc,
                        next_obs.counter, next_v, done, obs.window)
             obs, v = next_obs, next_v
@@ -472,6 +471,7 @@ def run_training(env, trainer: Trainer, settings: TrainSettings,
                     losses, objectives = trainer.update(replay, replay_rng)
                     ep_losses.extend(losses)
                     ep_objectives.extend(objectives)
+                encoded.clear()
         record = env.record
         row = EpisodeMetrics(
             episode=episode,

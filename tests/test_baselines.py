@@ -247,6 +247,35 @@ class TestDpOracle:
         assert out.cost <= env.record.cost + out.delta_grid + 1e-9
 
 
+class TestTrainedPolicy:
+    def test_day_encoding_matches_per_slot_encode(self):
+        """The policy encodes a day's windows in one pass; its actions match
+        encoding each slot's window on its own, also after the day changes."""
+        config = two_ess_config()
+        series = synth_generator(np.random.default_rng(22), 2,
+                                 list(config.pv), list(config.loads))
+        table = make_forecasts(series, ForecastModel(0.05, 0.05), 4,
+                               np.random.default_rng(23),
+                               list(config.pv), list(config.loads))
+        env = MicrogridEnv(config, series, table, OutageSettings(), horizon=4)
+        trainer = build_trainer(env, TrainSettings(hidden=16), "maddpg",
+                                np.random.default_rng(24))
+        for actor in trainer.actors:  # so that the actions follow v visibly
+            actor.params["W3"] *= 1e3
+        policy = TrainedPolicy(trainer)
+        rng = np.random.default_rng(25)
+        for day in (0, 1):
+            obs = env.reset(day, rng)
+            done = False
+            while not done:
+                got = policy(obs, env.state())
+                v = trainer.encoder.forward(obs.window[None])[0][0]
+                pis = trainer.raw_policy(obs.soc, obs.counter, v)
+                want = trainer.apply_mask(pis, obs.soc)[0][0]
+                assert np.allclose(got, want, rtol=0, atol=1e-12), (day, obs.slot)
+                _, _, obs, done = env.step(got)
+
+
 class TestDdpgBaseline:
     def test_joint_actor_commands_every_unit(self):
         config = two_ess_config()

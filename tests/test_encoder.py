@@ -60,28 +60,27 @@ class TestGruEncoder:
         enc = make_encoder()
         for k in enc.params:
             enc.params[k] = np.zeros_like(enc.params[k])
-        v = enc.encode(np.random.default_rng(0).uniform(0, 1, (3, 8)))
-        assert np.array_equal(v, np.zeros(16))
+        v, _ = enc.forward(np.random.default_rng(0).uniform(0, 1, (2, 3, 8)))
+        assert np.array_equal(v, np.zeros((2, 16)))
 
     def test_output_dimension_and_nonnegative(self):
         enc = make_encoder(seed=3)
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            v = enc.encode(rng.uniform(0, 2, (3, 8)))
-            assert v.shape == (16,)
-            assert (v >= 0).all()
-            assert np.isfinite(v).all()
+        v, _ = enc.forward(np.random.default_rng(4).uniform(0, 2, (10, 3, 8)))
+        assert v.shape == (10, 16)
+        assert (v >= 0).all()
+        assert np.isfinite(v).all()
 
     def test_deterministic(self):
         enc = make_encoder(seed=5)
-        w = np.random.default_rng(6).uniform(0, 1, (3, 8))
-        assert enc.encode(w).tobytes() == enc.encode(w).tobytes()
+        w = np.random.default_rng(6).uniform(0, 1, (4, 3, 8))
+        assert enc.forward(w)[0].tobytes() == enc.forward(w)[0].tobytes()
 
     def test_column_order_matters(self):
         enc = make_encoder(seed=7)
         rng = np.random.default_rng(8)
-        w = rng.uniform(0.1, 1.0, (3, 8))
-        assert not np.allclose(enc.encode(w), enc.encode(w[:, ::-1].copy()))
+        w = rng.uniform(0.1, 1.0, (1, 3, 8))
+        assert not np.allclose(enc.forward(w)[0],
+                               enc.forward(w[:, :, ::-1].copy())[0])
 
     def test_batched_matches_single(self):
         enc = make_encoder(seed=9)
@@ -89,7 +88,8 @@ class TestGruEncoder:
         windows = rng.uniform(0, 1, (4, 3, 8))
         batch, _ = enc.forward(windows)
         for i in range(4):
-            assert np.allclose(batch[i], enc.encode(windows[i]))
+            single, _ = enc.forward(windows[i:i + 1])
+            assert np.allclose(batch[i], single[0], rtol=0, atol=1e-12)
 
     def test_parameter_gradients(self):
         enc = make_encoder(seed=11)

@@ -400,12 +400,18 @@ class TestCli:
          "microgrid.costs.load: must be a finite number"),
         (["eval", "--method", "rule", "--stress", "pv=inf"],
          "data.stress_pv: must be a finite number"),
+        (["compare", "--methods", "rule,rule"], "--methods: 'rule' listed twice"),
+        (["train", "--days", "3"], "data.days: need at least 4 days"),
+        (["eval", "--method", "rule", "--config", "days3.yaml"],
+         "data.days: need at least 4 days"),
+        (["synth-data", "--days", "0"], "data.days: must be positive"),
     ])
     def test_out_of_range_count_flag_exits_1(self, tmp_path, capsys, monkeypatch,
                                              argv, problem):
         monkeypatch.chdir(tmp_path)
         Path("malformed.yaml").write_text("train: [1,\n")
         Path("list.yaml").write_text("- train\n")
+        Path("days3.yaml").write_text("data:\n  days: 3\n")
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1
         assert problem in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -438,14 +444,16 @@ class TestCli:
         assert "avg $" in out
 
     def test_synth_data_round_trips_through_loader(self, tmp_path):
-        path = tmp_path / "series.csv"
-        assert main(["synth-data", "--days", "4", "--seed", "1",
-                     "--out", str(path)]) == 0
         from gridres.dataio import load_csv
         from test_harness_helpers import table_config
         mg = table_config()
-        series = load_csv(str(path), list(mg.pv), list(mg.loads))
-        assert series.n_days == 4
+        # Fewer days than a train/test split needs: synth-data splits nothing.
+        for days in (4, 2, 1):
+            path = tmp_path / f"series-{days}.csv"
+            assert main(["synth-data", "--days", str(days), "--seed", "1",
+                         "--out", str(path)]) == 0
+            series = load_csv(str(path), list(mg.pv), list(mg.loads))
+            assert series.n_days == days
 
     def test_diverged_training_exit_code(self, monkeypatch, tmp_path):
         from gridres import cli

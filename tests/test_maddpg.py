@@ -3,10 +3,13 @@ import pytest
 
 from gradcheck import assert_grads_close, numeric_grad
 from gridres import diffkit as dk
+from gridres import maddpg
+from gridres.baselines import TrainedPolicy
 from gridres.dataio import ForecastModel, make_forecasts, synth_generator
 from gridres.encoder import VECTOR_DIM
 from gridres.env import MicrogridEnv, OutageSettings
 from gridres.grid import (
+    SLOTS_PER_DAY,
     CostParams,
     EssArrays,
     EssSpec,
@@ -25,6 +28,7 @@ from gridres.maddpg import (
     TrainSettings,
     ddpg_groups,
     explore,
+    group_reward,
     maddpg_groups,
     noise_sigma,
     run_training,
@@ -248,18 +252,22 @@ class TestReplayBuffer:
         assert np.abs(counts - expected).max() < 4 * sd + 1
 
 
+def encode_one(trainer, window):
+    """One window's characteristic vector, encoded as a batch of one."""
+    return trainer.encoder.forward(window[None])[0][0]
+
+
 def fill_replay(env, trainer, steps=40, seed=0):
     rng = np.random.default_rng(seed)
     replay = ReplayBuffer(256, trainer.n_ess, len(trainer.groups),
                           (env.obs_window_rows, env.horizon))
     obs = env.reset(0, rng)
-    v = trainer.encoder.encode(obs.window)
+    v = encode_one(trainer, obs.window)
     for _ in range(steps):
         pis = rng.uniform(-0.99, 0.99, trainer.n_ess)
         actions, _ = trainer.apply_mask(pis, obs.soc)
         result, agent_rewards, next_obs, done = env.step(actions[0])
-        next_v = trainer.encoder.encode(next_obs.window)
-        from gridres.maddpg import group_reward
+        next_v = encode_one(trainer, next_obs.window)
         rewards = [group_reward(g, agent_rewards, result.cost_total)
                    for g in trainer.groups]
         replay.add(obs.soc, obs.counter, v, actions[0], rewards, next_obs.soc,
@@ -267,7 +275,7 @@ def fill_replay(env, trainer, steps=40, seed=0):
         obs, v = next_obs, next_v
         if done:
             obs = env.reset(0, rng)
-            v = trainer.encoder.encode(obs.window)
+            v = encode_one(trainer, obs.window)
     return replay
 
 
@@ -402,6 +410,93 @@ class TestRunTraining:
 
         assert run() == run()
 
+    @pytest.mark.parametrize("update_every", [24, 7])
+    def test_segment_encoding_matches_per_window_reference(self, update_every,
+                                                           monkeypatch):
+        """``run_training`` encodes each update-free segment of a day in one
+        batched pass; the per-step loop below encodes one window at a time.
+        Batching moves only the last bits of each vector."""
+        settings = TrainSettings(hidden=16, batch_size=8, warmup_steps=16,
+                                 update_every=update_every, episodes=3)
+        buffers = []
+
+        class RecordedReplay(ReplayBuffer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                buffers.append(self)
+
+        monkeypatch.setattr(maddpg, "ReplayBuffer", RecordedReplay)
+        runs = []
+        for loop in (run_training, per_window_run_training):
+            env = tiny_env()
+            trainer = make_trainer(env, settings=settings)
+            runs.append(loop(env, trainer, settings, [0, 1, 2],
+                             np.random.default_rng(0), np.random.default_rng(1),
+                             np.random.default_rng(2)))
+        batched, reference = buffers
+        n = batched.size
+        assert n == reference.size == 3 * SLOTS_PER_DAY
+        for name in ("v", "next_v"):
+            assert np.allclose(getattr(batched, name)[:n],
+                               getattr(reference, name)[:n], rtol=0, atol=1e-12), name
+        assert not np.isnan(runs[1][-1].critic_loss)  # updates ran
+        for got, want in zip(*runs):
+            for field in ("cost", "shed_mwh", "critic_loss", "actor_objective",
+                          "reward"):
+                assert getattr(got, field) == pytest.approx(
+                    getattr(want, field), rel=1e-9, nan_ok=True), field
+
+
+def per_window_run_training(env, trainer, settings, train_days, env_rng,
+                            noise_rng, replay_rng):
+    """Reference for ``run_training``: the same loop with every window
+    encoded on its own, right at the step that needs it."""
+    total_steps = settings.episodes * SLOTS_PER_DAY
+    # Looked up on the module, as run_training does, so a test can record it.
+    replay = maddpg.ReplayBuffer(settings.replay_capacity, trainer.n_ess,
+                                 len(trainer.groups),
+                                 (env.obs_window_rows, env.horizon))
+    metrics = []
+    step = 0
+    for episode in range(settings.episodes):
+        day = int(train_days[env_rng.integers(len(train_days))])
+        obs = env.reset(day, env_rng)
+        v = encode_one(trainer, obs.window)
+        ep_losses, ep_objectives, ep_reward = [], [], 0.0
+        for _ in range(SLOTS_PER_DAY):
+            if step < settings.warmup_steps:
+                pis = explore(np.zeros(trainer.n_ess), noise_rng, step,
+                              settings, total_steps)
+            else:
+                pis = trainer.raw_policy(obs.soc, obs.counter, v)
+                pis = explore(pis, noise_rng, step, settings, total_steps)
+            actions, _ = trainer.apply_mask(pis, obs.soc)
+            result, agent_rewards, next_obs, done = env.step(actions[0])
+            rewards = np.array([
+                group_reward(group, agent_rewards, result.cost_total)
+                for group in trainer.groups])
+            ep_reward += float(rewards.sum())
+            next_v = encode_one(trainer, next_obs.window)
+            replay.add(obs.soc, obs.counter, v, actions[0], rewards, next_obs.soc,
+                       next_obs.counter, next_v, done, obs.window)
+            obs, v = next_obs, next_v
+            step += 1
+            if (step >= settings.warmup_steps
+                    and step % settings.update_every == 0
+                    and replay.size >= settings.batch_size):
+                for _ in range(settings.updates_per):
+                    losses, objectives = trainer.update(replay, replay_rng)
+                    ep_losses.extend(losses)
+                    ep_objectives.extend(objectives)
+        record = env.record
+        metrics.append(maddpg.EpisodeMetrics(
+            episode=episode, cost=record.cost, shed_mwh=record.shed_mwh,
+            critic_loss=float(np.mean(ep_losses)) if ep_losses else float("nan"),
+            actor_objective=(float(np.mean(ep_objectives)) if ep_objectives
+                             else float("nan")),
+            reward=ep_reward))
+    return metrics
+
 
 class TestEquivalenceSingleAgent:
     def test_maddpg_matches_ddpg_bit_for_bit(self):
@@ -444,9 +539,9 @@ class TestCheckpoint:
         fresh = make_trainer(env, seed=99)
         fresh.load_param_set(dk.ParamSet.load(path))
         obs = env.reset(0, np.random.default_rng(1))
-        a = trainer.act(obs.soc, obs.counter, obs.window)
-        b = fresh.act(obs.soc, obs.counter, obs.window)
-        assert a[0].tobytes() == b[0].tobytes()
+        a = TrainedPolicy(trainer)(obs, env.state())
+        b = TrainedPolicy(fresh)(obs, env.state())
+        assert a.tobytes() == b.tobytes()
         assert fresh.gru_adam.t == trainer.gru_adam.t
 
     def test_key_names_and_order_for_two_ess(self):
