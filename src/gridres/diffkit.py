@@ -8,8 +8,12 @@ differences in the test suite. The one composite is the network block,
 dense -> LayerNorm -> ReLU (``block_init``/``block_forward``/
 ``block_backward``), which every hidden layer of the actor and critic uses.
 
-Batched arrays are (batch, features). Parameter collections are plain dicts
-with deterministic insertion order.
+Batched arrays are (batch, features). The dense and LayerNorm forwards also
+run a stack of G same-shaped layers in one pass: input (G, batch, features),
+every parameter with a leading group axis, and every cache array with the
+group axis first, so ``take_group`` slices one group's cache out for the 2-D
+backward. Parameter collections are plain dicts with deterministic insertion
+order.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ class ShapeError(ValueError):
 
 
 def _check_matmul(x: np.ndarray, w: np.ndarray) -> None:
-    if x.shape[-1] != w.shape[0]:
+    if x.shape[-1] != w.shape[-2]:
         raise ShapeError(f"cannot multiply {x.shape} by {w.shape}")
 
 
@@ -34,7 +38,11 @@ def _check_matmul(x: np.ndarray, w: np.ndarray) -> None:
 
 def dense_forward(x, w, b):
     _check_matmul(x, w)
-    return x @ w + b, (x, w)
+    z = x @ w
+    # b[..., None, :]: a stacked (G, H) bias would otherwise broadcast along
+    # the batch axis of (G, batch, H) whenever batch is 1 or G.
+    z += b[..., None, :]
+    return z, (x, w)
 
 
 def dense_backward(cache, grad_out):
@@ -43,14 +51,22 @@ def dense_backward(cache, grad_out):
 
 
 def layernorm_forward(x, gain, bias):
-    """Per-row normalization to zero mean / unit variance, then affine."""
-    if x.shape[-1] != gain.shape[0]:
+    """Per-row normalization to zero mean / unit variance, then affine.
+
+    The mean and variance are ``np.var``'s arithmetic, done once. It works
+    in place on two full-size arrays: a stacked (G, batch, H) array can
+    exceed glibc's 128 KiB mmap threshold, and each fresh one is then
+    mapped and page-faulted anew."""
+    if x.shape[-1] != gain.shape[-1]:
         raise ShapeError(f"layernorm params {gain.shape} do not fit input {x.shape}")
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
-    return gain * xhat + bias, (xhat, inv, gain)
+    n = x.shape[-1]
+    xhat = x - x.sum(axis=-1, keepdims=True) / n
+    y = np.square(xhat)
+    inv = 1.0 / np.sqrt(y.sum(axis=-1, keepdims=True) / n + LN_EPS)
+    xhat *= inv
+    np.multiply(gain[..., None, :], xhat, out=y)
+    y += bias[..., None, :]
+    return y, (xhat, inv, gain)
 
 
 def layernorm_backward(cache, grad_out):
@@ -276,6 +292,13 @@ def clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> float:
         for g in grads.values():
             g *= scale
     return total
+
+
+def take_group(cache, g: int):
+    """Group ``g``'s slice of a stacked forward's (nested tuple) cache."""
+    if isinstance(cache, tuple):
+        return tuple(take_group(c, g) for c in cache)
+    return cache[g]
 
 
 def accumulate(into: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:

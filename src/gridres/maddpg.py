@@ -71,7 +71,11 @@ def noise_sigma(step: int, settings: TrainSettings, total_steps: int) -> float:
 
 
 class ActorNet:
-    """features -> 64 LN ReLU -> 64 LN ReLU -> tanh output."""
+    """features -> 64 LN ReLU -> 64 LN ReLU -> tanh output.
+
+    ``forward`` also runs a stack of same-shaped nets (``stack``) in one
+    pass over a leading group axis; ``backward`` takes one net's 2-D cache.
+    """
 
     def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int,
                  out_dim: int):
@@ -83,6 +87,18 @@ class ActorNet:
                                   scale=1e-3 / np.sqrt(hidden)),
             "b3": np.zeros(out_dim),
         }
+
+    @classmethod
+    def stack(cls, nets: list["ActorNet"]) -> "ActorNet":
+        """One net whose parameters hold ``nets``' along a leading group
+        axis. Each of ``nets`` is rebound to views of the stack, so in-place
+        updates through either are seen by both."""
+        stacked = cls.__new__(cls)
+        stacked.params = {k: np.stack([net.params[k] for net in nets])
+                          for k in nets[0].params}
+        for g, net in enumerate(nets):
+            net.params = {k: p[g] for k, p in stacked.params.items()}
+        return stacked
 
     def forward(self, x: np.ndarray):
         p = self.params
@@ -144,19 +160,21 @@ class AgentGroup:
 
 
 def features(socs: np.ndarray, counters: np.ndarray, v: np.ndarray,
-             own: int | None = None) -> np.ndarray:
+             units: np.ndarray | None = None) -> np.ndarray:
     """Network input: (soc, scaled counter) per unit, then the shared
-    characteristic vector. The critic sees every unit; a per-agent actor
-    sees the same layout restricted to unit ``own``."""
+    characteristic vector. The critic sees every unit, (batch, 2 n_ess +
+    VECTOR_DIM). Given a (groups, k) array of unit indices, each group's
+    actor input is the same layout over its own k units, stacked to
+    (groups, batch, 2 k + VECTOR_DIM)."""
     socs = np.atleast_2d(socs)
-    if own is not None:
-        socs = socs[:, own:own + 1]
-    n = 2 * socs.shape[1]
-    out = np.empty((socs.shape[0], n + VECTOR_DIM))
-    out[:, 0:n:2] = socs
-    out[:, 1:n:2] = np.atleast_1d(counters)[:, None] * COUNTER_SCALE
-    out[:, n:] = v
-    return out
+    stacked = units is not None
+    seen = socs[:, units].transpose(1, 0, 2) if stacked else socs[None]
+    n = 2 * seen.shape[-1]
+    out = np.empty(seen.shape[:2] + (n + VECTOR_DIM,))
+    out[:, :, 0:n:2] = seen
+    out[:, :, 1:n:2] = np.atleast_1d(counters)[:, None] * COUNTER_SCALE
+    out[:, :, n:] = v
+    return out if stacked else out[0]
 
 
 class ReplayBuffer:
@@ -212,6 +230,13 @@ class Trainer:
         self.n_ess = len(ess_specs)
         self.state_dim = 2 * self.n_ess + VECTOR_DIM
 
+        # Each group's actor observes these units and commands its ESS;
+        # every group must have the same counts, so the actors stack.
+        self.obs_units = np.array([
+            [group.own_obs] if group.own_obs is not None else range(self.n_ess)
+            for group in groups])
+        self.act_units = np.array([n for group in groups for n in group.ess_indices])
+
         self.encoder = GruEncoder(window_rows, capacities, init_rng)
         self.actors: list[ActorNet] = []
         self.critics: list[CriticNet] = []
@@ -220,9 +245,8 @@ class Trainer:
         self.actor_adam: list[dk.AdamState] = []
         self.critic_adam: list[dk.AdamState] = []
         for group in groups:
-            obs_dim = (2 + VECTOR_DIM) if group.own_obs is not None else self.state_dim
-            act_dim = len(group.ess_indices)
-            actor = ActorNet(init_rng, obs_dim, settings.hidden, act_dim)
+            actor = ActorNet(init_rng, 2 * self.obs_units.shape[1] + VECTOR_DIM,
+                             settings.hidden, len(group.ess_indices))
             critic = CriticNet(init_rng, self.state_dim, self.n_ess, settings.hidden)
             self.actors.append(actor)
             self.critics.append(critic)
@@ -230,6 +254,10 @@ class Trainer:
             self.target_critics.append(copy.deepcopy(critic))
             self.actor_adam.append(dk.AdamState.for_params(actor.params))
             self.critic_adam.append(dk.AdamState.for_params(critic.params))
+        # The per-group actors and target actors become views of these
+        # stacks, which every actor forward runs on.
+        self.actor_stack = ActorNet.stack(self.actors)
+        self.target_actor_stack = ActorNet.stack(self.target_actors)
         self.gru_adam = dk.AdamState.for_params(self.encoder.params)
 
     # ----------------------------------------------------------- acting
@@ -241,21 +269,18 @@ class Trainer:
         slope = (up - low) / 2.0
         return slope * (np.atleast_2d(pis) + 1.0) + low, slope
 
-    def joint_pis(self, actors: list[ActorNet], socs, counters, v):
+    def joint_pis(self, actors: ActorNet, socs, counters, v):
         """Every group's raw outputs assembled in ESS order, (batch, n_ess),
-        and each group's actor cache."""
-        socs = np.atleast_2d(socs)
-        pis = np.zeros((socs.shape[0], self.n_ess))
-        caches = []
-        for group, actor in zip(self.groups, actors):
-            out, cache = actor.forward(features(socs, counters, v, group.own_obs))
-            pis[:, list(group.ess_indices)] = out
-            caches.append(cache)
-        return pis, caches
+        from one pass of the stacked ``actors``, and that pass's cache."""
+        x = features(socs, counters, v, self.obs_units)
+        out, cache = actors.forward(x)
+        pis = np.zeros((x.shape[1], self.n_ess))
+        pis[:, self.act_units] = out.transpose(1, 0, 2).reshape(x.shape[1], -1)
+        return pis, cache
 
     def raw_policy(self, socs, counter, v) -> np.ndarray:
         """The behaviour actors' raw outputs in ESS order, one sample."""
-        return self.joint_pis(self.actors, socs, counter, v)[0][0]
+        return self.joint_pis(self.actor_stack, socs, counter, v)[0][0]
 
     # ----------------------------------------------------------- updates
 
@@ -265,7 +290,7 @@ class Trainer:
         next_socs = replay.next_socs[idx]
         next_counters = replay.next_counters[idx]
         next_v = replay.next_v[idx]
-        next_pis, _ = self.joint_pis(self.target_actors, next_socs,
+        next_pis, _ = self.joint_pis(self.target_actor_stack, next_socs,
                                      next_counters, next_v)
         next_actions, _ = self.apply_mask(next_pis, next_socs)
         q_next, _ = self.target_critics[g].forward(
@@ -299,7 +324,7 @@ class Trainer:
         socs = replay.socs[idx]
         counters = replay.counters[idx]
         v_live, gru_cache = self.encoder.forward(replay.windows[idx])
-        pis, caches = self.joint_pis(self.actors, socs, counters, v_live)
+        pis, cache = self.joint_pis(self.actor_stack, socs, counters, v_live)
         actions, slope = self.apply_mask(pis, socs)
 
         state = features(socs, counters, replay.v[idx])
@@ -311,7 +336,7 @@ class Trainer:
         _, _, dact = self.critics[g].backward(critic_cache,
                                               np.full(batch, -1.0 / batch))
         cols = list(self.groups[g].ess_indices)
-        grads, dfeat = self.actors[g].backward(caches[g],
+        grads, dfeat = self.actors[g].backward(dk.take_group(cache, g),
                                                dact[:, cols] * slope[:, cols])
         dk.clip_grads(grads, s.grad_clip)
         dk.adam_step(self.actors[g].params, grads, self.actor_adam[g], s.lr_actor)
@@ -382,7 +407,8 @@ class Trainer:
                     raise dk.ShapeError(
                         f"{prefix}/{name}: checkpoint {src.shape} vs "
                         f"model {params[name].shape}")
-                params[name] = src.copy()
+                # In place: actor parameters are views of the stacks.
+                params[name][...] = src
         for name, state in self._adam_states():
             state.t = int(ps.tensors[f"adam/{name}/t"][0])
 

@@ -50,10 +50,26 @@ class FeederTopology:
     slack_bus: int = 1
     nominal_load_mw: dict[int, float] = field(default_factory=dict)
     nominal_load_mvar: dict[int, float] = field(default_factory=dict)
+    # _FeederTree per slack bus, built on first use; the fields it depends
+    # on (buses, branches, bases) are immutable.
+    _trees: dict[int, "_FeederTree"] = field(default_factory=dict, init=False,
+                                             repr=False, compare=False)
 
     @property
     def z_base(self) -> float:
         return self.base_kv ** 2 / self.base_mva
+
+
+@dataclass(frozen=True)
+class _FeederTree:
+    """A feeder's solve arrays for one slack bus. Non-slack bus k and the
+    branch feeding it share index k (BFS order)."""
+
+    nodes: list[int]
+    index: dict[int, int]
+    branch_keys: list[tuple[int, int]]  # (upstream bus, bus) per node
+    path: np.ndarray
+    z: np.ndarray  # per-unit branch impedances
 
 
 @dataclass(frozen=True)
@@ -133,18 +149,15 @@ def _tree_order(topology: FeederTopology, slack: int):
     return order, parent
 
 
-def solve_bfs(topology: FeederTopology, p_mw: dict[int, float],
-              q_mvar: dict[int, float] | None = None, tol: float = 1e-8,
-              slack_bus: int | None = None) -> PowerFlowSolution:
-    """Direct BIBC/BCBV power flow. Injections are net consumption per bus in MW
-    (generation negative). Non-convergence is reported, never raised."""
-    slack = topology.slack_bus if slack_bus is None else slack_bus
+def _feeder_tree(topology: FeederTopology, slack: int) -> _FeederTree:
+    """The path matrix and impedances for ``slack``, built once per feeder
+    and slack bus."""
+    tree = topology._trees.get(slack)
+    if tree is not None:
+        return tree
     if slack not in topology.buses:
         raise TopologyError(f"slack bus {slack} not in feeder")
     order, parent = _tree_order(topology, slack)
-    q_mvar = q_mvar or {}
-
-    # Non-slack bus k and the branch feeding it share index k (BFS order).
     nodes = order[1:]
     index = {bus: k for k, bus in enumerate(nodes)}
     path = np.zeros((len(nodes), len(nodes)))
@@ -155,6 +168,22 @@ def solve_bfs(topology: FeederTopology, p_mw: dict[int, float],
             path[k] = path[index[up]]
         path[k, k] = 1.0
         z[k] = complex(br.r_ohm, br.x_ohm) / topology.z_base
+    path.flags.writeable = z.flags.writeable = False  # shared by every solve
+    tree = _FeederTree(nodes, index, [(parent[bus][0], bus) for bus in nodes],
+                       path, z)
+    topology._trees[slack] = tree
+    return tree
+
+
+def solve_bfs(topology: FeederTopology, p_mw: dict[int, float],
+              q_mvar: dict[int, float] | None = None, tol: float = 1e-8,
+              slack_bus: int | None = None) -> PowerFlowSolution:
+    """Direct BIBC/BCBV power flow. Injections are net consumption per bus in MW
+    (generation negative). Non-convergence is reported, never raised."""
+    slack = topology.slack_bus if slack_bus is None else slack_bus
+    tree = _feeder_tree(topology, slack)
+    nodes, index, path, z = tree.nodes, tree.index, tree.path, tree.z
+    q_mvar = q_mvar or {}
     s = np.array([complex(p_mw.get(bus, 0.0), q_mvar.get(bus, 0.0))
                   for bus in nodes]) / topology.base_mva
 
@@ -172,7 +201,7 @@ def solve_bfs(topology: FeederTopology, p_mw: dict[int, float],
             break
 
     loss = np.abs(i_br) ** 2 * z.real * topology.base_mva
-    losses = {(parent[bus][0], bus): float(l) for bus, l in zip(nodes, loss)}
+    losses = {key: float(l) for key, l in zip(tree.branch_keys, loss)}
     v_mag = np.abs(v).tolist()
     return PowerFlowSolution(
         v_mag={b: 1.0 if b == slack else v_mag[index[b]] for b in topology.buses},

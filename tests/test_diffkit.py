@@ -42,6 +42,38 @@ class TestLayerNorm:
         assert np.abs(xhat.var(axis=-1) - 1.0).max() < 1e-10
         assert np.array_equal(y, xhat)
 
+    def test_matches_numpy_mean_and_var_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for shape in ((1, 64), (128, 64), (3, 6), (5, 1, 64), (5, 7, 16)):
+            x = rand(rng, *shape) * 3.0 + 1.5
+            g, b = rand(rng, *shape[:-2], shape[-1]), rand(rng, *shape[:-2], shape[-1])
+            mu = x.mean(axis=-1, keepdims=True)
+            inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + dk.LN_EPS)
+            xhat = (x - mu) * inv
+            want = g[..., None, :] * xhat + b[..., None, :]
+            x_in = x.copy()
+            y, (got_xhat, got_inv, _) = dk.layernorm_forward(x, g, b)
+            assert np.array_equal(x, x_in)  # the input is left as it was
+            assert np.array_equal(y, want), shape
+            assert np.array_equal(got_xhat, xhat) and np.array_equal(got_inv, inv)
+
+    def test_stacked_groups_match_each_group_alone(self):
+        """A leading group axis on input and parameters computes each
+        group's layer as the 2-D call would, also when the batch is 1 or
+        equals the group count (where a bare (G, H) bias would broadcast)."""
+        rng = np.random.default_rng(13)
+        for batch in (1, 4, 9):
+            x, w = rand(rng, 4, batch, 3), rand(rng, 4, 3, 6)
+            b, g, be = rand(rng, 4, 6), rand(rng, 4, 6), rand(rng, 4, 6)
+            z, _ = dk.dense_forward(x, w, b)
+            n, cache = dk.layernorm_forward(z, g, be)
+            for k in range(4):
+                zk, _ = dk.dense_forward(x[k], w[k], b[k])
+                nk, cache_k = dk.layernorm_forward(zk, g[k], be[k])
+                assert np.array_equal(z[k], zk) and np.array_equal(n[k], nk)
+                for got, want in zip(dk.take_group(cache, k), cache_k):
+                    assert np.array_equal(got, want)
+
     def test_gradients(self):
         rng = np.random.default_rng(2)
         for _ in range(20):

@@ -527,6 +527,64 @@ class TestEquivalenceSingleAgent:
                 t_ddpg.critics[0].params[k].tobytes(), k
 
 
+def per_group_pis(trainer, actors, socs, counters, v):
+    """Reference for ``Trainer.joint_pis``: each group's actor run on its
+    own 2-D input, one group at a time; returns (pis, per-group caches)."""
+    batch = socs.shape[0]
+    pis = np.zeros((batch, trainer.n_ess))
+    caches = []
+    for group, actor in zip(trainer.groups, actors):
+        own = socs if group.own_obs is None else socs[:, [group.own_obs]]
+        n = 2 * own.shape[1]
+        x = np.empty((batch, n + VECTOR_DIM))
+        x[:, 0:n:2] = own
+        x[:, 1:n:2] = counters[:, None] * maddpg.COUNTER_SCALE
+        x[:, n:] = v
+        out, cache = actor.forward(x)
+        pis[:, list(group.ess_indices)] = out
+        caches.append(cache)
+    return pis, caches
+
+
+class TestStackedActors:
+    N_ESS = 5
+
+    @pytest.mark.parametrize("groups", [maddpg_groups, ddpg_groups])
+    @pytest.mark.parametrize("batch", [1, N_ESS, 128])
+    def test_joint_pass_matches_per_group_reference(self, groups, batch):
+        """One stacked pass gives each group's outputs and actor gradients
+        bit for bit, also at batch 1 and batch == groups, where a stacked
+        bias that skipped the batch axis would still broadcast."""
+        specs = tuple(EssSpec(id=f"E{n}", p_min=-1.0 - n, p_max=1.0 + n,
+                              energy_cap=4.0, soc_min=0.1, soc_max=0.9)
+                      for n in range(self.N_ESS))
+        trainer = Trainer(specs, groups(self.N_ESS), 1, np.ones(1),
+                          TrainSettings(hidden=16), np.random.default_rng(31))
+        rng = np.random.default_rng(32)
+        for stack in (trainer.actor_stack, trainer.target_actor_stack):
+            for p in stack.params.values():  # distinct per group and net
+                p += 0.3 * rng.standard_normal(p.shape)
+        socs = rng.uniform(0.1, 0.9, (batch, self.N_ESS))
+        counters = rng.integers(0, SLOTS_PER_DAY, batch).astype(float)
+        v = rng.standard_normal((batch, VECTOR_DIM))
+        dpi = rng.standard_normal((batch, self.N_ESS))
+        for stack, nets in ((trainer.actor_stack, trainer.actors),
+                            (trainer.target_actor_stack, trainer.target_actors)):
+            pis, cache = trainer.joint_pis(stack, socs, counters, v)
+            want, caches = per_group_pis(trainer, nets, socs, counters, v)
+            assert pis.tobytes() == want.tobytes()
+            for g, group in enumerate(trainer.groups):
+                cols = list(group.ess_indices)
+                grads, dx = nets[g].backward(dk.take_group(cache, g), dpi[:, cols])
+                ref_grads, ref_dx = nets[g].backward(caches[g], dpi[:, cols])
+                assert dx.tobytes() == ref_dx.tobytes()
+                for k in ref_grads:
+                    assert grads[k].tobytes() == ref_grads[k].tobytes(), (g, k)
+        first, _ = trainer.joint_pis(trainer.actor_stack, socs[:1], counters[:1], v[:1])
+        assert trainer.raw_policy(socs[0], counters[0], v[0]).tobytes() == \
+            first[0].tobytes()
+
+
 class TestCheckpoint:
     def test_param_set_round_trip(self, tmp_path):
         env = tiny_env()
@@ -543,6 +601,30 @@ class TestCheckpoint:
         b = TrainedPolicy(fresh)(obs, env.state())
         assert a.tobytes() == b.tobytes()
         assert fresh.gru_adam.t == trainer.gru_adam.t
+
+    def test_loaded_checkpoint_keeps_actor_stacks_live(self, tmp_path):
+        """A loaded trainer learns on from the loaded values: its next
+        update matches the saved trainer's byte for byte, which needs the
+        load to reach the actor stacks that the forward passes run on."""
+        env = tiny_env()
+        trainer = make_trainer(env, seed=21)
+        replay = fill_replay(env, trainer)
+        trainer.update(replay, np.random.default_rng(0))
+        path = str(tmp_path / "ckpt.npz")
+        trainer.param_set().save(path)
+
+        fresh = make_trainer(env, seed=99)
+        fresh.load_param_set(dk.ParamSet.load(path))
+        for t in (trainer, fresh):
+            t.update(replay, np.random.default_rng(1))
+        saved, loaded = trainer.param_set().tensors, fresh.param_set().tensors
+        assert list(saved) == list(loaded)
+        for k in saved:
+            assert saved[k].tobytes() == loaded[k].tobytes(), k
+        for a, b in ((trainer.actor_stack, fresh.actor_stack),
+                     (trainer.target_actor_stack, fresh.target_actor_stack)):
+            for k in a.params:
+                assert a.params[k].tobytes() == b.params[k].tobytes(), k
 
     def test_key_names_and_order_for_two_ess(self):
         trainer = make_trainer(tiny_env(n_ess=2))

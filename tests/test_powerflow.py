@@ -154,6 +154,22 @@ class TestSolveBfs:
         for up, down in zip(main, main[1:]):
             assert sol.v_mag[down] < sol.v_mag[up]
 
+    def test_cached_tree_per_feeder_and_slack(self):
+        """Solves reuse each (feeder, slack) tree: slack A, B, then A again,
+        and a feeder with one branch's impedance changed, each give the
+        bytes of a solve on a fresh, uncached copy of its feeder."""
+        base = load_ieee33()
+        branches = list(base.branches)
+        branches[5] = replace(branches[5], r_ohm=2.0 * branches[5].r_ohm)
+        other = replace(base, branches=tuple(branches))
+        p = {b: 0.05 for b in base.buses}
+        for topo, slack in ((base, 1), (base, 18), (base, 1), (other, 1),
+                            (other, 18), (base, 18)):
+            got = solve_bfs(topo, p, slack_bus=slack)
+            want = solve_bfs(replace(topo), p, slack_bus=slack)
+            assert repr(got) == repr(want), (topo is other, slack)
+        assert (solve_bfs(other, p).v_mag[33] != solve_bfs(base, p).v_mag[33])
+
     def test_cycle_rejected(self):
         topo = FeederTopology(
             buses=(1, 2, 3),
