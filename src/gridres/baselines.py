@@ -23,6 +23,7 @@ from .grid import (
     mask_bounds,
 )
 from .maddpg import Trainer, TrainSettings, ddpg_groups, maddpg_groups
+from .outage import grid_tie
 
 RULE_TARGET_SOC = 0.5
 
@@ -172,17 +173,12 @@ def _dp_cost(config, pv, load, outage, grid_points) -> DpResult:
         sum(dispatch_generators(list(config.generators), float(l)))
         for l in load_sum]) if gen_caps else np.zeros(slots)
 
-    def connected_at(t: int) -> bool:
-        if outage is None:
-            return True
-        onset, duration = outage
-        return not onset <= t < onset + duration
-
+    connected = grid_tie(outage)
     wear = costs.lambda_ess * dis * SLOT_HOURS
     value = np.zeros(n_states)
     policy = np.zeros((slots, n_states), dtype=np.int32)
     for t in reversed(range(slots)):
-        if connected_at(t):
+        if connected[t]:
             slot_cost = wear + costs.lambda_grid * np.abs(
                 load_sum[t] + net - pv_sum[t]) * SLOT_HOURS
             ok = feas

@@ -27,6 +27,12 @@ def _parse_stress(text: str) -> dict[str, float]:
     return out
 
 
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _config_overrides(args) -> dict:
     overrides: dict = {}
     if getattr(args, "episodes", None) is not None:
@@ -145,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, seed_default=0):
-        p.add_argument("--seed", type=int, default=seed_default,
+        p.add_argument("--seed", type=_seed, default=seed_default,
                        help="root seed; split into env/noise/init/data/replay")
         p.add_argument("--out", required=True, help="output directory or file")
 

@@ -42,7 +42,6 @@ YAML schema (all sections optional, defaults apply):
       lr_gru: 0.00025
       batch_size: 128
       update_every: 24
-      updates_per: 1
       warmup_steps: 8000
       replay_capacity: 100000
       noise_sigma_start: 0.2

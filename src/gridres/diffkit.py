@@ -18,6 +18,7 @@ order.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,12 +231,15 @@ class ParamSet:
 
     @classmethod
     def load(cls, path: str) -> "ParamSet":
-        with np.load(path) as data:
-            version = str(data["__version__"])
-            if version != PARAMSET_VERSION:
-                raise ValueError(f"unsupported checkpoint version {version!r}")
-            order = [str(n) for n in data["__order__"]]
-            tensors = {name: data[name].copy() for name in order}
+        try:
+            with np.load(path) as data:
+                version = str(data["__version__"])
+                if version != PARAMSET_VERSION:
+                    raise ValueError(f"unsupported checkpoint version {version!r}")
+                order = [str(n) for n in data["__order__"]]
+                tensors = {name: data[name].copy() for name in order}
+        except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: unreadable checkpoint: {exc}") from None
         return cls(tensors=tensors, version=version)
 
 

@@ -1,8 +1,9 @@
 """Temporal feature encoder for PV/load observations.
 
-Builds the per-slot input matrix (current values plus the forecast horizon,
-one row per device) and compresses it into a 16-dimensional characteristic
-vector with an embedding layer, a two-layer GRU and a rectified linear head.
+Builds a day's per-slot input matrices (current values plus the forecast
+horizon, one row per device) and compresses each into a 16-dimensional
+characteristic vector with an embedding layer, a two-layer GRU and a
+rectified linear head.
 Inputs are normalized by device capacity before the embedding so MW-scale
 differences between devices do not dominate training.
 """
@@ -17,30 +18,27 @@ from . import diffkit as dk
 VECTOR_DIM = 16
 
 
-def build_window(series: SeriesSet, forecasts: ForecastTable, day: int, t: int,
+def build_window(series: SeriesSet, forecasts: ForecastTable, day: int,
                  horizon: int) -> np.ndarray:
-    """Input matrix for slot ``t``: rows are PV devices then loads in id
-    order, column 0 the current actual, columns 1..T-1 the forecasts.
+    """The day's (slots, rows, T) window stack: rows are PV devices then
+    loads in id order, column 0 the slot's actual, columns 1..T-1 the
+    forecasts issued at that slot.
 
     Columns whose target slot falls past the end of the day hold the last
-    in-day value.
+    in-day forecast; the final slot has none and holds its actual.
     """
-    n_slots = series.pv.shape[2]
-    if not 0 <= t < n_slots:
-        raise IndexError(f"slot {t} out of range 0..{n_slots - 1}")
-    rows = series.pv.shape[0] + series.load.shape[0]
-    window = np.empty((rows, horizon))
-    window[: series.pv.shape[0], 0] = series.pv[:, day, t]
-    window[series.pv.shape[0]:, 0] = series.load[:, day, t]
-    for j in range(1, horizon):
-        lead = min(j, n_slots - 1 - t)
-        if lead == 0:
-            # Already at the final slot: hold the current actual.
-            window[:, j] = window[:, 0]
-        else:
-            window[: series.pv.shape[0], j] = forecasts.pv[:, day, t, lead - 1]
-            window[series.pv.shape[0]:, j] = forecasts.load[:, day, t, lead - 1]
-    return window
+    actual = np.concatenate([series.pv[:, day], series.load[:, day]])
+    ahead = np.concatenate([forecasts.pv[:, day], forecasts.load[:, day]])
+    n_slots = actual.shape[1]
+    t = np.arange(n_slots)[:, None]
+    lead = np.minimum(np.arange(1, horizon)[None, :], n_slots - 1 - t)
+    windows = np.empty((n_slots, actual.shape[0], horizon))
+    windows[:, :, 0] = actual.T
+    # Gathers (rows, slots, T-1); the final slot's lead-0 columns are
+    # placeholders, replaced with its actual on the next line.
+    windows[:, :, 1:] = ahead[:, t, np.maximum(lead - 1, 0)].transpose(1, 0, 2)
+    windows[-1, :, 1:] = actual[:, -1:]
+    return windows
 
 
 class GruEncoder:

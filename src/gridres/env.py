@@ -1,6 +1,6 @@
 """Episode environment: one simulated day of ``SLOTS_PER_DAY`` slots.
 
-Owns the SoC trajectory, the islanding countdown and the data cursors. The
+Owns the SoC trajectory, the day's schedule and the data cursors. The
 policies see (per-ESS SoC, slots-to-risk-peak counter, forecast window) and
 command ESS powers in MW; generators, shedding and the grid tie resolve
 automatically. Outages are drawn once per episode at reset, so the agent
@@ -26,7 +26,7 @@ from .grid import (
     reward_for_agent,
     step_soc,
 )
-from .outage import OutageDraw, build_profile, counter, sample_outage
+from .outage import OutageDraw, build_profile, grid_tie, sample_outage
 
 
 @dataclass
@@ -90,8 +90,6 @@ class MicrogridEnv:
         self._day = 0
         self._slot = 0
         self._soc = [config.initial_soc] * self.n_agents
-        self._outage: OutageDraw | None = None
-        self._peak_slot = 0
         self._windows: np.ndarray | None = None
         self._state: SimState | None = None
         self.record: EpisodeRecord | None = None
@@ -109,43 +107,37 @@ class MicrogridEnv:
         self._soc = [self.config.initial_soc] * self.n_agents
         self._state = None
         # A new array every day: policies key their per-day encoding on it.
-        self._windows = np.stack([
-            build_window(self.series, self.forecasts, day, t, self.horizon)
-            for t in range(SLOTS_PER_DAY)])
+        self._windows = build_window(self.series, self.forecasts, day,
+                                     self.horizon)
         cfg = self.outage_cfg
         if cfg.forced_onset is not None:
             duration = cfg.forced_duration or cfg.duration_range[0]
-            self._outage = OutageDraw(cfg.forced_onset, duration)
-            self._peak_slot = (cfg.forced_peak_slot if cfg.forced_peak_slot
-                               is not None else cfg.forced_onset)
+            outage = OutageDraw(cfg.forced_onset, duration)
+            peak_slot = (cfg.forced_peak_slot if cfg.forced_peak_slot
+                         is not None else cfg.forced_onset)
         elif cfg.peak_prob <= 0.0:
-            self._outage = None
-            self._peak_slot = int(rng.integers(SLOTS_PER_DAY))
+            outage = None
+            peak_slot = int(rng.integers(SLOTS_PER_DAY))
         else:
             profile = build_profile(rng, cfg.peak_prob, cfg.width_slots,
                                     cfg.breakpoints, cfg.shift_range)
-            self._outage = sample_outage(rng, profile, cfg.duration_range)
-            self._peak_slot = profile.peak_slot
-        self.record = EpisodeRecord(day=day, outage=self._outage)
+            outage = sample_outage(rng, profile, cfg.duration_range)
+            peak_slot = profile.peak_slot
+        t = np.arange(SLOTS_PER_DAY)
+        onset, _ = outage or (SLOTS_PER_DAY, 0)
+        self._tie = grid_tie(outage).tolist()
+        # Slots left until the primary risk peak; zero from the onset on.
+        self._counters = np.where(t < onset, np.maximum(peak_slot - t, 0),
+                                  0).tolist()
+        self.record = EpisodeRecord(day=day, outage=outage)
         self.record.soc_trace.append(list(self._soc))
         return self._observe()
-
-    def _connected(self, slot: int) -> bool:
-        if self._outage is None:
-            return True
-        return not (self._outage.onset_slot <= slot
-                    < self._outage.onset_slot + self._outage.duration_slots)
-
-    def _counter(self, slot: int) -> int:
-        disconnected = (self._outage is not None
-                        and slot >= self._outage.onset_slot)
-        return counter(slot, self._peak_slot, disconnected)
 
     def _observe(self) -> Observation:
         slot = min(self._slot, SLOTS_PER_DAY - 1)
         return Observation(
             soc=np.array(self._soc),
-            counter=self._counter(slot),
+            counter=self._counters[slot],
             slot=slot,
             windows=self._windows,
         )
@@ -157,7 +149,7 @@ class MicrogridEnv:
             slot = self._slot
             self._state = SimState(
                 soc=list(self._soc),
-                connected=self._connected(slot),
+                connected=self._tie[slot],
                 pv_now=list(self.series.pv[:, self._day, slot]),
                 load_now=list(self.series.load[:, self._day, slot]),
             )

@@ -169,10 +169,6 @@ class SocUpdate(NamedTuple):
     soc: float
     excess: float  # signed SoC amount removed by clamping, 0.0 inside bounds
 
-    @property
-    def saturated(self) -> bool:
-        return self.excess != 0.0
-
 
 def step_soc(spec: EssSpec, soc: float, p_ess: float, dt: float) -> SocUpdate:
     """Advance one storage unit by one slot.

@@ -139,11 +139,12 @@ def read_manifest(run_dir: Path) -> dict[str, Any]:
 
 def train_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
               method: str = "maddpg") -> list[EpisodeMetrics]:
-    """Train one method and persist checkpoint, logs and manifest."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Train one method and persist checkpoint, logs and manifest. The
+    dataset is built before the output dir is made."""
     t0 = time.perf_counter()
     dataset = build_dataset(cfg, seed_stream(seed, "data"))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     env = build_env(cfg, dataset)
     settings = TrainSettings.from_dict(cfg["train"])
     trainer = build_trainer(env, settings, method, seed_stream(seed, "init"))
@@ -322,7 +323,8 @@ def compare_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
                 lambda_sweep: Sequence[float] | None = None) -> list[ReportRow]:
     """Train/evaluate each method on the identical seeded scenario and emit
     the aligned report table, learning curves and outage-window trajectories.
-    The methods and every swept penalty are validated before anything runs."""
+    The methods, every swept penalty and the dataset are checked before the
+    output dir is made."""
     problems = [f"--methods: unknown method {m!r} (known: {', '.join(METHODS)})"
                 for m in methods if m not in METHODS]
     problems += [f"--methods: {m!r} listed twice"
@@ -336,10 +338,10 @@ def compare_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
             problems += [f"lambda_sweep {fmt(lam)}: {p}" for p in exc.problems]
     if problems:
         raise ConfigError(problems)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     dataset = build_dataset(cfg, seed_stream(seed, "data"))
     env = build_env(cfg, dataset)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     rows: list[ReportRow] = []
     curves: dict[str, list[EpisodeMetrics]] = {}
     trajectories: dict[str, Any] = {}

@@ -40,7 +40,6 @@ class TrainSettings:
     lr_gru: float = 2.5e-4
     batch_size: int = 128
     update_every: int = 24
-    updates_per: int = 1
     warmup_steps: int = 8000
     replay_capacity: int = 100_000
     noise_sigma_start: float = 0.2
@@ -400,6 +399,12 @@ class Trainer:
             for name, p in params.items()})
 
     def load_param_set(self, ps: dk.ParamSet) -> None:
+        names = self.param_set().tensors
+        missing = [n for n in names if n not in ps.tensors]
+        unexpected = [n for n in ps.tensors if n not in names]
+        if missing or unexpected:
+            raise ValueError("checkpoint does not match the model: missing "
+                             f"{missing or 'none'}, unexpected {unexpected or 'none'}")
         for prefix, params in self._checkpoint_entries():
             for name in params:
                 src = ps.tensors[f"{prefix}/{name}"]
@@ -493,10 +498,9 @@ def run_training(env, trainer: Trainer, settings: TrainSettings,
             if (step >= settings.warmup_steps
                     and step % settings.update_every == 0
                     and replay.size >= settings.batch_size):
-                for _ in range(settings.updates_per):
-                    losses, objectives = trainer.update(replay, replay_rng)
-                    ep_losses.extend(losses)
-                    ep_objectives.extend(objectives)
+                losses, objectives = trainer.update(replay, replay_rng)
+                ep_losses.extend(losses)
+                ep_objectives.extend(objectives)
                 encoded.clear()
         record = env.record
         row = EpisodeMetrics(

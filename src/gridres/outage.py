@@ -10,6 +10,7 @@ a duration drawn uniformly from 12..15 slots. At most one outage per day.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,15 +24,13 @@ class DisconnectionProfile:
     probabilities: np.ndarray  # (n_breakpoints, slots)
 
 
-@dataclass(frozen=True)
-class OutageDraw:
+class OutageDraw(NamedTuple):
     onset_slot: int
     duration_slots: int
 
 
-def build_profile(rng: np.random.Generator, peak_prob: float = 0.3,
-                  width: float = 4.0, n_breakpoints: int = 4,
-                  shift_range: int = 3) -> DisconnectionProfile:
+def build_profile(rng: np.random.Generator, peak_prob: float, width: float,
+                  n_breakpoints: int, shift_range: int) -> DisconnectionProfile:
     """Sample one day of disconnection probabilities.
 
     The primary peak slot is uniform over the day; each additional breakpoint
@@ -58,7 +57,7 @@ def build_profile(rng: np.random.Generator, peak_prob: float = 0.3,
 
 
 def sample_outage(rng: np.random.Generator, profile: DisconnectionProfile,
-                  duration_range: tuple[int, int] = (12, 15)) -> OutageDraw | None:
+                  duration_range: tuple[int, int]) -> OutageDraw | None:
     """One fresh uniform draw per slot per breakpoint; the first hit islands
     the microgrid. Returns None when no draw triggers over the day."""
     draws = rng.random(profile.probabilities.shape)
@@ -71,8 +70,9 @@ def sample_outage(rng: np.random.Generator, profile: DisconnectionProfile,
     return OutageDraw(onset_slot=onset, duration_slots=duration)
 
 
-def counter(t: int, peak_slot: int, disconnected: bool) -> int:
-    """Slots left until the primary risk peak; zero once disconnected."""
-    if disconnected:
-        return 0
-    return max(peak_slot - t, 0)
+def grid_tie(outage: tuple[int, int] | None) -> np.ndarray:
+    """The day's per-slot grid tie: False on the slots of an outage given as
+    (onset, duration), True on every other slot."""
+    onset, duration = outage or (SLOTS_PER_DAY, 0)
+    t = np.arange(SLOTS_PER_DAY)
+    return (t < onset) | (t >= onset + duration)

@@ -17,12 +17,29 @@ def series_and_forecasts(std=0.0, days=2, horizon=8, seed=1):
     return series, table
 
 
+def per_slot_window(series, forecasts, day, t, horizon):
+    """One slot's window by the per-slot rule the day stack replaced."""
+    n_slots = series.pv.shape[2]
+    rows = series.pv.shape[0] + series.load.shape[0]
+    window = np.empty((rows, horizon))
+    window[: series.pv.shape[0], 0] = series.pv[:, day, t]
+    window[series.pv.shape[0]:, 0] = series.load[:, day, t]
+    for j in range(1, horizon):
+        lead = min(j, n_slots - 1 - t)
+        if lead == 0:
+            window[:, j] = window[:, 0]
+        else:
+            window[: series.pv.shape[0], j] = forecasts.pv[:, day, t, lead - 1]
+            window[series.pv.shape[0]:, j] = forecasts.load[:, day, t, lead - 1]
+    return window
+
+
 class TestBuildWindow:
     def test_single_column_horizon(self):
         series, table = series_and_forecasts(horizon=1)
-        w = build_window(series, table, 0, 40, 1)
-        assert w.shape == (3, 1)
-        assert w[:, 0] == pytest.approx(
+        w = build_window(series, table, 0, 1)
+        assert w.shape == (96, 3, 1)
+        assert w[40, :, 0] == pytest.approx(
             list(series.pv[:, 0, 40]) + [series.load[0, 0, 40]])
 
     def test_constant_series_perfect_forecasts(self):
@@ -31,23 +48,27 @@ class TestBuildWindow:
         series.load[:] = 0.3
         table = make_forecasts(series, ForecastModel(0, 0), 8,
                                np.random.default_rng(0), PV, LOAD)
-        w = build_window(series, table, 0, 10, 8)
-        assert np.allclose(w[:2], 0.7)
-        assert np.allclose(w[2:], 0.3)
+        w = build_window(series, table, 0, 8)
+        assert np.allclose(w[:, :2], 0.7)
+        assert np.allclose(w[:, 2:], 0.3)
 
     def test_end_of_day_holds_last_value(self):
         series, table = series_and_forecasts()
-        w = build_window(series, table, 1, 95, 8)
+        w = build_window(series, table, 1, 8)
         for j in range(1, 8):
-            assert np.allclose(w[:, j], w[:, 0])
+            assert np.allclose(w[95, :, j], w[95, :, 0])
         # One slot earlier: only the first forecast column is real.
-        w94 = build_window(series, table, 1, 94, 8)
-        assert np.allclose(w94[:, 2:], np.repeat(w94[:, 1:2], 6, axis=1))
+        assert np.allclose(w[94, :, 2:], np.repeat(w[94, :, 1:2], 6, axis=1))
 
-    def test_out_of_range_slot(self):
-        series, table = series_and_forecasts()
-        with pytest.raises(IndexError):
-            build_window(series, table, 0, 96, 8)
+    @pytest.mark.parametrize("horizon", [1, 4, 8])
+    def test_day_stack_matches_per_slot_rule_bit_for_bit(self, horizon):
+        series, table = series_and_forecasts(std=0.1, days=3, horizon=horizon)
+        for day in range(3):
+            stack = build_window(series, table, day, horizon)
+            assert stack.shape == (96, 3, horizon)
+            for t in range(96):
+                want = per_slot_window(series, table, day, t, horizon)
+                assert stack[t].tobytes() == want.tobytes(), (day, t)
 
 
 def make_encoder(seed=0, in_dim=3):

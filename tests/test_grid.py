@@ -55,7 +55,7 @@ class TestStepSoc:
         # 0.5 + 0.999 * 2 * 0.25 / 6
         out = step_soc(ess(), 0.5, 2.0, 0.25)
         assert out.soc == pytest.approx(0.583250, abs=1e-12)
-        assert not out.saturated
+        assert out.excess == 0.0
 
     def test_zero_power_identity(self):
         assert step_soc(ess(), 0.5, 0.0, 0.25).soc == 0.5
@@ -68,7 +68,7 @@ class TestStepSoc:
     def test_clamping_reports_excess(self):
         out = step_soc(ess(), 0.89, 2.0, 0.25)
         assert out.soc == 0.9
-        assert out.saturated
+        assert out.excess > 0.0
         assert out.excess == pytest.approx(0.89 + 0.999 * 0.5 / 6.0 - 0.9)
 
     def test_non_finite_rejected(self):

@@ -164,10 +164,11 @@ class TestEvalRun:
         stress = {"data": {"stress_pv": 0.85, "stress_load": 1.15}}
         eval_run(run, tmp_path / "e1", None)
         eval_run(run, tmp_path / "s1", None, overrides=stress)
-        # Earlier versions wrote train.gru_shared and microgrid.slot_hours
-        # into every manifest.
+        # Earlier versions wrote train.gru_shared, train.updates_per and
+        # microgrid.slot_hours into every manifest.
         manifest = read_manifest(run)
         manifest["config"]["train"]["gru_shared"] = True
+        manifest["config"]["train"]["updates_per"] = 1
         manifest["config"]["microgrid"]["slot_hours"] = 0.25
         (run / "manifest.json").write_text(json.dumps(manifest))
         eval_run(run, tmp_path / "e2", None)
@@ -405,6 +406,13 @@ class TestCli:
         (["eval", "--method", "rule", "--config", "days3.yaml"],
          "data.days: need at least 4 days"),
         (["synth-data", "--days", "0"], "data.days: must be positive"),
+        (["train", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
+        (["eval", "--method", "rule", "--seed", "-1"], "argument --seed"),
+        (["compare", "--seed", "-2"], "argument --seed"),
+        (["audit", "--checkpoint", "run", "--seed", "-1"], "argument --seed"),
+        (["synth-data", "--seed", "x"],
+         "argument --seed: expected a non-negative integer, got 'x'"),
+        (["train", "--config", "updates.yaml"], "train.updates_per: unknown key"),
     ])
     def test_out_of_range_count_flag_exits_1(self, tmp_path, capsys, monkeypatch,
                                              argv, problem):
@@ -412,6 +420,7 @@ class TestCli:
         Path("malformed.yaml").write_text("train: [1,\n")
         Path("list.yaml").write_text("- train\n")
         Path("days3.yaml").write_text("data:\n  days: 3\n")
+        Path("updates.yaml").write_text("train:\n  updates_per: 1\n")
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1
         assert problem in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -427,6 +436,42 @@ class TestCli:
                              "--out", str(out)]) == 2
                 assert "No such file or directory" in capsys.readouterr().err
                 assert not out.exists()
+
+    def test_corrupt_checkpoint_exits_2_without_output(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        train_run(tiny_cfg(), 5, run)
+        path = run / "checkpoint.npz"
+        good = path.read_bytes()
+        with np.load(path) as data:
+            tensors = {k: data[k] for k in data.files if k != "gru/emb/W"}
+        tensors["__order__"] = np.array(
+            [n for n in tensors["__order__"] if n != "gru/emb/W"] + ["extra"])
+        tensors["extra"] = np.zeros(1)
+        np.savez(tmp_path / "missing.npz", **tensors)
+        np.save(tmp_path / "array.npy", np.zeros(3))
+        cases = {"truncated": (good[: len(good) // 2], "unreadable checkpoint"),
+                 "npy": ((tmp_path / "array.npy").read_bytes(), "unreadable checkpoint"),
+                 "missing": ((tmp_path / "missing.npz").read_bytes(),
+                             "missing ['gru/emb/W'], unexpected ['extra']")}
+        for case, (blob, problem) in cases.items():
+            path.write_bytes(blob)
+            for command in ("eval", "audit"):
+                out = tmp_path / f"{command}-{case}"
+                assert main([command, "--checkpoint", str(run),
+                             "--out", str(out)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and problem in err
+                assert "Traceback" not in err
+                assert not out.exists()
+
+    def test_missing_data_source_exits_2_without_output(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"data:\n  source: {tmp_path / 'nonexist.csv'}\n")
+        for command in ("train", "compare"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            assert "No such file or directory" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_train_then_eval_cli(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.yaml"

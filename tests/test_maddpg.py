@@ -484,10 +484,9 @@ def per_window_run_training(env, trainer, settings, train_days, env_rng,
             if (step >= settings.warmup_steps
                     and step % settings.update_every == 0
                     and replay.size >= settings.batch_size):
-                for _ in range(settings.updates_per):
-                    losses, objectives = trainer.update(replay, replay_rng)
-                    ep_losses.extend(losses)
-                    ep_objectives.extend(objectives)
+                losses, objectives = trainer.update(replay, replay_rng)
+                ep_losses.extend(losses)
+                ep_objectives.extend(objectives)
         record = env.record
         metrics.append(maddpg.EpisodeMetrics(
             episode=episode, cost=record.cost, shed_mwh=record.shed_mwh,
