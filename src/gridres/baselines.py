@@ -19,6 +19,7 @@ from .grid import (
     EssArrays,
     MicrogridConfig,
     SimState,
+    day_inputs,
     dispatch_generators,
     mask_bounds,
 )
@@ -118,19 +119,19 @@ def dp_oracle(config: MicrogridConfig, pv: np.ndarray, load: np.ndarray,
     resolves without corrective scaling, so every evaluated transition is
     exactly replayable through the slot physics.
     """
-    result = _dp_cost(config, pv, load, outage, grid_points)
+    inputs = day_inputs(config, pv, load)
+    result = _dp_cost(config, inputs, outage, grid_points)
     if refine:
-        fine = _dp_cost(config, pv, load, outage, 2 * grid_points - 1)
+        fine = _dp_cost(config, inputs, outage, 2 * grid_points - 1)
         result.delta_grid = max(result.cost - fine.cost, 0.0)
     return result
 
 
-def _dp_cost(config, pv, load, outage, grid_points) -> DpResult:
+def _dp_cost(config, inputs, outage, grid_points) -> DpResult:
     costs = config.costs
     n_ess = len(config.ess)
-    slots = pv.shape[1]
-    if load.shape[1] != slots:
-        raise ValueError("pv and load must cover the same slots")
+    pv_sum, load_sum = inputs.pv_sum, inputs.load_sum
+    slots = len(load_sum)
 
     grids = [np.linspace(s.soc_min, s.soc_max, grid_points) for s in config.ess]
     n_states = grid_points ** n_ess
@@ -166,12 +167,7 @@ def _dp_cost(config, pv, load, outage, grid_points) -> DpResult:
         feas = (feas[:, None, :, None] & f[None, :, None, :]).reshape(
             s_old * g, a_old * g)
 
-    pv_sum = pv.sum(axis=0)
-    load_sum = load.sum(axis=0)
-    gen_caps = [g.p_max for g in config.generators]
-    gen_sum = np.array([
-        sum(dispatch_generators(list(config.generators), float(l)))
-        for l in load_sum]) if gen_caps else np.zeros(slots)
+    gen_sum = [sum(dispatch_generators(config.generators, l)) for l in load_sum]
 
     connected = grid_tie(outage)
     wear = costs.lambda_ess * dis * SLOT_HOURS

@@ -22,6 +22,7 @@ from .grid import (
     DispatchResult,
     MicrogridConfig,
     SimState,
+    day_inputs,
     resolve_slot,
     reward_for_agent,
     step_soc,
@@ -87,7 +88,6 @@ class MicrogridEnv:
         self.outage_cfg = outage_cfg
         self.horizon = horizon
         self.n_agents = config.n_agents
-        self._day = 0
         self._slot = 0
         self._soc = [config.initial_soc] * self.n_agents
         self._windows: np.ndarray | None = None
@@ -102,13 +102,14 @@ class MicrogridEnv:
         """Start an episode on a dataset day; samples this day's storm."""
         if not 0 <= day < self.series.n_days:
             raise IndexError(f"day {day} outside dataset of {self.series.n_days}")
-        self._day = day
         self._slot = 0
         self._soc = [self.config.initial_soc] * self.n_agents
         self._state = None
         # A new array every day: policies key their per-day encoding on it.
         self._windows = build_window(self.series, self.forecasts, day,
                                      self.horizon)
+        self._inputs = day_inputs(self.config, self.series.pv[:, day],
+                                  self.series.load[:, day])
         cfg = self.outage_cfg
         if cfg.forced_onset is not None:
             duration = cfg.forced_duration or cfg.duration_range[0]
@@ -146,13 +147,8 @@ class MicrogridEnv:
         """The current slot's state, built once per slot: ``step`` resolves
         the same object a policy was given."""
         if self._state is None:
-            slot = self._slot
-            self._state = SimState(
-                soc=list(self._soc),
-                connected=self._tie[slot],
-                pv_now=list(self.series.pv[:, self._day, slot]),
-                load_now=list(self.series.load[:, self._day, slot]),
-            )
+            self._state = SimState(list(self._soc), self._tie[self._slot],
+                                   self._inputs, self._slot)
         return self._state
 
     def step(self, commands_mw: np.ndarray):
@@ -161,7 +157,7 @@ class MicrogridEnv:
         if self._slot >= SLOTS_PER_DAY:
             raise RuntimeError("episode is over; call reset")
         state = self.state()
-        result = resolve_slot(self.config, state, list(commands_mw))
+        result = resolve_slot(self.config, state, np.asarray(commands_mw, float).tolist())
         rewards = np.array([reward_for_agent(n, result, self.config.costs)
                             for n in range(self.n_agents)])
         self._soc = [step_soc(spec, soc, p, SLOT_HOURS).soc

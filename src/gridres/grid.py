@@ -26,10 +26,8 @@ class DispatchError(ValueError):
     """An ESS command violated its power bounds (masking failed upstream)."""
 
 
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+def _not_finite(name: str, value: float) -> None:
+    raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -131,14 +129,51 @@ class MicrogridConfig:
         return len(self.ess)
 
 
+class DayInputs(NamedTuple):
+    """Each slot's device inputs: raw for policies, clamped and summed for pricing."""
+
+    pv_raw: list[list[float]]
+    pv: list[tuple[float, ...]]
+    pv_sum: list[float]
+    load_raw: list[list[float]]
+    load: list[tuple[float, ...]]
+    load_sum: list[float]
+
+
+def day_inputs(config: MicrogridConfig, pv: np.ndarray,
+               load: np.ndarray) -> DayInputs:
+    """Clamp and sum (devices, slots) PV and load arrays once for all slots,
+    bit for bit as ``min(max(p, 0.0), p_max)`` and a left-to-right ``sum``
+    per slot: ``np.where`` keeps -0.0 as ``max`` does (``np.maximum`` does
+    not), and ``sum`` adds device rows in order, never pairwise."""
+    pv, load = np.asarray(pv, dtype=float), np.asarray(load, dtype=float)
+    if pv.shape[1] != load.shape[1]:
+        raise ValueError("pv and load must cover the same slots")
+    fields = []
+    for raw, specs in ((pv, config.pv), (load, config.loads)):
+        caps = np.array([s.p_max for s in specs])[:, None]
+        clamped = np.minimum(np.where(raw < 0.0, 0.0, raw), caps)
+        fields += [raw.T.tolist(), list(map(tuple, clamped.T.tolist())),
+                   sum(clamped, np.zeros(raw.shape[1])).tolist()]
+    return DayInputs(*fields)
+
+
 @dataclass
 class SimState:
     """Per-slot dynamic state owned by exactly one episode at a time."""
 
     soc: list[float]
     connected: bool
-    pv_now: list[float]
-    load_now: list[float]
+    inputs: DayInputs  # this slot's device inputs are row ``slot``
+    slot: int
+
+    @property
+    def pv_now(self) -> list[float]:  # raw, as the data gives it
+        return self.inputs.pv_raw[self.slot]
+
+    @property
+    def load_now(self) -> list[float]:  # raw, as the data gives it
+        return self.inputs.load_raw[self.slot]
 
 
 class CostBreakdown(NamedTuple):
@@ -177,7 +212,12 @@ def step_soc(spec: EssSpec, soc: float, p_ess: float, dt: float) -> SocUpdate:
     ``eff_discharge``. The result is clamped to the SoC window; the clamped
     excess is reported so callers can tell saturation from a clean step.
     """
-    _require_finite(soc=soc, p_ess=p_ess, dt=dt)
+    if not math.isfinite(soc):
+        _not_finite("soc", soc)
+    if not math.isfinite(p_ess):
+        _not_finite("p_ess", p_ess)
+    if not math.isfinite(dt):
+        _not_finite("dt", dt)
     eff = spec.eff_charge if p_ess > 0.0 else spec.eff_discharge
     raw = soc + eff * p_ess * dt / spec.energy_cap
     clamped = min(max(raw, spec.soc_min), spec.soc_max)
@@ -218,16 +258,13 @@ def dispatch_generators(gens: Sequence[GeneratorSpec], total_load: float) -> lis
     If the fleet cannot cover the demand every unit runs flat out; otherwise
     the demand is split proportionally to capacity.
     """
-    _require_finite(total_load=total_load)
+    if not math.isfinite(total_load):
+        _not_finite("total_load", total_load)
     if total_load < 0.0:
         raise ValueError("total_load must be >= 0")
-    if not gens:
-        return []
     cap_sum = sum(g.p_max for g in gens)
     if cap_sum <= total_load:
         return [g.p_max for g in gens]
-    if cap_sum == 0.0:
-        return [0.0 for _ in gens]
     return [total_load * g.p_max / cap_sum for g in gens]
 
 
@@ -251,31 +288,27 @@ def resolve_slot(config: MicrogridConfig, state: SimState,
         raise ValueError(f"expected {len(config.ess)} commands, got {len(ess_commands)}")
     p_ess = []
     for spec, cmd in zip(config.ess, ess_commands):
-        _require_finite(command=cmd)
+        if not math.isfinite(cmd):
+            _not_finite("command", cmd)
         if cmd > spec.p_max + COMMAND_TOL or cmd < spec.p_min - COMMAND_TOL:
             raise DispatchError(
                 f"{spec.id}: command {cmd} outside [{spec.p_min}, {spec.p_max}]")
         p_ess.append(min(max(cmd, spec.p_min), spec.p_max))
 
-    pv_now = [min(max(p, 0.0), spec.p_max) for p, spec in zip(state.pv_now, config.pv)]
-    load_now = [min(max(p, 0.0), spec.p_max) for p, spec in zip(state.load_now, config.loads)]
-    load_sum = sum(load_now)
-    pv_sum = sum(pv_now)
+    inputs, t = state.inputs, state.slot
+    pv_sum, load_sum = inputs.pv_sum[t], inputs.load_sum[t]
     ess_net = sum(p_ess)
 
+    alpha = pv_curtailed = 0.0
     if state.connected:
-        p_gen = [0.0 for _ in config.generators]
-        alpha = 0.0
-        pv_curtailed = 0.0
+        p_gen, gen_sum = [0.0] * len(config.generators), 0.0
         p_grid = load_sum + ess_net - pv_sum
     else:
         p_grid = 0.0
         p_gen = dispatch_generators(config.generators, load_sum)
         gen_sum = sum(p_gen)
         gap = load_sum + ess_net - pv_sum - gen_sum
-        pv_curtailed = 0.0
         if gap < 0.0:
-            alpha = 0.0
             pv_curtailed = min(-gap, pv_sum)
             gap += pv_curtailed
             if gap < -COMMAND_TOL:
@@ -296,18 +329,17 @@ def resolve_slot(config: MicrogridConfig, state: SimState,
             alpha = gap / load_sum if load_sum > 0.0 else 0.0
         ess_net = sum(p_ess)
 
-    gen_sum = sum(p_gen)
     pv_used = pv_sum - pv_curtailed
     residual = (1.0 - alpha) * load_sum - pv_used + ess_net - gen_sum - p_grid
 
-    breakdown = price_slot(config.costs, p_ess, p_gen, p_grid, alpha, load_now)
+    breakdown = price_slot(config.costs, p_ess, p_gen, p_grid, alpha, inputs.load[t])
     return DispatchResult(
         p_ess=tuple(p_ess),
         p_gen=tuple(p_gen),
         p_grid=p_grid,
         alpha=alpha,
-        p_load=tuple(load_now),
-        p_pv=tuple(pv_now),
+        p_load=inputs.load[t],
+        p_pv=inputs.pv[t],
         pv_curtailed=pv_curtailed,
         connected=state.connected,
         balance_residual=residual,
@@ -318,12 +350,13 @@ def resolve_slot(config: MicrogridConfig, state: SimState,
 
 def price_slot(costs: CostParams, p_ess: Sequence[float], p_gen: Sequence[float],
                p_grid: float, alpha: float, p_load: Sequence[float]) -> CostBreakdown:
-    """The slot's cost in $, term by term, for its resolved powers."""
+    """The slot's cost in $ by term; skipping exact-zero terms changes no bit."""
     return CostBreakdown(
-        ess=sum(costs.lambda_ess * abs(min(p, 0.0)) for p in p_ess) * SLOT_HOURS,
-        gen=sum(costs.lambda_gen * p for p in p_gen) * SLOT_HOURS,
+        ess=sum(costs.lambda_ess * -p for p in p_ess if p < 0.0) * SLOT_HOURS,
+        gen=sum(costs.lambda_gen * p for p in p_gen if p) * SLOT_HOURS,
         grid=costs.lambda_grid * abs(p_grid) * SLOT_HOURS,
-        shed=sum(alpha * costs.lambda_load * p for p in p_load) * SLOT_HOURS,
+        shed=sum(alpha * costs.lambda_load * p for p in p_load) * SLOT_HOURS
+        if alpha else 0.0,
     )
 
 

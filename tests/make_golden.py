@@ -2,8 +2,8 @@
 
     PYTHONPATH=src python tests/make_golden.py     # rewrites tests/golden.json
 
-The pipeline runs ``train``, ``eval`` (a checkpoint plain and stressed, and
-the rule policy), ``audit``, ``compare`` with a lambda sweep and
+The pipeline runs ``train``, ``eval`` (a checkpoint and the rule policy,
+each plain and stressed), ``audit``, ``compare`` with a lambda sweep and
 ``synth-data`` through ``cli.main`` on a small config in which updates do
 run, plus one small ``dp_oracle``. ``tests/test_golden.py`` reruns it and
 compares every digest with the committed file. Rewrite the file only in a
@@ -86,6 +86,8 @@ def pipeline(work: Path) -> dict[str, str]:
          "--fail-agents", "2", "--out", str(work / "eval-stress"))
     _run("eval", "--method", "rule", "--config", str(cfg), "--seed", "1",
          "--out", str(work / "eval-rule"))
+    _run("eval", "--method", "rule", "--config", str(cfg), "--seed", "1",
+         "--stress", "pv=0.85,load=1.15", "--out", str(work / "eval-rule-stress"))
     _run("audit", "--checkpoint", str(run), "--eval-days", "2",
          "--out", str(work / "audit"))
     _run("compare", "--methods", "maddpg,ddpg,rule", "--lambda-sweep", "0.15,30",

@@ -23,6 +23,7 @@ from gridres.grid import (
     MicrogridConfig,
     PvSpec,
     SimState,
+    day_inputs,
     mask_bounds,
     resolve_slot,
     step_soc,
@@ -88,10 +89,9 @@ class TestCriterion1PhysicsExactness:
         cmds = fleet_mask(config.ess)(rng.uniform(-1, 1, size=(n, 2)), 0.5)
         worst_residual = 0.0
         bad = 0
+        inputs = day_inputs(config, pv[None, :], load[None, :])
         for i in range(n):
-            state = SimState(
-                soc=[0.5, 0.5], connected=bool(connected[i]),
-                pv_now=[float(pv[i])], load_now=[float(load[i])])
+            state = SimState([0.5, 0.5], bool(connected[i]), inputs, i)
             result = resolve_slot(config, state, list(cmds[i]))
             worst_residual = max(worst_residual, abs(result.balance_residual))
             if not 0.0 <= result.alpha <= 1.0:

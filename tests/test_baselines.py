@@ -22,6 +22,7 @@ from gridres.grid import (
     MicrogridConfig,
     PvSpec,
     SimState,
+    day_inputs,
     mask_bounds,
     resolve_slot,
     step_soc,
@@ -57,25 +58,30 @@ def obs_stub():
     return None  # the rule policy ignores the learned observation
 
 
+def slot_state(config, soc, connected, pv, load):
+    """A one-slot state of a one-PV, one-load fleet."""
+    return SimState(soc=soc, connected=connected,
+                    inputs=day_inputs(config, [[pv]], [[load]]), slot=0)
+
+
 class TestRulePolicy:
     def test_setpoint_reached_means_idle(self):
         config = one_ess_config()
         policy = RulePolicy(config)
-        state = SimState(soc=[0.5], connected=True, pv_now=[0.0], load_now=[1.0])
+        state = slot_state(config, [0.5], True, pv=0.0, load=1.0)
         assert policy(obs_stub(), state)[0] == 0.0
 
     def test_below_setpoint_charges(self):
         config = one_ess_config()
         policy = RulePolicy(config)
-        state = SimState(soc=[0.3], connected=True, pv_now=[0.0], load_now=[1.0])
+        state = slot_state(config, [0.3], True, pv=0.0, load=1.0)
         assert policy(obs_stub(), state)[0] > 0.0
 
     def test_islanded_proportional_headroom_split(self):
         config = two_ess_config()
         policy = RulePolicy(config)
         # Both units mid-range: headrooms are the power limits 2 and 1.
-        state = SimState(soc=[0.5, 0.5], connected=False, pv_now=[0.0],
-                         load_now=[1.0])
+        state = slot_state(config, [0.5, 0.5], False, pv=0.0, load=1.0)
         cmds = policy(obs_stub(), state)
         assert cmds == pytest.approx([-2.0 / 3.0, -1.0 / 3.0])
 
@@ -87,9 +93,8 @@ class TestRulePolicy:
         for _ in range(300):
             socs = list(rng.uniform(0.1, 0.9, size=2))
             connected = bool(rng.integers(2))
-            state = SimState(soc=socs, connected=connected,
-                             pv_now=[rng.uniform(0, 2)],
-                             load_now=[rng.uniform(0, 2.5)])
+            state = slot_state(config, socs, connected, pv=rng.uniform(0, 2),
+                               load=rng.uniform(0, 2.5))
             cmds = policy(obs_stub(), state)
             low, up = mask_bounds(limits, np.array(socs), SLOT_HOURS)
             assert (low - 1e-12 <= cmds).all() and (cmds <= up + 1e-12).all()
@@ -146,6 +151,7 @@ class TestDpOracle:
             eff = spec.eff_charge if soc_to > soc_from else spec.eff_discharge
             return (soc_to - soc_from) * spec.energy_cap / (eff * dt)
 
+        inputs = day_inputs(config, pv, load)
         best = np.inf
         start = grid[np.argmin(np.abs(grid - config.initial_soc))]
         for path in itertools.product(range(3), repeat=slots):
@@ -160,8 +166,7 @@ class TestDpOracle:
                     feasible = False
                     break
                 connected = not (outage[0] <= t < outage[0] + outage[1])
-                state = SimState(soc=[soc], connected=connected,
-                                 pv_now=list(pv[:, t]), load_now=list(load[:, t]))
+                state = SimState([soc], connected, inputs, t)
                 result = resolve_slot(config, state, [p])
                 if abs(result.p_ess[0] - p) > 1e-9:
                     feasible = False  # slot physics had to rescale the command
@@ -201,11 +206,20 @@ class TestDpOracle:
             dp_oracle(config, pv, load, None, grid_points=81, refine=False)
 
     def test_schedule_replays_to_reported_cost(self):
+        self.check_replay(load_scale=1.0)
+
+    def test_stressed_schedule_replays_to_reported_cost(self):
+        # Loads at 1.15x, as --stress load=1.15 gives: 13 slots exceed the
+        # load's p_max, and the DP prices them clamped as the env does.
+        self.check_replay(load_scale=1.15)
+
+    @staticmethod
+    def check_replay(load_scale):
         config = one_ess_config(energy_cap=1.0)
         rng = np.random.default_rng(6)
         slots = 96
         pv = rng.uniform(0, 1.5, size=(1, slots))
-        load = rng.uniform(0.3, 2.4, size=(1, slots))
+        load = rng.uniform(0.3, 2.4, size=(1, slots)) * load_scale
         outage = (40, 13)
         out = dp_oracle(config, pv, load, outage, grid_points=17, refine=False)
 

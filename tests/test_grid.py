@@ -13,6 +13,7 @@ from gridres.grid import (
     PvSpec,
     SLOT_HOURS,
     SimState,
+    day_inputs,
     dispatch_generators,
     price_slot,
     reward_for_agent,
@@ -41,13 +42,10 @@ def small_config(n_ess=1, gens=True):
     )
 
 
-def make_state(connected, pv, load, n_ess=1, soc=0.5):
-    return SimState(
-        soc=[soc] * n_ess,
-        connected=connected,
-        pv_now=[pv],
-        load_now=[load],
-    )
+def make_state(cfg, connected, pv, load, soc=0.5):
+    """A one-slot state of a one-PV, one-load fleet."""
+    return SimState(soc=[soc] * len(cfg.ess), connected=connected,
+                    inputs=day_inputs(cfg, [[pv]], [[load]]), slot=0)
 
 
 class TestStepSoc:
@@ -130,7 +128,7 @@ def islanded(load, ess_cmd, pv, gen_cap=None):
     cfg = MicrogridConfig(ess=(ess(),), generators=gens,
                           pv=(PvSpec(id="PV1", p_max=10.0),),
                           loads=(LoadSpec(id="L1", p_max=10.0),))
-    return resolve_slot(cfg, make_state(False, pv=pv, load=load), [ess_cmd])
+    return resolve_slot(cfg, make_state(cfg, False, pv=pv, load=load), [ess_cmd])
 
 
 class TestComputeShedding:
@@ -159,7 +157,7 @@ class TestComputeShedding:
 class TestResolveSlot:
     def test_connected_grid_closes_balance(self):
         cfg = small_config()
-        out = resolve_slot(cfg, make_state(True, pv=1.0, load=4.0), [1.0])
+        out = resolve_slot(cfg, make_state(cfg, True, pv=1.0, load=4.0), [1.0])
         assert out.p_grid == pytest.approx(4.0)
         assert out.alpha == 0.0
         assert out.p_gen == (0.0,) * 5
@@ -167,7 +165,7 @@ class TestResolveSlot:
 
     def test_islanded_all_zero(self):
         cfg = small_config()
-        out = resolve_slot(cfg, make_state(False, pv=0.0, load=0.0), [0.0])
+        out = resolve_slot(cfg, make_state(cfg, False, pv=0.0, load=0.0), [0.0])
         assert out.p_grid == 0.0
         assert out.alpha == 0.0
         assert out.p_ess == (0.0,)
@@ -175,7 +173,7 @@ class TestResolveSlot:
 
     def test_islanded_chained_with_curtailment(self):
         cfg = small_config()
-        out = resolve_slot(cfg, make_state(False, pv=2.0, load=5.0), [1.0])
+        out = resolve_slot(cfg, make_state(cfg, False, pv=2.0, load=5.0), [1.0])
         # Generators split 5 MW proportionally, PV surplus of 1 MW curtailed.
         assert sum(out.p_gen) == pytest.approx(5.0)
         assert out.alpha == 0.0
@@ -185,13 +183,13 @@ class TestResolveSlot:
     def test_command_out_of_bounds_raises(self):
         cfg = small_config()
         with pytest.raises(DispatchError):
-            resolve_slot(cfg, make_state(True, 1.0, 4.0), [2.5])
+            resolve_slot(cfg, make_state(cfg, True, 1.0, 4.0), [2.5])
 
     def test_islanded_never_uses_grid(self):
         cfg = small_config()
         rng = np.random.default_rng(5)
         for _ in range(200):
-            st = make_state(False, pv=rng.uniform(0, 10), load=rng.uniform(0, 10))
+            st = make_state(cfg, False, pv=rng.uniform(0, 10), load=rng.uniform(0, 10))
             out = resolve_slot(cfg, st, [rng.uniform(-2, 2)])
             assert out.p_grid == 0.0
             assert 0.0 <= out.alpha <= 1.0
@@ -200,14 +198,14 @@ class TestResolveSlot:
     def test_islanded_overcharge_scaled_back(self):
         # No PV, no load: charging demand has no source, must drop to zero.
         cfg = small_config(gens=True)
-        out = resolve_slot(cfg, make_state(False, pv=0.0, load=0.0), [1.5])
+        out = resolve_slot(cfg, make_state(cfg, False, pv=0.0, load=0.0), [1.5])
         assert out.p_ess[0] == pytest.approx(0.0)
         assert abs(out.balance_residual) <= 1e-9
 
     def test_islanded_stranded_discharge_scaled_back(self):
         # No load and no export path: discharge beyond PV absorption is cut.
         cfg = small_config()
-        out = resolve_slot(cfg, make_state(False, pv=0.0, load=0.0), [-1.0])
+        out = resolve_slot(cfg, make_state(cfg, False, pv=0.0, load=0.0), [-1.0])
         assert out.p_ess[0] == pytest.approx(0.0)
         assert abs(out.balance_residual) <= 1e-9
 
@@ -216,8 +214,8 @@ class TestResolveSlot:
         rng = np.random.default_rng(19)
         for _ in range(500):
             connected = bool(rng.integers(2))
-            st = SimState(soc=[0.5, 0.5], connected=connected,
-                          pv_now=[rng.uniform(0, 10)], load_now=[rng.uniform(0, 10)])
+            st = make_state(cfg, connected, pv=rng.uniform(0, 10),
+                            load=rng.uniform(0, 10))
             cmds = list(rng.uniform(-2, 2, size=2))
             out = resolve_slot(cfg, st, cmds)
             assert abs(out.balance_residual) <= 1e-9
@@ -254,13 +252,13 @@ class TestCostAndReward:
 
     def test_all_zero_slot(self):
         cfg = small_config()
-        out = resolve_slot(cfg, make_state(False, 0.0, 0.0), [0.0])
+        out = resolve_slot(cfg, make_state(cfg, False, 0.0, 0.0), [0.0])
         assert out.cost_total == 0.0
         assert reward_for_agent(0, out, cfg.costs) == 0.0
 
     def test_grid_import_only(self):
         cfg = small_config()
-        out = resolve_slot(cfg, make_state(True, 0.0, 4.0), [0.0])
+        out = resolve_slot(cfg, make_state(cfg, True, 0.0, 4.0), [0.0])
         assert out.p_grid == pytest.approx(4.0)
         assert out.cost_total == pytest.approx(0.30)
 
@@ -276,7 +274,7 @@ class TestCostAndReward:
         cfg = small_config()
         rng = np.random.default_rng(4)
         for _ in range(100):
-            st = make_state(False, pv=rng.uniform(0, 5), load=rng.uniform(0, 9))
+            st = make_state(cfg, False, pv=rng.uniform(0, 5), load=rng.uniform(0, 9))
             out = resolve_slot(cfg, st, [rng.uniform(-2, 2)])
             assert reward_for_agent(0, out, cfg.costs) <= 0.0
 
@@ -287,8 +285,8 @@ class TestCostAndReward:
         c = cfg.costs
         rng = np.random.default_rng(5)
         for _ in range(300):
-            st = SimState(soc=[0.5, 0.5], connected=bool(rng.integers(2)),
-                          pv_now=[rng.uniform(0, 10)], load_now=[rng.uniform(0, 10)])
+            st = make_state(cfg, bool(rng.integers(2)), pv=rng.uniform(0, 10),
+                            load=rng.uniform(0, 10))
             out = resolve_slot(cfg, st, list(rng.uniform(-2, 2, size=2)))
             shared = (sum(c.lambda_gen * p for p in out.p_gen)
                       + c.lambda_grid * abs(out.p_grid)
@@ -304,7 +302,7 @@ class TestResilienceMetric:
 
     def test_zero_shedding(self):
         cfg = small_config()
-        out = resolve_slot(cfg, make_state(True, 1.0, 4.0), [0.0])
+        out = resolve_slot(cfg, make_state(cfg, True, 1.0, 4.0), [0.0])
         assert out.cost_breakdown.shed == 0.0
 
     def test_single_slot_value(self):

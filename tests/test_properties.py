@@ -1,14 +1,19 @@
 """Property tests of the SoC mask and the slot core over random fleets,
-states of charge and raw actions."""
+states of charge and raw actions, and of a day stepped through the env
+against the slot core on hand-built one-slot states."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridres.baselines import RulePolicy
+from gridres.dataio import ForecastModel, SeriesSet, make_forecasts
+from gridres.env import MicrogridEnv, OutageSettings
 from gridres.grid import (
     BALANCE_TOL,
     SLOT_HOURS,
+    SLOTS_PER_DAY,
     EssArrays,
     EssSpec,
     GeneratorSpec,
@@ -16,6 +21,7 @@ from gridres.grid import (
     MicrogridConfig,
     PvSpec,
     SimState,
+    day_inputs,
     mask_bounds,
     resolve_slot,
     step_soc,
@@ -31,9 +37,8 @@ def between(lo, hi):
 
 
 @st.composite
-def slots(draw):
-    """(config, state, raw actions): a fleet of 1-4 ESS with generators, PV
-    and loads, one slot's SoCs and powers, connected or islanded."""
+def fleets(draw, max_devices=3):
+    """A fleet of 1-4 ESS with generators, PV and loads."""
     ess = tuple(
         EssSpec(id=f"E{i}", p_min=-draw(between(0.1, 3.0)),
                 p_max=draw(between(0.1, 3.0)), energy_cap=draw(between(0.5, 10.0)),
@@ -41,24 +46,32 @@ def slots(draw):
                 eff_charge=draw(between(0.9, 1.0)),
                 eff_discharge=draw(between(1.0, 1.1)))
         for i in range(draw(st.integers(1, 4))))
-    config = MicrogridConfig(
+    return MicrogridConfig(
         ess=ess,
         generators=tuple(GeneratorSpec(id=f"G{i}", p_min=0.0,
                                        p_max=draw(between(0.0, 3.0)))
                          for i in range(draw(st.integers(0, 3)))),
         pv=tuple(PvSpec(id=f"PV{i}", p_max=draw(between(0.1, 5.0)))
-                 for i in range(draw(st.integers(1, 3)))),
+                 for i in range(draw(st.integers(1, max_devices)))),
         loads=tuple(LoadSpec(id=f"L{i}", p_max=draw(between(0.1, 5.0)))
-                    for i in range(draw(st.integers(1, 3)))),
+                    for i in range(draw(st.integers(1, max_devices)))),
     )
-    connected = draw(st.booleans())
+
+
+@st.composite
+def slots(draw):
+    """(config, state, raw actions): a fleet, one slot's SoCs and powers,
+    connected or islanded."""
+    config = draw(fleets())
     state = SimState(
-        soc=[draw(between(s.soc_min, s.soc_max)) for s in ess],
-        connected=connected,
-        pv_now=[draw(between(0.0, s.p_max)) for s in config.pv],
-        load_now=[draw(between(0.0, s.p_max)) for s in config.loads],
+        soc=[draw(between(s.soc_min, s.soc_max)) for s in config.ess],
+        connected=draw(st.booleans()),
+        inputs=day_inputs(
+            config, [[draw(between(0.0, s.p_max))] for s in config.pv],
+            [[draw(between(0.0, s.p_max))] for s in config.loads]),
+        slot=0,
     )
-    pis = np.array([draw(between(-1.0, 1.0)) for _ in ess])
+    pis = np.array([draw(between(-1.0, 1.0)) for _ in config.ess])
     return config, state, pis
 
 
@@ -96,3 +109,66 @@ def test_masked_slot_keeps_the_physics_invariants(slot):
         # by no more than its efficiency loss.
         slack = (spec.eff_discharge - 1.0) * abs(p) * SLOT_HOURS / spec.energy_cap
         assert abs(update.excess) <= slack + 1e-12
+
+
+def _device_day(rng, specs):
+    """(devices, slots) inputs from -0.5 to 1.5 times each device's p_max,
+    with exact zeros, signed zeros and exact limits mixed in."""
+    caps = np.array([s.p_max for s in specs])[:, None]
+    values = rng.uniform(-0.5, 1.5, size=(len(specs), SLOTS_PER_DAY)) * caps
+    pick = rng.integers(6, size=values.shape)
+    values = np.where(pick == 0, 0.0, values)
+    values = np.where(pick == 1, -0.0, values)
+    return np.where(pick == 2, caps, values)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(fleets(max_devices=12), st.integers(0, 2**32 - 1),
+       st.one_of(st.none(), st.tuples(st.integers(0, SLOTS_PER_DAY - 1),
+                                      st.integers(1, 40))),
+       st.booleans())
+def test_env_day_matches_hand_built_slots(config, seed, outage, rule):
+    """A day stepped through the env, its inputs clamped and summed once at
+    reset, resolves every slot bit for bit as resolve_slot and step_soc do
+    on a one-slot state; the clamp and sums are Python's min/max and
+    left-to-right sum, and the policy reads the raw values."""
+    rng = np.random.default_rng(seed)
+    pv, load = _device_day(rng, config.pv), _device_day(rng, config.loads)
+    if rule:  # its generator rule takes no negative demand
+        pv, load = np.where(pv < 0.0, -pv, pv), np.where(load < 0.0, -load, load)
+    # SeriesSet rejects negative values when built; writing them afterwards
+    # reaches the lower clamp of the slot inputs.
+    series = SeriesSet(np.abs(pv)[:, None, :], np.abs(load)[:, None, :], ("d0",))
+    series.pv[:, 0], series.load[:, 0] = pv, load
+    table = make_forecasts(series, ForecastModel(0, 0), 4, rng,
+                           list(config.pv), list(config.loads))
+    onset, duration = outage or (SLOTS_PER_DAY, 0)
+    env = MicrogridEnv(config, series, table,
+                       OutageSettings(peak_prob=0.0) if outage is None else
+                       OutageSettings(forced_onset=onset, forced_duration=duration),
+                       horizon=4)
+    mask = fleet_mask(config.ess)
+    policy = RulePolicy(config) if rule else (
+        lambda obs, state: mask(rng.uniform(-1, 1, len(state.soc)), state.soc)[0])
+    obs = env.reset(0, np.random.default_rng(seed))
+    soc = [config.initial_soc] * len(config.ess)
+    for t in range(SLOTS_PER_DAY):
+        state = env.state()
+        assert repr(state.pv_now) == repr(pv[:, t].tolist())
+        assert repr(state.load_now) == repr(load[:, t].tolist())
+        commands = np.asarray(policy(obs, state), dtype=float).tolist()
+        result, _, obs, _ = env.step(commands)
+
+        one = day_inputs(config, pv[:, t:t + 1], load[:, t:t + 1])
+        for raw, specs, now, total in ((pv, config.pv, one.pv[0], one.pv_sum[0]),
+                                       (load, config.loads, one.load[0],
+                                        one.load_sum[0])):
+            clamped = tuple(min(max(p, 0.0), s.p_max)
+                            for p, s in zip(raw[:, t].tolist(), specs))
+            assert repr(now) == repr(clamped)
+            assert repr(total) == repr(sum(clamped))
+        hand = SimState(list(soc), not onset <= t < onset + duration, one, 0)
+        assert repr(result) == repr(resolve_slot(config, hand, commands))
+        soc = [step_soc(s, x, p, SLOT_HOURS).soc
+               for s, x, p in zip(config.ess, soc, result.p_ess)]
+        assert repr(env.record.soc_trace[t + 1]) == repr(soc)
