@@ -18,7 +18,6 @@ from .grid import (
     SLOT_HOURS,
     EssArrays,
     MicrogridConfig,
-    SimState,
     day_inputs,
     dispatch_generators,
     mask_bounds,
@@ -42,14 +41,15 @@ class RulePolicy:
         self.config = config
         self.ess_limits = EssArrays.of(config.ess)
 
-    def __call__(self, obs: Observation, state: SimState) -> np.ndarray:
-        soc = np.array(state.soc)
-        low, up = mask_bounds(self.ess_limits, soc, SLOT_HOURS)
-        if state.connected:
-            raw = (RULE_TARGET_SOC - soc) * self.ess_limits.energy_cap / SLOT_HOURS
+    def __call__(self, obs: Observation) -> np.ndarray:
+        low, up = mask_bounds(self.ess_limits, obs.soc, SLOT_HOURS)
+        if obs.connected:
+            raw = (RULE_TARGET_SOC - obs.soc) * self.ess_limits.energy_cap / SLOT_HOURS
             return np.minimum(np.maximum(raw, low), up)
-        load_sum = sum(state.load_now)
-        pv_sum = sum(state.pv_now)
+        now = obs.window[:, 0].tolist()  # the slot's raw values, PV rows first
+        n_pv = len(self.config.pv)
+        load_sum = sum(now[n_pv:])
+        pv_sum = sum(now[:n_pv])
         gen_sum = sum(dispatch_generators(self.config.generators, load_sum))
         residual = max(load_sum - pv_sum - gen_sum, 0.0)
         headroom = -low
@@ -67,7 +67,7 @@ class TrainedPolicy:
         self.trainer = trainer
         self._day: DayEncoding | None = None
 
-    def __call__(self, obs: Observation, state: SimState) -> np.ndarray:
+    def __call__(self, obs: Observation) -> np.ndarray:
         if self._day is None or self._day.windows is not obs.windows:
             self._day = DayEncoding(self.trainer.encoder, obs.windows)
         pis = self.trainer.raw_policy(obs.soc, obs.counter,
@@ -119,18 +119,18 @@ def dp_oracle(config: MicrogridConfig, pv: np.ndarray, load: np.ndarray,
     resolves without corrective scaling, so every evaluated transition is
     exactly replayable through the slot physics.
     """
-    inputs = day_inputs(config, pv, load)
-    result = _dp_cost(config, inputs, outage, grid_points)
+    inputs = day_inputs(config, pv, load, grid_tie(outage)[:np.shape(pv)[1]])
+    result = _dp_cost(config, inputs, grid_points)
     if refine:
-        fine = _dp_cost(config, inputs, outage, 2 * grid_points - 1)
+        fine = _dp_cost(config, inputs, 2 * grid_points - 1)
         result.delta_grid = max(result.cost - fine.cost, 0.0)
     return result
 
 
-def _dp_cost(config, inputs, outage, grid_points) -> DpResult:
+def _dp_cost(config, inputs, grid_points) -> DpResult:
     costs = config.costs
     n_ess = len(config.ess)
-    pv_sum, load_sum = inputs.pv_sum, inputs.load_sum
+    connected, pv_sum, load_sum = inputs.connected, inputs.pv_sum, inputs.load_sum
     slots = len(load_sum)
 
     grids = [np.linspace(s.soc_min, s.soc_max, grid_points) for s in config.ess]
@@ -169,7 +169,6 @@ def _dp_cost(config, inputs, outage, grid_points) -> DpResult:
 
     gen_sum = [sum(dispatch_generators(config.generators, l)) for l in load_sum]
 
-    connected = grid_tie(outage)
     wear = costs.lambda_ess * dis * SLOT_HOURS
     value = np.zeros(n_states)
     policy = np.zeros((slots, n_states), dtype=np.int32)

@@ -13,7 +13,7 @@ YAML schema (all sections optional, defaults apply):
       costs: {ess: 0.2, gen: 0.5, grid: 0.3, load: 1.5}
       ess:        [{id, p_min, p_max, energy_cap, soc_min, soc_max,
                     eff_charge, eff_discharge, bus}, ...]
-      generators: [{id, p_min, p_max, bus}, ...]
+      generators: [{id, p_max, bus}, ...]
       pv:         [{id, p_max, bus}, ...]
       loads:      [{id, p_max, bus}, ...]
     outage:
@@ -60,7 +60,7 @@ import copy
 import functools
 import math
 from dataclasses import asdict, fields
-from typing import Any
+from typing import Any, Collection
 
 import yaml
 
@@ -124,8 +124,7 @@ def default_dict() -> dict[str, Any]:
                 for i, lo, hi, cap, bus in ESS_TABLE
             ],
             "generators": [
-                {"id": i, "p_min": 0.0, "p_max": p, "bus": bus}
-                for i, p, bus in GEN_TABLE
+                {"id": i, "p_max": p, "bus": bus} for i, p, bus in GEN_TABLE
             ],
             "pv": [{"id": i, "p_max": p, "bus": bus} for i, p, bus in PV_TABLE],
             "loads": [{"id": i, "p_max": p, "bus": bus} for i, p, bus in LOAD_TABLE],
@@ -280,27 +279,40 @@ def _validate(cfg: dict[str, Any], problems: list[str], split: bool) -> None:
     if not bad.keys() & {"train.episodes", "train.warmup_steps"} \
             and train["warmup_steps"] >= train["episodes"] * SLOTS_PER_DAY:
         problems.append("train.warmup_steps: must be below total environment steps")
-    if not any(path.startswith("microgrid.") for path in bad):
+    try:
+        build_microgrid(cfg, bad)
+    except ConfigError as exc:
+        problems.extend(exc.problems)
+
+
+FLEET = {"ess": EssSpec, "generators": GeneratorSpec, "pv": PvSpec, "loads": LoadSpec}
+
+
+def build_microgrid(cfg: dict[str, Any], bad: Collection[str] = ()) -> MicrogridConfig:
+    """The fleet objects of a resolved config dict. Each fleet entry not
+    mistyped in ``bad`` is built on its own; then, if nothing under
+    ``microgrid`` is mistyped, the fleet as a whole is checked. The
+    ConfigError names every failing entry (bad value, missing or unknown key) by path."""
+    mg, problems = cfg["microgrid"], []
+    units: dict[str, list] = {kind: [] for kind in FLEET}
+    for kind, spec in FLEET.items():
+        for i, entry in enumerate([] if f"microgrid.{kind}" in bad else mg[kind]):
+            path = f"microgrid.{kind}[{i}]"
+            if any(f"{p}.".startswith(f"{path}.") for p in bad):
+                continue
+            try:
+                units[kind].append(spec(**entry))
+            except (TypeError, ValueError) as exc:
+                problems.append(f"{path}: {exc}")
+    mistyped = any(path.startswith("microgrid.") for path in bad)
+    if not mistyped:
         try:
-            build_microgrid(cfg)
-        except (ValueError, KeyError, TypeError) as exc:
+            fleet = MicrogridConfig(
+                **{kind: tuple(u) for kind, u in units.items()},
+                costs=CostParams(**{f"lambda_{k}": v for k, v in mg["costs"].items()}),
+                initial_soc=mg["initial_soc"])
+        except (TypeError, ValueError) as exc:
             problems.append(f"microgrid: {exc}")
-
-
-def build_microgrid(cfg: dict[str, Any]) -> MicrogridConfig:
-    """Instantiate the validated fleet objects from a resolved config dict."""
-    mg = cfg["microgrid"]
-    costs = CostParams(
-        lambda_ess=mg["costs"]["ess"],
-        lambda_gen=mg["costs"]["gen"],
-        lambda_grid=mg["costs"]["grid"],
-        lambda_load=mg["costs"]["load"],
-    )
-    return MicrogridConfig(
-        ess=tuple(EssSpec(**e) for e in mg["ess"]),
-        generators=tuple(GeneratorSpec(**g) for g in mg["generators"]),
-        pv=tuple(PvSpec(**p) for p in mg["pv"]),
-        loads=tuple(LoadSpec(**l) for l in mg["loads"]),
-        costs=costs,
-        initial_soc=mg["initial_soc"],
-    )
+    if problems or mistyped:
+        raise ConfigError(problems)
+    return fleet

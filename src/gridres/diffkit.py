@@ -257,23 +257,22 @@ class AdamState:
                    v={k: np.zeros_like(p) for k, p in params.items()})
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One adaptive-moment update, in place. Keys missing from ``grads`` are
-    treated as zero gradient (moments still decay)."""
+              state: AdamState, lr: float) -> None:
+    """One adaptive-moment update, in place; ``grads`` has every key of ``params``."""
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for key, p in params.items():
-        g = grads.get(key)
-        if g is None:
-            g = 0.0
-        state.m[key] = beta1 * state.m[key] + (1.0 - beta1) * g
-        state.v[key] = beta2 * state.v[key] + (1.0 - beta2) * np.square(g)
+        g = grads[key]
+        state.m[key] = ADAM_BETA1 * state.m[key] + (1.0 - ADAM_BETA1) * g
+        state.v[key] = ADAM_BETA2 * state.v[key] + (1.0 - ADAM_BETA2) * np.square(g)
         m_hat = state.m[key] / bc1
         v_hat = state.v[key] / bc2
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def soft_update(target: dict[str, np.ndarray], source: dict[str, np.ndarray],

@@ -1,16 +1,17 @@
 """Episode environment: one simulated day of ``SLOTS_PER_DAY`` slots.
 
-Owns the SoC trajectory, the day's schedule and the data cursors. The
-policies see (per-ESS SoC, slots-to-risk-peak counter, forecast window) and
-command ESS powers in MW; generators, shedding and the grid tie resolve
-automatically. Outages are drawn once per episode at reset, so the agent
-knows the risk profile but not the actual onset.
+Owns the SoC trajectory, the day's schedule and the data cursors. Each slot
+a policy is given one :class:`Observation` (per-ESS SoC, slots-to-risk-peak
+counter, grid tie, and the forecast window whose column 0 is the slot's raw
+device values) and commands ESS powers in MW; generators, shedding and the
+grid tie resolve automatically. The learners' features leave the tie out
+(``maddpg.features``). Outages are drawn once per episode at reset, so the
+agent knows the risk profile but not the actual onset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .grid import (
     SLOTS_PER_DAY,
     DispatchResult,
     MicrogridConfig,
-    SimState,
     day_inputs,
     resolve_slot,
     reward_for_agent,
@@ -36,6 +36,7 @@ class Observation:
     counter: int  # slots until the primary risk peak, same for all agents
     slot: int  # the slot whose window this is; 95 on the terminal observation
     windows: np.ndarray  # the day's (SLOTS_PER_DAY, devices, horizon) stack
+    connected: bool  # this slot's grid tie
 
     @property
     def window(self) -> np.ndarray:
@@ -53,10 +54,6 @@ class OutageSettings:
     forced_onset: int | None = None
     forced_duration: int | None = None
     forced_peak_slot: int | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "OutageSettings":
-        return cls(**d)
 
 
 @dataclass
@@ -88,10 +85,7 @@ class MicrogridEnv:
         self.outage_cfg = outage_cfg
         self.horizon = horizon
         self.n_agents = config.n_agents
-        self._slot = 0
-        self._soc = [config.initial_soc] * self.n_agents
-        self._windows: np.ndarray | None = None
-        self._state: SimState | None = None
+        self._slot = SLOTS_PER_DAY  # no episode before the first reset
         self.record: EpisodeRecord | None = None
 
     @property
@@ -104,12 +98,9 @@ class MicrogridEnv:
             raise IndexError(f"day {day} outside dataset of {self.series.n_days}")
         self._slot = 0
         self._soc = [self.config.initial_soc] * self.n_agents
-        self._state = None
         # A new array every day: policies key their per-day encoding on it.
         self._windows = build_window(self.series, self.forecasts, day,
                                      self.horizon)
-        self._inputs = day_inputs(self.config, self.series.pv[:, day],
-                                  self.series.load[:, day])
         cfg = self.outage_cfg
         if cfg.forced_onset is not None:
             duration = cfg.forced_duration or cfg.duration_range[0]
@@ -126,7 +117,8 @@ class MicrogridEnv:
             peak_slot = profile.peak_slot
         t = np.arange(SLOTS_PER_DAY)
         onset, _ = outage or (SLOTS_PER_DAY, 0)
-        self._tie = grid_tie(outage).tolist()
+        self._inputs = day_inputs(self.config, self.series.pv[:, day],
+                                  self.series.load[:, day], grid_tie(outage))
         # Slots left until the primary risk peak; zero from the onset on.
         self._counters = np.where(t < onset, np.maximum(peak_slot - t, 0),
                                   0).tolist()
@@ -141,29 +133,21 @@ class MicrogridEnv:
             counter=self._counters[slot],
             slot=slot,
             windows=self._windows,
+            connected=self._inputs.connected[slot],
         )
-
-    def state(self) -> SimState:
-        """The current slot's state, built once per slot: ``step`` resolves
-        the same object a policy was given."""
-        if self._state is None:
-            self._state = SimState(list(self._soc), self._tie[self._slot],
-                                   self._inputs, self._slot)
-        return self._state
 
     def step(self, commands_mw: np.ndarray):
         """Resolve the current slot. Returns
         (result, rewards, next_observation, done)."""
         if self._slot >= SLOTS_PER_DAY:
-            raise RuntimeError("episode is over; call reset")
-        state = self.state()
-        result = resolve_slot(self.config, state, np.asarray(commands_mw, float).tolist())
+            raise RuntimeError("no episode in progress; call reset")
+        result = resolve_slot(self.config, self._inputs, self._slot,
+                              np.asarray(commands_mw, float).tolist())
         rewards = np.array([reward_for_agent(n, result, self.config.costs)
                             for n in range(self.n_agents)])
         self._soc = [step_soc(spec, soc, p, SLOT_HOURS).soc
                      for spec, soc, p in zip(self.config.ess, self._soc, result.p_ess)]
         self._slot += 1
-        self._state = None
         done = self._slot >= SLOTS_PER_DAY
         self.record.results.append(result)
         self.record.soc_trace.append(list(self._soc))

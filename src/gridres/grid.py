@@ -58,13 +58,12 @@ class EssSpec:
 @dataclass(frozen=True)
 class GeneratorSpec:
     id: str
-    p_min: float
     p_max: float
     bus: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p_min <= self.p_max:
-            raise ValueError(f"{self.id}: need 0 <= p_min <= p_max")
+        if self.p_max < 0.0:
+            raise ValueError(f"{self.id}: p_max must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -120,9 +119,10 @@ class MicrogridConfig:
             raise ValueError("at least one ESS is required")
         if not self.loads:
             raise ValueError("at least one load is required")
-        for spec in self.ess:
-            if not spec.soc_min <= self.initial_soc <= spec.soc_max:
-                raise ValueError(f"initial_soc {self.initial_soc} outside {spec.id} SoC window")
+        outside = [s.id for s in self.ess if not s.soc_min <= self.initial_soc <= s.soc_max]
+        if outside:
+            raise ValueError(f"initial_soc {self.initial_soc} outside the SoC window of "
+                             f"{', '.join(outside)}")
 
     @property
     def n_agents(self) -> int:
@@ -130,50 +130,32 @@ class MicrogridConfig:
 
 
 class DayInputs(NamedTuple):
-    """Each slot's device inputs: raw for policies, clamped and summed for pricing."""
+    """The day's exogenous schedule: each slot's grid tie, and its device
+    inputs clamped to their limits and summed for pricing."""
 
-    pv_raw: list[list[float]]
+    connected: list[bool]
     pv: list[tuple[float, ...]]
     pv_sum: list[float]
-    load_raw: list[list[float]]
     load: list[tuple[float, ...]]
     load_sum: list[float]
 
 
-def day_inputs(config: MicrogridConfig, pv: np.ndarray,
-               load: np.ndarray) -> DayInputs:
+def day_inputs(config: MicrogridConfig, pv: np.ndarray, load: np.ndarray,
+               connected: Sequence[bool]) -> DayInputs:
     """Clamp and sum (devices, slots) PV and load arrays once for all slots,
     bit for bit as ``min(max(p, 0.0), p_max)`` and a left-to-right ``sum``
     per slot: ``np.where`` keeps -0.0 as ``max`` does (``np.maximum`` does
     not), and ``sum`` adds device rows in order, never pairwise."""
     pv, load = np.asarray(pv, dtype=float), np.asarray(load, dtype=float)
-    if pv.shape[1] != load.shape[1]:
-        raise ValueError("pv and load must cover the same slots")
-    fields = []
+    if not pv.shape[1] == load.shape[1] == len(connected):
+        raise ValueError("pv, load and connected must cover the same slots")
+    fields = [np.asarray(connected, dtype=bool).tolist()]
     for raw, specs in ((pv, config.pv), (load, config.loads)):
         caps = np.array([s.p_max for s in specs])[:, None]
         clamped = np.minimum(np.where(raw < 0.0, 0.0, raw), caps)
-        fields += [raw.T.tolist(), list(map(tuple, clamped.T.tolist())),
+        fields += [list(map(tuple, clamped.T.tolist())),
                    sum(clamped, np.zeros(raw.shape[1])).tolist()]
     return DayInputs(*fields)
-
-
-@dataclass
-class SimState:
-    """Per-slot dynamic state owned by exactly one episode at a time."""
-
-    soc: list[float]
-    connected: bool
-    inputs: DayInputs  # this slot's device inputs are row ``slot``
-    slot: int
-
-    @property
-    def pv_now(self) -> list[float]:  # raw, as the data gives it
-        return self.inputs.pv_raw[self.slot]
-
-    @property
-    def load_now(self) -> list[float]:  # raw, as the data gives it
-        return self.inputs.load_raw[self.slot]
 
 
 class CostBreakdown(NamedTuple):
@@ -268,9 +250,9 @@ def dispatch_generators(gens: Sequence[GeneratorSpec], total_load: float) -> lis
     return [total_load * g.p_max / cap_sum for g in gens]
 
 
-def resolve_slot(config: MicrogridConfig, state: SimState,
+def resolve_slot(config: MicrogridConfig, inputs: DayInputs, slot: int,
                  ess_commands: Sequence[float]) -> DispatchResult:
-    """Resolve all powers for one slot and price them.
+    """Resolve all powers for slot ``slot`` of a day and price them.
 
     Connected mode: generators stay idle (grid energy is cheaper than diesel)
     and the grid tie closes the balance as a signed slack. Islanded mode:
@@ -295,12 +277,12 @@ def resolve_slot(config: MicrogridConfig, state: SimState,
                 f"{spec.id}: command {cmd} outside [{spec.p_min}, {spec.p_max}]")
         p_ess.append(min(max(cmd, spec.p_min), spec.p_max))
 
-    inputs, t = state.inputs, state.slot
-    pv_sum, load_sum = inputs.pv_sum[t], inputs.load_sum[t]
+    connected = inputs.connected[slot]
+    pv_sum, load_sum = inputs.pv_sum[slot], inputs.load_sum[slot]
     ess_net = sum(p_ess)
 
     alpha = pv_curtailed = 0.0
-    if state.connected:
+    if connected:
         p_gen, gen_sum = [0.0] * len(config.generators), 0.0
         p_grid = load_sum + ess_net - pv_sum
     else:
@@ -332,16 +314,16 @@ def resolve_slot(config: MicrogridConfig, state: SimState,
     pv_used = pv_sum - pv_curtailed
     residual = (1.0 - alpha) * load_sum - pv_used + ess_net - gen_sum - p_grid
 
-    breakdown = price_slot(config.costs, p_ess, p_gen, p_grid, alpha, inputs.load[t])
+    breakdown = price_slot(config.costs, p_ess, p_gen, p_grid, alpha, inputs.load[slot])
     return DispatchResult(
         p_ess=tuple(p_ess),
         p_gen=tuple(p_gen),
         p_grid=p_grid,
         alpha=alpha,
-        p_load=inputs.load[t],
-        p_pv=inputs.pv[t],
+        p_load=inputs.load[slot],
+        p_pv=inputs.pv[slot],
         pv_curtailed=pv_curtailed,
-        connected=state.connected,
+        connected=connected,
         balance_residual=residual,
         cost_total=sum(breakdown),
         cost_breakdown=breakdown,

@@ -113,7 +113,7 @@ def build_dataset(cfg: dict[str, Any], data_rng: np.random.Generator) -> Dataset
 
 def build_env(cfg: dict[str, Any], dataset: Dataset) -> MicrogridEnv:
     return MicrogridEnv(build_microgrid(cfg), dataset.series, dataset.forecasts,
-                        OutageSettings.from_dict(cfg["outage"]),
+                        OutageSettings(**cfg["outage"]),
                         horizon=cfg["data"]["window"])
 
 
@@ -188,12 +188,14 @@ def train_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
 
 
 def read_run(run_dir: str | Path) -> tuple[dict[str, Any], int, str]:
-    """Config, seed and method of a training run directory. Train keys that
-    earlier versions wrote are dropped; another slot length is refused, since
-    evaluating at 15-minute slots would silently change its physics."""
+    """Config, seed and method of a training run directory. Keys that earlier
+    versions wrote (train keys, generators' ``p_min``) are dropped; another
+    slot length is refused, as 15-minute slots would silently change its physics."""
     manifest = read_manifest(Path(run_dir))
     cfg = manifest["config"]
     cfg["train"] = {f.name: cfg["train"][f.name] for f in fields(TrainSettings)}
+    for gen in cfg["microgrid"]["generators"]:
+        gen.pop("p_min", None)
     slot_hours = cfg["microgrid"].pop("slot_hours", SLOT_HOURS)
     if slot_hours != SLOT_HOURS:
         raise ConfigError([f"{run_dir}: microgrid.slot_hours {slot_hours} differs "
@@ -223,7 +225,7 @@ def run_days(env: MicrogridEnv, policy: Callable, days: Sequence[int],
         obs = env.reset(int(day), env_rng)
         done = False
         while not done:
-            cmds = np.asarray(policy(obs, env.state()), dtype=float).copy()
+            cmds = np.asarray(policy(obs), dtype=float).copy()
             if fail_agents:
                 cmds[:fail_agents] = 0.0
             _, _, obs, done = env.step(cmds)

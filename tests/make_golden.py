@@ -63,7 +63,7 @@ def _dp_digests() -> dict[str, str]:
     config = MicrogridConfig(
         ess=(EssSpec(id="E1", p_min=-1.5, p_max=1.5, energy_cap=4.0,
                      soc_min=0.1, soc_max=0.9),),
-        generators=(GeneratorSpec(id="G1", p_min=0.0, p_max=1.0),),
+        generators=(GeneratorSpec(id="G1", p_max=1.0),),
         pv=(PvSpec(id="PV1", p_max=2.0),),
         loads=(LoadSpec(id="L1", p_max=2.0), LoadSpec(id="L2", p_max=1.0)),
         costs=CostParams(),

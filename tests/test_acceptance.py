@@ -22,7 +22,6 @@ from gridres.grid import (
     LoadSpec,
     MicrogridConfig,
     PvSpec,
-    SimState,
     day_inputs,
     mask_bounds,
     resolve_slot,
@@ -76,8 +75,8 @@ class TestCriterion1PhysicsExactness:
 
         config = MicrogridConfig(
             ess=ESS_FLEET[:2],
-            generators=(GeneratorSpec(id="G1", p_min=0.0, p_max=2.0),
-                        GeneratorSpec(id="G2", p_min=0.0, p_max=1.0)),
+            generators=(GeneratorSpec(id="G1", p_max=2.0),
+                        GeneratorSpec(id="G2", p_max=1.0)),
             pv=(PvSpec(id="PV1", p_max=4.0),),
             loads=(LoadSpec(id="L1", p_max=6.0),),
             costs=CostParams(),
@@ -89,10 +88,9 @@ class TestCriterion1PhysicsExactness:
         cmds = fleet_mask(config.ess)(rng.uniform(-1, 1, size=(n, 2)), 0.5)
         worst_residual = 0.0
         bad = 0
-        inputs = day_inputs(config, pv[None, :], load[None, :])
+        inputs = day_inputs(config, pv[None, :], load[None, :], connected)
         for i in range(n):
-            state = SimState([0.5, 0.5], bool(connected[i]), inputs, i)
-            result = resolve_slot(config, state, list(cmds[i]))
+            result = resolve_slot(config, inputs, i, list(cmds[i]))
             worst_residual = max(worst_residual, abs(result.balance_residual))
             if not 0.0 <= result.alpha <= 1.0:
                 bad += 1
@@ -255,7 +253,7 @@ def small_scenario(seed: int, n_ess: int = 1):
                    soc_min=0.1, soc_max=0.9))[:n_ess]
     config = MicrogridConfig(
         ess=tuple(ess),
-        generators=(GeneratorSpec(id="G1", p_min=0.0, p_max=1.0),),
+        generators=(GeneratorSpec(id="G1", p_max=1.0),),
         pv=(PvSpec(id="PV1", p_max=2.0),),
         loads=(LoadSpec(id="L1", p_max=2.0), LoadSpec(id="L2", p_max=1.0)),
         costs=CostParams(),

@@ -11,7 +11,7 @@ from gridres.baselines import (
     dp_oracle,
 )
 from gridres.dataio import ForecastModel, SeriesSet, make_forecasts, synth_generator
-from gridres.env import MicrogridEnv, OutageSettings
+from gridres.env import MicrogridEnv, Observation, OutageSettings
 from gridres.grid import (
     SLOT_HOURS,
     CostParams,
@@ -21,7 +21,6 @@ from gridres.grid import (
     LoadSpec,
     MicrogridConfig,
     PvSpec,
-    SimState,
     day_inputs,
     mask_bounds,
     resolve_slot,
@@ -34,7 +33,7 @@ def one_ess_config(energy_cap=1.0):
     return MicrogridConfig(
         ess=(EssSpec(id="E1", p_min=-2.0, p_max=2.0, energy_cap=energy_cap,
                      soc_min=0.1, soc_max=0.9),),
-        generators=(GeneratorSpec(id="G1", p_min=0.0, p_max=1.0),),
+        generators=(GeneratorSpec(id="G1", p_max=1.0),),
         pv=(PvSpec(id="PV1", p_max=2.0),),
         loads=(LoadSpec(id="L1", p_max=2.5),),
         costs=CostParams(),
@@ -54,35 +53,29 @@ def two_ess_config():
     )
 
 
-def obs_stub():
-    return None  # the rule policy ignores the learned observation
-
-
-def slot_state(config, soc, connected, pv, load):
-    """A one-slot state of a one-PV, one-load fleet."""
-    return SimState(soc=soc, connected=connected,
-                    inputs=day_inputs(config, [[pv]], [[load]]), slot=0)
+def slot_obs(soc, connected, pv, load):
+    """A one-slot observation of a one-PV, one-load fleet: the rule policy
+    reads the SoC, the tie and the window's column 0 (PV rows, then loads)."""
+    return Observation(soc=np.array(soc), counter=0, slot=0,
+                       windows=np.array([[[pv], [load]]]), connected=connected)
 
 
 class TestRulePolicy:
     def test_setpoint_reached_means_idle(self):
         config = one_ess_config()
         policy = RulePolicy(config)
-        state = slot_state(config, [0.5], True, pv=0.0, load=1.0)
-        assert policy(obs_stub(), state)[0] == 0.0
+        assert policy(slot_obs([0.5], True, pv=0.0, load=1.0))[0] == 0.0
 
     def test_below_setpoint_charges(self):
         config = one_ess_config()
         policy = RulePolicy(config)
-        state = slot_state(config, [0.3], True, pv=0.0, load=1.0)
-        assert policy(obs_stub(), state)[0] > 0.0
+        assert policy(slot_obs([0.3], True, pv=0.0, load=1.0))[0] > 0.0
 
     def test_islanded_proportional_headroom_split(self):
         config = two_ess_config()
         policy = RulePolicy(config)
         # Both units mid-range: headrooms are the power limits 2 and 1.
-        state = slot_state(config, [0.5, 0.5], False, pv=0.0, load=1.0)
-        cmds = policy(obs_stub(), state)
+        cmds = policy(slot_obs([0.5, 0.5], False, pv=0.0, load=1.0))
         assert cmds == pytest.approx([-2.0 / 3.0, -1.0 / 3.0])
 
     def test_commands_always_inside_mask(self):
@@ -93,9 +86,8 @@ class TestRulePolicy:
         for _ in range(300):
             socs = list(rng.uniform(0.1, 0.9, size=2))
             connected = bool(rng.integers(2))
-            state = slot_state(config, socs, connected, pv=rng.uniform(0, 2),
-                               load=rng.uniform(0, 2.5))
-            cmds = policy(obs_stub(), state)
+            cmds = policy(slot_obs(socs, connected, pv=rng.uniform(0, 2),
+                                   load=rng.uniform(0, 2.5)))
             low, up = mask_bounds(limits, np.array(socs), SLOT_HOURS)
             assert (low - 1e-12 <= cmds).all() and (cmds <= up + 1e-12).all()
 
@@ -114,10 +106,7 @@ class TestRulePolicy:
         devs = []
         done = False
         while not done:
-            state = env.state()
-            _, _, obs, done = env.step(policy(obs, state))
-            if env.record.results[-1].connected and len(devs) >= 8:
-                pass
+            _, _, obs, done = env.step(policy(obs))
             devs.append(abs(env._soc[0] - 0.5))
         assert float(np.mean(devs[8:])) < 0.05
 
@@ -151,7 +140,8 @@ class TestDpOracle:
             eff = spec.eff_charge if soc_to > soc_from else spec.eff_discharge
             return (soc_to - soc_from) * spec.energy_cap / (eff * dt)
 
-        inputs = day_inputs(config, pv, load)
+        tie = [not outage[0] <= t < outage[0] + outage[1] for t in range(slots)]
+        inputs = day_inputs(config, pv, load, tie)
         best = np.inf
         start = grid[np.argmin(np.abs(grid - config.initial_soc))]
         for path in itertools.product(range(3), repeat=slots):
@@ -165,9 +155,7 @@ class TestDpOracle:
                 if not low - 1e-12 <= p <= up + 1e-12:
                     feasible = False
                     break
-                connected = not (outage[0] <= t < outage[0] + outage[1])
-                state = SimState([soc], connected, inputs, t)
-                result = resolve_slot(config, state, [p])
+                result = resolve_slot(config, inputs, t, [p])
                 if abs(result.p_ess[0] - p) > 1e-9:
                     feasible = False  # slot physics had to rescale the command
                     break
@@ -257,7 +245,7 @@ class TestDpOracle:
         obs = env.reset(0, np.random.default_rng(11))
         done = False
         while not done:
-            _, _, obs, done = env.step(policy(obs, env.state()))
+            _, _, obs, done = env.step(policy(obs))
         assert out.cost <= env.record.cost + out.delta_grid + 1e-9
 
 
@@ -282,7 +270,7 @@ class TestTrainedPolicy:
             obs = env.reset(day, rng)
             done = False
             while not done:
-                got = policy(obs, env.state())
+                got = policy(obs)
                 v = trainer.encoder.forward(obs.window[None])[0][0]
                 pis = trainer.raw_policy(obs.soc, obs.counter, v)
                 want = trainer.apply_mask(pis, obs.soc)[0][0]
@@ -306,7 +294,7 @@ class TestDdpgBaseline:
         assert trainer.groups[0].ess_indices == (0, 1)
         obs = env.reset(0, np.random.default_rng(15))
         policy = TrainedPolicy(trainer)
-        cmds = policy(obs, env.state())
+        cmds = policy(obs)
         assert cmds.shape == (2,)
 
     def test_smoke_training(self):

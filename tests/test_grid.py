@@ -12,7 +12,6 @@ from gridres.grid import (
     MicrogridConfig,
     PvSpec,
     SLOT_HOURS,
-    SimState,
     day_inputs,
     dispatch_generators,
     price_slot,
@@ -28,7 +27,7 @@ def ess(p_min=-2.0, p_max=2.0, cap=6.0, eff_ch=0.999, eff_dis=1.001, **kw):
                    eff_discharge=eff_dis, **kw)
 
 
-TABLE_GENS = [GeneratorSpec(id=f"G{i}", p_min=0.0, p_max=p)
+TABLE_GENS = [GeneratorSpec(id=f"G{i}", p_max=p)
               for i, p in enumerate([2.0, 1.0, 1.0, 1.0, 1.0])]
 
 
@@ -42,10 +41,9 @@ def small_config(n_ess=1, gens=True):
     )
 
 
-def make_state(cfg, connected, pv, load, soc=0.5):
-    """A one-slot state of a one-PV, one-load fleet."""
-    return SimState(soc=[soc] * len(cfg.ess), connected=connected,
-                    inputs=day_inputs(cfg, [[pv]], [[load]]), slot=0)
+def slot_inputs(cfg, connected, pv, load):
+    """The inputs of a one-slot day of a one-PV, one-load fleet."""
+    return day_inputs(cfg, [[pv]], [[load]], [connected])
 
 
 class TestStepSoc:
@@ -117,18 +115,18 @@ class TestDispatchGenerators:
             load = rng.uniform(0.0, 12.0)
             out = dispatch_generators(TABLE_GENS, load)
             for p, g in zip(out, TABLE_GENS):
-                assert g.p_min - 1e-12 <= p <= g.p_max + 1e-12
+                assert -1e-12 <= p <= g.p_max + 1e-12
             assert sum(out) == pytest.approx(min(6.0, load))
 
 
 def islanded(load, ess_cmd, pv, gen_cap=None):
     """One islanded slot; a generator of ``gen_cap`` MW runs flat out when
     the load exceeds it, so the supply terms can be set independently."""
-    gens = (GeneratorSpec(id="G", p_min=0.0, p_max=gen_cap),) if gen_cap else ()
+    gens = (GeneratorSpec(id="G", p_max=gen_cap),) if gen_cap else ()
     cfg = MicrogridConfig(ess=(ess(),), generators=gens,
                           pv=(PvSpec(id="PV1", p_max=10.0),),
                           loads=(LoadSpec(id="L1", p_max=10.0),))
-    return resolve_slot(cfg, make_state(cfg, False, pv=pv, load=load), [ess_cmd])
+    return resolve_slot(cfg, slot_inputs(cfg, False, pv=pv, load=load), 0, [ess_cmd])
 
 
 class TestComputeShedding:
@@ -157,7 +155,7 @@ class TestComputeShedding:
 class TestResolveSlot:
     def test_connected_grid_closes_balance(self):
         cfg = small_config()
-        out = resolve_slot(cfg, make_state(cfg, True, pv=1.0, load=4.0), [1.0])
+        out = resolve_slot(cfg, slot_inputs(cfg, True, pv=1.0, load=4.0), 0, [1.0])
         assert out.p_grid == pytest.approx(4.0)
         assert out.alpha == 0.0
         assert out.p_gen == (0.0,) * 5
@@ -165,7 +163,7 @@ class TestResolveSlot:
 
     def test_islanded_all_zero(self):
         cfg = small_config()
-        out = resolve_slot(cfg, make_state(cfg, False, pv=0.0, load=0.0), [0.0])
+        out = resolve_slot(cfg, slot_inputs(cfg, False, pv=0.0, load=0.0), 0, [0.0])
         assert out.p_grid == 0.0
         assert out.alpha == 0.0
         assert out.p_ess == (0.0,)
@@ -173,7 +171,7 @@ class TestResolveSlot:
 
     def test_islanded_chained_with_curtailment(self):
         cfg = small_config()
-        out = resolve_slot(cfg, make_state(cfg, False, pv=2.0, load=5.0), [1.0])
+        out = resolve_slot(cfg, slot_inputs(cfg, False, pv=2.0, load=5.0), 0, [1.0])
         # Generators split 5 MW proportionally, PV surplus of 1 MW curtailed.
         assert sum(out.p_gen) == pytest.approx(5.0)
         assert out.alpha == 0.0
@@ -183,14 +181,14 @@ class TestResolveSlot:
     def test_command_out_of_bounds_raises(self):
         cfg = small_config()
         with pytest.raises(DispatchError):
-            resolve_slot(cfg, make_state(cfg, True, 1.0, 4.0), [2.5])
+            resolve_slot(cfg, slot_inputs(cfg, True, 1.0, 4.0), 0, [2.5])
 
     def test_islanded_never_uses_grid(self):
         cfg = small_config()
         rng = np.random.default_rng(5)
         for _ in range(200):
-            st = make_state(cfg, False, pv=rng.uniform(0, 10), load=rng.uniform(0, 10))
-            out = resolve_slot(cfg, st, [rng.uniform(-2, 2)])
+            day = slot_inputs(cfg, False, pv=rng.uniform(0, 10), load=rng.uniform(0, 10))
+            out = resolve_slot(cfg, day, 0, [rng.uniform(-2, 2)])
             assert out.p_grid == 0.0
             assert 0.0 <= out.alpha <= 1.0
             assert abs(out.balance_residual) <= 1e-9
@@ -198,14 +196,14 @@ class TestResolveSlot:
     def test_islanded_overcharge_scaled_back(self):
         # No PV, no load: charging demand has no source, must drop to zero.
         cfg = small_config(gens=True)
-        out = resolve_slot(cfg, make_state(cfg, False, pv=0.0, load=0.0), [1.5])
+        out = resolve_slot(cfg, slot_inputs(cfg, False, pv=0.0, load=0.0), 0, [1.5])
         assert out.p_ess[0] == pytest.approx(0.0)
         assert abs(out.balance_residual) <= 1e-9
 
     def test_islanded_stranded_discharge_scaled_back(self):
         # No load and no export path: discharge beyond PV absorption is cut.
         cfg = small_config()
-        out = resolve_slot(cfg, make_state(cfg, False, pv=0.0, load=0.0), [-1.0])
+        out = resolve_slot(cfg, slot_inputs(cfg, False, pv=0.0, load=0.0), 0, [-1.0])
         assert out.p_ess[0] == pytest.approx(0.0)
         assert abs(out.balance_residual) <= 1e-9
 
@@ -214,10 +212,10 @@ class TestResolveSlot:
         rng = np.random.default_rng(19)
         for _ in range(500):
             connected = bool(rng.integers(2))
-            st = make_state(cfg, connected, pv=rng.uniform(0, 10),
+            day = slot_inputs(cfg, connected, pv=rng.uniform(0, 10),
                             load=rng.uniform(0, 10))
             cmds = list(rng.uniform(-2, 2, size=2))
-            out = resolve_slot(cfg, st, cmds)
+            out = resolve_slot(cfg, day, 0, cmds)
             assert abs(out.balance_residual) <= 1e-9
             assert out.cost_total >= 0.0
             assert sum(out.cost_breakdown) == pytest.approx(out.cost_total, abs=1e-12)
@@ -252,13 +250,13 @@ class TestCostAndReward:
 
     def test_all_zero_slot(self):
         cfg = small_config()
-        out = resolve_slot(cfg, make_state(cfg, False, 0.0, 0.0), [0.0])
+        out = resolve_slot(cfg, slot_inputs(cfg, False, 0.0, 0.0), 0, [0.0])
         assert out.cost_total == 0.0
         assert reward_for_agent(0, out, cfg.costs) == 0.0
 
     def test_grid_import_only(self):
         cfg = small_config()
-        out = resolve_slot(cfg, make_state(cfg, True, 0.0, 4.0), [0.0])
+        out = resolve_slot(cfg, slot_inputs(cfg, True, 0.0, 4.0), 0, [0.0])
         assert out.p_grid == pytest.approx(4.0)
         assert out.cost_total == pytest.approx(0.30)
 
@@ -274,8 +272,8 @@ class TestCostAndReward:
         cfg = small_config()
         rng = np.random.default_rng(4)
         for _ in range(100):
-            st = make_state(cfg, False, pv=rng.uniform(0, 5), load=rng.uniform(0, 9))
-            out = resolve_slot(cfg, st, [rng.uniform(-2, 2)])
+            day = slot_inputs(cfg, False, pv=rng.uniform(0, 5), load=rng.uniform(0, 9))
+            out = resolve_slot(cfg, day, 0, [rng.uniform(-2, 2)])
             assert reward_for_agent(0, out, cfg.costs) <= 0.0
 
     def test_reward_equals_scaled_per_agent_cost_bit_for_bit(self):
@@ -285,9 +283,9 @@ class TestCostAndReward:
         c = cfg.costs
         rng = np.random.default_rng(5)
         for _ in range(300):
-            st = make_state(cfg, bool(rng.integers(2)), pv=rng.uniform(0, 10),
+            day = slot_inputs(cfg, bool(rng.integers(2)), pv=rng.uniform(0, 10),
                             load=rng.uniform(0, 10))
-            out = resolve_slot(cfg, st, list(rng.uniform(-2, 2, size=2)))
+            out = resolve_slot(cfg, day, 0, list(rng.uniform(-2, 2, size=2)))
             shared = (sum(c.lambda_gen * p for p in out.p_gen)
                       + c.lambda_grid * abs(out.p_grid)
                       + sum(out.alpha * c.lambda_load * p for p in out.p_load))
@@ -302,7 +300,7 @@ class TestResilienceMetric:
 
     def test_zero_shedding(self):
         cfg = small_config()
-        out = resolve_slot(cfg, make_state(cfg, True, 1.0, 4.0), [0.0])
+        out = resolve_slot(cfg, slot_inputs(cfg, True, 1.0, 4.0), 0, [0.0])
         assert out.cost_breakdown.shed == 0.0
 
     def test_single_slot_value(self):

@@ -65,6 +65,33 @@ class TestConfig:
         assert "peak_prob" in text
         assert "bogus" in text
 
+    def test_every_bad_fleet_entry_reported_by_path(self, tmp_path, capsys):
+        mg = default_dict()["microgrid"]
+        mg["ess"][0]["p_min"] = 1.0
+        mg["ess"][1]["soc_min"] = 0.95
+        mg["ess"][3]["soc_min"] = 0.6
+        mg["ess"][4]["soc_max"] = 0.4
+        mg["pv"][0]["p_max"] = -1
+        del mg["loads"][2]["p_max"]
+        overrides = {"microgrid": {k: mg[k] for k in ("ess", "pv", "loads")}}
+        expected = [
+            "microgrid.ess[0]: ESS1: need p_min < 0 < p_max, got [1.0, 2.0]",
+            "microgrid.ess[1]: ESS2: bad SoC window [0.95, 0.9]",
+            "microgrid.pv[0]: PV1: p_max must be positive",
+            "microgrid.loads[2]: LoadSpec.__init__() missing 1 required "
+            "positional argument: 'p_max'",
+            "microgrid: initial_soc 0.5 outside the SoC window of ESS4, ESS5",
+        ]
+        with pytest.raises(ConfigError) as err:
+            resolve_dict(None, overrides)
+        assert err.value.problems == expected
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(overrides))
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err_text = capsys.readouterr().err
+        for problem in expected:
+            assert problem in err_text
+
     def test_yaml_round_trip(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text("train:\n  episodes: 7\n  warmup_steps: 100\n"
@@ -164,12 +191,14 @@ class TestEvalRun:
         stress = {"data": {"stress_pv": 0.85, "stress_load": 1.15}}
         eval_run(run, tmp_path / "e1", None)
         eval_run(run, tmp_path / "s1", None, overrides=stress)
-        # Earlier versions wrote train.gru_shared, train.updates_per and
-        # microgrid.slot_hours into every manifest.
+        # Earlier versions wrote train.gru_shared, train.updates_per,
+        # microgrid.slot_hours and each generator's p_min into every manifest.
         manifest = read_manifest(run)
         manifest["config"]["train"]["gru_shared"] = True
         manifest["config"]["train"]["updates_per"] = 1
         manifest["config"]["microgrid"]["slot_hours"] = 0.25
+        for gen in manifest["config"]["microgrid"]["generators"]:
+            gen["p_min"] = 0.0
         (run / "manifest.json").write_text(json.dumps(manifest))
         eval_run(run, tmp_path / "e2", None)
         eval_run(run, tmp_path / "s2", None, overrides=stress)

@@ -44,7 +44,7 @@ def tiny_config(n_ess=2):
     specs = (ESS1, ESS2)[:n_ess]
     return MicrogridConfig(
         ess=specs,
-        generators=(GeneratorSpec(id="G1", p_min=0.0, p_max=1.0),),
+        generators=(GeneratorSpec(id="G1", p_max=1.0),),
         pv=(PvSpec(id="PV1", p_max=2.0),),
         loads=(LoadSpec(id="L1", p_max=2.0), LoadSpec(id="L2", p_max=1.0)),
         costs=CostParams(),
@@ -596,8 +596,8 @@ class TestCheckpoint:
         fresh = make_trainer(env, seed=99)
         fresh.load_param_set(dk.ParamSet.load(path))
         obs = env.reset(0, np.random.default_rng(1))
-        a = TrainedPolicy(trainer)(obs, env.state())
-        b = TrainedPolicy(fresh)(obs, env.state())
+        a = TrainedPolicy(trainer)(obs)
+        b = TrainedPolicy(fresh)(obs)
         assert a.tobytes() == b.tobytes()
         assert fresh.gru_adam.t == trainer.gru_adam.t
 

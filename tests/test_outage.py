@@ -144,7 +144,7 @@ def day_schedule(env, seed):
     obs = env.reset(0, np.random.default_rng(seed))
     seen = []
     for _ in range(96):
-        seen.append((env.state().connected, obs.counter))
+        seen.append((obs.connected, obs.counter))
         _, _, obs, _ = env.step(np.zeros(1))
     return seen
 
@@ -213,3 +213,13 @@ class TestEnvDaySchedule:
         for day in (-1, 2):
             with pytest.raises(IndexError, match=f"day {day} outside dataset of 2"):
                 env.reset(day, np.random.default_rng(0))
+
+    def test_step_outside_an_episode_raises(self):
+        env = small_env(DEFAULTS)
+        with pytest.raises(RuntimeError, match="no episode in progress"):
+            env.step(np.zeros(1))
+        env.reset(0, np.random.default_rng(0))
+        for _ in range(96):
+            env.step(np.zeros(1))
+        with pytest.raises(RuntimeError, match="no episode in progress"):
+            env.step(np.zeros(1))

@@ -1,6 +1,6 @@
 """Property tests of the SoC mask and the slot core over random fleets,
 states of charge and raw actions, and of a day stepped through the env
-against the slot core on hand-built one-slot states."""
+against the slot core on hand-built one-slot days."""
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from gridres.grid import (
     LoadSpec,
     MicrogridConfig,
     PvSpec,
-    SimState,
     day_inputs,
     mask_bounds,
     resolve_slot,
@@ -48,8 +47,7 @@ def fleets(draw, max_devices=3):
         for i in range(draw(st.integers(1, 4))))
     return MicrogridConfig(
         ess=ess,
-        generators=tuple(GeneratorSpec(id=f"G{i}", p_min=0.0,
-                                       p_max=draw(between(0.0, 3.0)))
+        generators=tuple(GeneratorSpec(id=f"G{i}", p_max=draw(between(0.0, 3.0)))
                          for i in range(draw(st.integers(0, 3)))),
         pv=tuple(PvSpec(id=f"PV{i}", p_max=draw(between(0.1, 5.0)))
                  for i in range(draw(st.integers(1, max_devices)))),
@@ -60,49 +58,46 @@ def fleets(draw, max_devices=3):
 
 @st.composite
 def slots(draw):
-    """(config, state, raw actions): a fleet, one slot's SoCs and powers,
-    connected or islanded."""
+    """(config, SoCs, inputs, raw actions): a fleet, one slot's SoCs, the
+    inputs of a one-slot day, connected or islanded, and raw actions."""
     config = draw(fleets())
-    state = SimState(
-        soc=[draw(between(s.soc_min, s.soc_max)) for s in config.ess],
-        connected=draw(st.booleans()),
-        inputs=day_inputs(
-            config, [[draw(between(0.0, s.p_max))] for s in config.pv],
-            [[draw(between(0.0, s.p_max))] for s in config.loads]),
-        slot=0,
-    )
+    soc = [draw(between(s.soc_min, s.soc_max)) for s in config.ess]
+    connected = draw(st.booleans())
+    inputs = day_inputs(
+        config, [[draw(between(0.0, s.p_max))] for s in config.pv],
+        [[draw(between(0.0, s.p_max))] for s in config.loads], [connected])
     pis = np.array([draw(between(-1.0, 1.0)) for _ in config.ess])
-    return config, state, pis
+    return config, soc, inputs, pis
 
 
 @PROPERTY
 @given(slots())
 def test_mask_maps_unit_interval_ends_to_bounds(slot):
-    config, state, _ = slot
+    config, soc, _, _ = slot
     n = len(config.ess)
-    low, up = mask_bounds(EssArrays.of(config.ess), np.array(state.soc), SLOT_HOURS)
+    low, up = mask_bounds(EssArrays.of(config.ess), np.array(soc), SLOT_HOURS)
     assert (low <= 0.0).all() and (up >= 0.0).all()
     mask = fleet_mask(config.ess)
-    ends = mask(np.array([-np.ones(n), np.ones(n)]), state.soc)
+    ends = mask(np.array([-np.ones(n), np.ones(n)]), soc)
     np.testing.assert_allclose(ends, [low, up], rtol=0.0, atol=1e-12)
 
 
 @PROPERTY
 @given(slots())
 def test_masked_slot_keeps_the_physics_invariants(slot):
-    config, state, pis = slot
-    commands = fleet_mask(config.ess)(pis, state.soc)[0]
+    config, socs, inputs, pis = slot
+    commands = fleet_mask(config.ess)(pis, socs)[0]
     # Raises DispatchError if a masked command fell outside its power limits.
-    result = resolve_slot(config, state, list(commands))
+    result = resolve_slot(config, inputs, 0, list(commands))
 
     assert abs(result.balance_residual) <= BALANCE_TOL
     assert 0.0 <= result.alpha <= 1.0
-    if not state.connected:
+    if not inputs.connected[0]:
         assert result.p_grid == 0.0
     assert result.cost_total == pytest.approx(sum(result.cost_breakdown),
                                               rel=1e-12, abs=1e-12)
     assert result.cost_total >= 0.0
-    for spec, soc, p in zip(config.ess, state.soc, result.p_ess):
+    for spec, soc, p in zip(config.ess, socs, result.p_ess):
         update = step_soc(spec, soc, p, SLOT_HOURS)
         assert spec.soc_min <= update.soc <= spec.soc_max
         # The mask ignores eff_discharge, so only a discharge may clamp, and
@@ -130,8 +125,9 @@ def _device_day(rng, specs):
 def test_env_day_matches_hand_built_slots(config, seed, outage, rule):
     """A day stepped through the env, its inputs clamped and summed once at
     reset, resolves every slot bit for bit as resolve_slot and step_soc do
-    on a one-slot state; the clamp and sums are Python's min/max and
-    left-to-right sum, and the policy reads the raw values."""
+    on a one-slot day; the clamp and sums are Python's min/max and
+    left-to-right sum, and the observation carries the slot's tie and its
+    raw values."""
     rng = np.random.default_rng(seed)
     pv, load = _device_day(rng, config.pv), _device_day(rng, config.loads)
     if rule:  # its generator rule takes no negative demand
@@ -149,17 +145,19 @@ def test_env_day_matches_hand_built_slots(config, seed, outage, rule):
                        horizon=4)
     mask = fleet_mask(config.ess)
     policy = RulePolicy(config) if rule else (
-        lambda obs, state: mask(rng.uniform(-1, 1, len(state.soc)), state.soc)[0])
+        lambda obs: mask(rng.uniform(-1, 1, len(obs.soc)), obs.soc)[0])
     obs = env.reset(0, np.random.default_rng(seed))
     soc = [config.initial_soc] * len(config.ess)
     for t in range(SLOTS_PER_DAY):
-        state = env.state()
-        assert repr(state.pv_now) == repr(pv[:, t].tolist())
-        assert repr(state.load_now) == repr(load[:, t].tolist())
-        commands = np.asarray(policy(obs, state), dtype=float).tolist()
+        tie = not onset <= t < onset + duration
+        assert repr(obs.connected) == repr(tie)
+        assert repr(obs.window[:, 0].tolist()) == repr(pv[:, t].tolist()
+                                                       + load[:, t].tolist())
+        commands = np.asarray(policy(obs), dtype=float).tolist()
         result, _, obs, _ = env.step(commands)
+        assert repr(result.connected) == repr(tie)
 
-        one = day_inputs(config, pv[:, t:t + 1], load[:, t:t + 1])
+        one = day_inputs(config, pv[:, t:t + 1], load[:, t:t + 1], [tie])
         for raw, specs, now, total in ((pv, config.pv, one.pv[0], one.pv_sum[0]),
                                        (load, config.loads, one.load[0],
                                         one.load_sum[0])):
@@ -167,8 +165,7 @@ def test_env_day_matches_hand_built_slots(config, seed, outage, rule):
                             for p, s in zip(raw[:, t].tolist(), specs))
             assert repr(now) == repr(clamped)
             assert repr(total) == repr(sum(clamped))
-        hand = SimState(list(soc), not onset <= t < onset + duration, one, 0)
-        assert repr(result) == repr(resolve_slot(config, hand, commands))
+        assert repr(result) == repr(resolve_slot(config, one, 0, commands))
         soc = [step_soc(s, x, p, SLOT_HOURS).soc
                for s, x, p in zip(config.ess, soc, result.p_ess)]
         assert repr(env.record.soc_trace[t + 1]) == repr(soc)
