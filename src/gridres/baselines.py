@@ -16,7 +16,6 @@ from .encoder import DayEncoding
 from .env import MicrogridEnv, Observation
 from .grid import (
     SLOT_HOURS,
-    EssArrays,
     MicrogridConfig,
     day_inputs,
     dispatch_generators,
@@ -39,12 +38,12 @@ class RulePolicy:
 
     def __init__(self, config: MicrogridConfig):
         self.config = config
-        self.ess_limits = EssArrays.of(config.ess)
 
     def __call__(self, obs: Observation) -> np.ndarray:
-        low, up = mask_bounds(self.ess_limits, obs.soc, SLOT_HOURS)
+        limits = self.config.ess_limits
+        low, up = mask_bounds(limits, obs.soc, SLOT_HOURS)
         if obs.connected:
-            raw = (RULE_TARGET_SOC - obs.soc) * self.ess_limits.energy_cap / SLOT_HOURS
+            raw = (RULE_TARGET_SOC - obs.soc) * limits.energy_cap / SLOT_HOURS
             return np.minimum(np.maximum(raw, low), up)
         now = obs.window[:, 0].tolist()  # the slot's raw values, PV rows first
         n_pv = len(self.config.pv)
@@ -86,10 +85,7 @@ def build_trainer(env: MicrogridEnv, settings: TrainSettings, method: str,
         groups = ddpg_groups(env.n_agents)
     else:
         raise ValueError(f"unknown learned method {method!r}")
-    caps = np.concatenate([[s.p_max for s in env.config.pv],
-                           [s.p_max for s in env.config.loads]])
-    return Trainer(env.config.ess, groups, env.obs_window_rows, caps, settings,
-                   init_rng)
+    return Trainer(env.config, groups, settings, init_rng)
 
 
 # ------------------------------------------------------------------- DP
@@ -142,7 +138,7 @@ def _dp_cost(config, inputs, grid_points) -> DpResult:
 
     # Per-unit transition powers and feasibility on the grid; column i of
     # the bounds is unit i's mask at each of its grid SoCs.
-    lows, ups = mask_bounds(EssArrays.of(config.ess), np.stack(grids, axis=1), SLOT_HOURS)
+    lows, ups = mask_bounds(config.ess_limits, np.stack(grids, axis=1), SLOT_HOURS)
     per_net, per_dis, per_feas = [], [], []
     for i, (spec, grid) in enumerate(zip(config.ess, grids)):
         delta_soc = grid[None, :] - grid[:, None]

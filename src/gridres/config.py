@@ -75,6 +75,7 @@ from .grid import (
     PvSpec,
 )
 from .maddpg import TrainSettings
+from .powerflow import IEEE33_BUSES
 
 
 class ConfigError(ValueError):
@@ -115,19 +116,13 @@ def default_dict() -> dict[str, Any]:
     """The fully resolved default configuration as plain data."""
     return {
         "microgrid": {
-            "initial_soc": 0.5,
-            "costs": {"ess": 0.2, "gen": 0.5, "grid": 0.3, "load": 1.5},
-            "ess": [
-                {"id": i, "p_min": lo, "p_max": hi, "energy_cap": cap,
-                 "soc_min": 0.1, "soc_max": 0.9, "eff_charge": 0.999,
-                 "eff_discharge": 1.001, "bus": bus}
-                for i, lo, hi, cap, bus in ESS_TABLE
-            ],
-            "generators": [
-                {"id": i, "p_max": p, "bus": bus} for i, p, bus in GEN_TABLE
-            ],
-            "pv": [{"id": i, "p_max": p, "bus": bus} for i, p, bus in PV_TABLE],
-            "loads": [{"id": i, "p_max": p, "bus": bus} for i, p, bus in LOAD_TABLE],
+            "initial_soc": MicrogridConfig.initial_soc,
+            "costs": {k.removeprefix("lambda_"): v for k, v in asdict(CostParams()).items()},
+            "ess": [asdict(EssSpec(i, lo, hi, cap, soc_min=0.1, soc_max=0.9, bus=bus))
+                    for i, lo, hi, cap, bus in ESS_TABLE],
+            "generators": [asdict(GeneratorSpec(*row)) for row in GEN_TABLE],
+            "pv": [asdict(PvSpec(*row)) for row in PV_TABLE],
+            "loads": [asdict(LoadSpec(*row)) for row in LOAD_TABLE],
         },
         "outage": asdict(OutageSettings()),
         "data": {
@@ -249,6 +244,7 @@ SLOT = (lambda x: x is None or 0 <= x < SLOTS_PER_DAY,
 RANGES = [
     *((f"train.{f.name}", *(NON_NEGATIVE if f.name == "warmup_steps" else POSITIVE))
       for f in fields(TrainSettings)),
+    *((f"train.{k}", lambda x: x <= 1, "must be at most 1") for k in ("gamma", "tau")),
     ("outage.peak_prob", lambda x: 0.0 <= x <= 1.0, "must be in [0, 1]"),
     ("outage.width_slots", *POSITIVE),
     ("outage.breakpoints", *POSITIVE),
@@ -279,6 +275,9 @@ def _validate(cfg: dict[str, Any], problems: list[str], split: bool) -> None:
     if not bad.keys() & {"train.episodes", "train.warmup_steps"} \
             and train["warmup_steps"] >= train["episodes"] * SLOTS_PER_DAY:
         problems.append("train.warmup_steps: must be below total environment steps")
+    if not bad.keys() & {"train.batch_size", "train.replay_capacity"} \
+            and train["batch_size"] > train["replay_capacity"]:
+        problems.append("train.batch_size: must not exceed train.replay_capacity")
     try:
         build_microgrid(cfg, bad)
     except ConfigError as exc:
@@ -290,9 +289,9 @@ FLEET = {"ess": EssSpec, "generators": GeneratorSpec, "pv": PvSpec, "loads": Loa
 
 def build_microgrid(cfg: dict[str, Any], bad: Collection[str] = ()) -> MicrogridConfig:
     """The fleet objects of a resolved config dict. Each fleet entry not
-    mistyped in ``bad`` is built on its own; then, if nothing under
-    ``microgrid`` is mistyped, the fleet as a whole is checked. The
-    ConfigError names every failing entry (bad value, missing or unknown key) by path."""
+    mistyped in ``bad`` is built on its own, on a bus of the packaged feeder;
+    then, if nothing under ``microgrid`` is mistyped, the fleet as a whole is
+    checked. The ConfigError names every failing entry by path."""
     mg, problems = cfg["microgrid"], []
     units: dict[str, list] = {kind: [] for kind in FLEET}
     for kind, spec in FLEET.items():
@@ -301,7 +300,11 @@ def build_microgrid(cfg: dict[str, Any], bad: Collection[str] = ()) -> Microgrid
             if any(f"{p}.".startswith(f"{path}.") for p in bad):
                 continue
             try:
-                units[kind].append(spec(**entry))
+                unit = spec(**entry)
+                if unit.bus not in IEEE33_BUSES:
+                    raise ValueError(f"{unit.id}: bus must be a feeder bus "
+                                     f"{IEEE33_BUSES[0]}..{IEEE33_BUSES[-1]}, got {unit.bus}")
+                units[kind].append(unit)
             except (TypeError, ValueError) as exc:
                 problems.append(f"{path}: {exc}")
     mistyped = any(path.startswith("microgrid.") for path in bad)

@@ -48,18 +48,15 @@ class GruEncoder:
     its parameters are updated through the actors' gradient paths.
     """
 
-    def __init__(self, in_dim: int, capacities: np.ndarray,
-                 rng: np.random.Generator, embed: int = 32, hidden: int = 32,
-                 layers: int = 2, out_dim: int = VECTOR_DIM):
-        if capacities.shape != (in_dim,):
-            raise dk.ShapeError(f"capacities {capacities.shape} vs in_dim {in_dim}")
-        self.in_dim = in_dim
+    def __init__(self, capacities: np.ndarray, rng: np.random.Generator,
+                 embed: int = 32, hidden: int = 32, layers: int = 2,
+                 out_dim: int = VECTOR_DIM):
         self.hidden = hidden
         self.layers = layers
         self.out_dim = out_dim
-        self.capacities = capacities.astype(float)
+        self.capacities = np.asarray(capacities, dtype=float)
         self.params: dict[str, np.ndarray] = {
-            "emb/W": dk.uniform_init(rng, (in_dim, embed)),
+            "emb/W": dk.uniform_init(rng, (len(self.capacities), embed)),
             "emb/b": np.zeros(embed),
         }
         for layer in range(layers):
@@ -72,8 +69,8 @@ class GruEncoder:
         """Encode a (batch, rows, T) stack of windows; returns (v, cache)
         with v of shape (batch, out_dim)."""
         batch, rows, horizon = windows.shape
-        if rows != self.in_dim:
-            raise dk.ShapeError(f"window rows {rows} vs encoder input {self.in_dim}")
+        if rows != len(self.capacities):
+            raise dk.ShapeError(f"window rows {rows} vs {len(self.capacities)} capacities")
         x_norm = windows / self.capacities[None, :, None]
         h = [np.zeros((batch, self.hidden)) for _ in range(self.layers)]
         steps = []

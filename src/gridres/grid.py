@@ -103,6 +103,17 @@ class CostParams:
                 raise ValueError(f"{name} must be >= 0")
 
 
+class EssArrays(NamedTuple):
+    """Per-unit ESS limits as arrays in fleet order, for vectorised masking;
+    built once per fleet as ``MicrogridConfig.ess_limits``."""
+
+    energy_cap: np.ndarray
+    soc_min: np.ndarray
+    soc_max: np.ndarray
+    p_min: np.ndarray
+    p_max: np.ndarray
+
+
 @dataclass(frozen=True)
 class MicrogridConfig:
     """Static description of the controllable fleet plus cost coefficients."""
@@ -113,6 +124,10 @@ class MicrogridConfig:
     loads: tuple[LoadSpec, ...]
     costs: CostParams = field(default_factory=CostParams)
     initial_soc: float = 0.5
+    # Compiled from the specs, read-only and shared: ESS limits in fleet order,
+    # and PV then load capacities in the window-row order of ``build_window``.
+    ess_limits: EssArrays = field(init=False, repr=False, compare=False)
+    capacities: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.ess:
@@ -123,6 +138,13 @@ class MicrogridConfig:
         if outside:
             raise ValueError(f"initial_soc {self.initial_soc} outside the SoC window of "
                              f"{', '.join(outside)}")
+        limits = EssArrays(*(np.array([getattr(s, name) for s in self.ess], dtype=float)
+                             for name in EssArrays._fields))
+        caps = np.array([unit.p_max for unit in (*self.pv, *self.loads)], dtype=float)
+        for a in (*limits, caps):
+            a.flags.writeable = False
+        object.__setattr__(self, "ess_limits", limits)
+        object.__setattr__(self, "capacities", caps)
 
     @property
     def n_agents(self) -> int:
@@ -150,9 +172,9 @@ def day_inputs(config: MicrogridConfig, pv: np.ndarray, load: np.ndarray,
     if not pv.shape[1] == load.shape[1] == len(connected):
         raise ValueError("pv, load and connected must cover the same slots")
     fields = [np.asarray(connected, dtype=bool).tolist()]
-    for raw, specs in ((pv, config.pv), (load, config.loads)):
-        caps = np.array([s.p_max for s in specs])[:, None]
-        clamped = np.minimum(np.where(raw < 0.0, 0.0, raw), caps)
+    n_pv = len(config.pv)
+    for raw, caps in ((pv, config.capacities[:n_pv]), (load, config.capacities[n_pv:])):
+        clamped = np.minimum(np.where(raw < 0.0, 0.0, raw), caps[:, None])
         fields += [list(map(tuple, clamped.T.tolist())),
                    sum(clamped, np.zeros(raw.shape[1])).tolist()]
     return DayInputs(*fields)
@@ -204,21 +226,6 @@ def step_soc(spec: EssSpec, soc: float, p_ess: float, dt: float) -> SocUpdate:
     raw = soc + eff * p_ess * dt / spec.energy_cap
     clamped = min(max(raw, spec.soc_min), spec.soc_max)
     return SocUpdate(clamped, raw - clamped)
-
-
-class EssArrays(NamedTuple):
-    """Per-unit ESS limits as arrays in fleet order, for vectorised masking."""
-
-    energy_cap: np.ndarray
-    soc_min: np.ndarray
-    soc_max: np.ndarray
-    p_min: np.ndarray
-    p_max: np.ndarray
-
-    @classmethod
-    def of(cls, specs: Sequence[EssSpec]) -> "EssArrays":
-        return cls(*(np.array([getattr(s, name) for s in specs])
-                     for name in cls._fields))
 
 
 def mask_bounds(ess: EssArrays, socs: np.ndarray,

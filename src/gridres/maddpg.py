@@ -21,7 +21,7 @@ import numpy as np
 
 from . import diffkit as dk
 from .encoder import DayEncoding, GruEncoder, VECTOR_DIM
-from .grid import SLOT_HOURS, SLOTS_PER_DAY, EssArrays, EssSpec, mask_bounds
+from .grid import SLOT_HOURS, SLOTS_PER_DAY, MicrogridConfig, mask_bounds
 
 COUNTER_SCALE = 1.0 / SLOTS_PER_DAY  # keeps the slots-to-peak feature near unit range
 
@@ -152,10 +152,10 @@ class CriticNet:
 
 @dataclass
 class AgentGroup:
-    """One actor commanding a slice of the ESS fleet."""
+    """One actor observing and commanding a slice of the ESS fleet."""
 
     ess_indices: tuple[int, ...]
-    own_obs: int | None  # observe a single unit's SoC, or None for all
+    own_reward: bool  # paid its unit's own reward, else the full slot cost
 
 
 def features(socs: np.ndarray, counters: np.ndarray, v: np.ndarray,
@@ -219,24 +219,21 @@ class ReplayBuffer:
 class Trainer:
     """Owns the networks, targets, optimizer state and the update rules."""
 
-    def __init__(self, ess_specs: tuple[EssSpec, ...],
-                 groups: list[AgentGroup], window_rows: int,
-                 capacities: np.ndarray, settings: TrainSettings,
-                 init_rng: np.random.Generator):
-        self.ess_limits = EssArrays.of(ess_specs)
+    def __init__(self, config: MicrogridConfig, groups: list[AgentGroup],
+                 settings: TrainSettings, init_rng: np.random.Generator):
+        self.config = config
         self.groups = groups
         self.settings = settings
-        self.n_ess = len(ess_specs)
+        self.n_ess = config.n_agents
         self.state_dim = 2 * self.n_ess + VECTOR_DIM
 
-        # Each group's actor observes these units and commands its ESS;
-        # every group must have the same counts, so the actors stack.
-        self.obs_units = np.array([
-            [group.own_obs] if group.own_obs is not None else range(self.n_ess)
-            for group in groups])
-        self.act_units = np.array([n for group in groups for n in group.ess_indices])
+        # (groups, k): the units each group's actor observes and commands. Equal
+        # k lets the actors stack; in fleet order, their outputs need no scatter.
+        self.units = np.array([group.ess_indices for group in groups])
+        if not np.array_equal(self.units.ravel(), np.arange(self.n_ess)):
+            raise ValueError("groups must split the fleet in ESS order")
 
-        self.encoder = GruEncoder(window_rows, capacities, init_rng)
+        self.encoder = GruEncoder(config.capacities, init_rng)
         self.actors: list[ActorNet] = []
         self.critics: list[CriticNet] = []
         self.target_actors: list[ActorNet] = []
@@ -244,7 +241,7 @@ class Trainer:
         self.actor_adam: list[dk.AdamState] = []
         self.critic_adam: list[dk.AdamState] = []
         for group in groups:
-            actor = ActorNet(init_rng, 2 * self.obs_units.shape[1] + VECTOR_DIM,
+            actor = ActorNet(init_rng, 2 * self.units.shape[1] + VECTOR_DIM,
                              settings.hidden, len(group.ess_indices))
             critic = CriticNet(init_rng, self.state_dim, self.n_ess, settings.hidden)
             self.actors.append(actor)
@@ -264,18 +261,16 @@ class Trainer:
     def apply_mask(self, pis: np.ndarray, socs: np.ndarray):
         """Affine map of raw (-1, 1) outputs onto each unit's SoC-feasible
         power window. Returns (actions, slope); slope is d action / d pi."""
-        low, up = mask_bounds(self.ess_limits, np.atleast_2d(socs), SLOT_HOURS)
+        low, up = mask_bounds(self.config.ess_limits, np.atleast_2d(socs), SLOT_HOURS)
         slope = (up - low) / 2.0
         return slope * (np.atleast_2d(pis) + 1.0) + low, slope
 
     def joint_pis(self, actors: ActorNet, socs, counters, v):
         """Every group's raw outputs assembled in ESS order, (batch, n_ess),
         from one pass of the stacked ``actors``, and that pass's cache."""
-        x = features(socs, counters, v, self.obs_units)
+        x = features(socs, counters, v, self.units)
         out, cache = actors.forward(x)
-        pis = np.zeros((x.shape[1], self.n_ess))
-        pis[:, self.act_units] = out.transpose(1, 0, 2).reshape(x.shape[1], -1)
-        return pis, cache
+        return out.transpose(1, 0, 2).reshape(x.shape[1], -1), cache
 
     def raw_policy(self, socs, counter, v) -> np.ndarray:
         """The behaviour actors' raw outputs in ESS order, one sample."""
@@ -334,7 +329,7 @@ class Trainer:
 
         _, _, dact = self.critics[g].backward(critic_cache,
                                               np.full(batch, -1.0 / batch))
-        cols = list(self.groups[g].ess_indices)
+        cols = self.units[g]
         grads, dfeat = self.actors[g].backward(dk.take_group(cache, g),
                                                dact[:, cols] * slope[:, cols])
         dk.clip_grads(grads, s.grad_clip)
@@ -419,18 +414,18 @@ class Trainer:
 
 
 def maddpg_groups(n_ess: int) -> list[AgentGroup]:
-    return [AgentGroup(ess_indices=(n,), own_obs=n) for n in range(n_ess)]
+    return [AgentGroup(ess_indices=(n,), own_reward=True) for n in range(n_ess)]
 
 
 def ddpg_groups(n_ess: int) -> list[AgentGroup]:
-    return [AgentGroup(ess_indices=tuple(range(n_ess)), own_obs=None)]
+    return [AgentGroup(ess_indices=tuple(range(n_ess)), own_reward=False)]
 
 
 def group_reward(group: AgentGroup, agent_rewards: np.ndarray,
                  slot_cost: float) -> float:
-    """Per-agent groups get their own reward; a joint group pays the full
-    slot cost (identical to the per-agent reward when there is one ESS)."""
-    if group.own_obs is not None:
+    """An own-reward group is paid its one unit's reward; a joint group pays
+    the full slot cost (the same value, by another path, with one ESS)."""
+    if group.own_reward:
         return float(agent_rewards[group.ess_indices[0]])
     return -slot_cost
 

@@ -25,6 +25,7 @@ from .grid import DispatchResult, MicrogridConfig
 
 V_BAND = (0.90, 1.05)  # pu voltage band of the advisory check
 MAX_ITER = 100  # iterations before a solve is reported unconverged
+IEEE33_BUSES = tuple(range(1, 34))  # buses of the packaged feeder
 
 
 class TopologyError(ValueError):
@@ -104,8 +105,7 @@ def load_ieee33() -> FeederTopology:
         for row in csv.DictReader(_strip_comments(fh)):
             load_mw[int(row["bus"])] = float(row["p_kw"]) / 1000.0
             load_mvar[int(row["bus"])] = float(row["q_kvar"]) / 1000.0
-    buses = tuple(range(1, 34))
-    return FeederTopology(buses=buses, branches=tuple(branches),
+    return FeederTopology(buses=IEEE33_BUSES, branches=tuple(branches),
                           nominal_load_mw=load_mw, nominal_load_mvar=load_mvar)
 
 

@@ -16,7 +16,6 @@ from gridres.encoder import GruEncoder
 from gridres.env import MicrogridEnv, OutageSettings
 from gridres.grid import (
     CostParams,
-    EssArrays,
     EssSpec,
     GeneratorSpec,
     LoadSpec,
@@ -37,7 +36,7 @@ from gridres.maddpg import (
     maddpg_groups,
 )
 from gridres.powerflow import load_ieee33, solve_bfs
-from test_harness_helpers import fleet_mask
+from test_harness_helpers import fleet_config, fleet_mask
 from test_powerflow import power_summation_sweep
 
 
@@ -198,7 +197,7 @@ class TestCriterion2GradientFidelity:
                                    numeric_grad(lambda _: fc(), critic.params[name]),
                                    context=f"critic/{name}")
 
-            enc = GruEncoder(3, np.array([1.0, 2.0, 1.0]), rng, embed=4,
+            enc = GruEncoder(np.array([1.0, 2.0, 1.0]), rng, embed=4,
                              hidden=4, layers=2, out_dim=3)
             windows = rng.uniform(0.05, 1.0, (2, 3, 3))
             seed_v = rng.standard_normal((2, 3))
@@ -218,7 +217,7 @@ class TestCriterion3Masking:
         rng = np.random.default_rng(303)
         dt = 0.25
         n = 100_000
-        limits = EssArrays.of(ESS_FLEET)
+        limits = fleet_config(ESS_FLEET).ess_limits
         unit = rng.integers(len(ESS_FLEET), size=n)
         soc = rng.uniform(limits.soc_min[unit], limits.soc_max[unit])
         pi = rng.uniform(-1, 1, size=n)
@@ -275,12 +274,9 @@ class TestCriterion8Equivalence:
     def test_single_agent_updates_bit_for_bit(self):
         config, series, env, _ = small_scenario(800)
         settings = TrainSettings(hidden=32, batch_size=16)
-        caps = np.concatenate([[s.p_max for s in config.pv],
-                               [s.p_max for s in config.loads]])
 
         def make(groups, seed):
-            return Trainer(config.ess, groups, env.obs_window_rows, caps,
-                           settings, np.random.default_rng(seed))
+            return Trainer(config, groups, settings, np.random.default_rng(seed))
 
         t_multi = make(maddpg_groups(1), 7)
         t_joint = make(ddpg_groups(1), 7)

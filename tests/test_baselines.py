@@ -15,7 +15,6 @@ from gridres.env import MicrogridEnv, Observation, OutageSettings
 from gridres.grid import (
     SLOT_HOURS,
     CostParams,
-    EssArrays,
     EssSpec,
     GeneratorSpec,
     LoadSpec,
@@ -81,7 +80,7 @@ class TestRulePolicy:
     def test_commands_always_inside_mask(self):
         config = two_ess_config()
         policy = RulePolicy(config)
-        limits = EssArrays.of(config.ess)
+        limits = config.ess_limits
         rng = np.random.default_rng(0)
         for _ in range(300):
             socs = list(rng.uniform(0.1, 0.9, size=2))
@@ -133,7 +132,7 @@ class TestDpOracle:
         outage = (1, 2)  # slots 1 and 2 islanded
         grid = np.linspace(0.1, 0.9, 3)
         spec = config.ess[0]
-        limits = EssArrays.of(config.ess)
+        limits = config.ess_limits
         dt = SLOT_HOURS
 
         def command(soc_from, soc_to):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gradcheck import assert_grads_close, numeric_grad
+from gridres import diffkit as dk
 from gridres.dataio import ForecastModel, make_forecasts, synth_generator
 from gridres.encoder import GruEncoder, build_window
 from gridres.grid import LoadSpec, PvSpec
@@ -71,9 +72,8 @@ class TestBuildWindow:
                 assert stack[t].tobytes() == want.tobytes(), (day, t)
 
 
-def make_encoder(seed=0, in_dim=3):
-    caps = np.array([1.0, 2.0, 1.0])[:in_dim]
-    return GruEncoder(in_dim, caps, np.random.default_rng(seed))
+def make_encoder(seed=0):
+    return GruEncoder(np.array([1.0, 2.0, 1.0]), np.random.default_rng(seed))
 
 
 class TestGruEncoder:
@@ -111,6 +111,11 @@ class TestGruEncoder:
         for i in range(4):
             single, _ = enc.forward(windows[i:i + 1])
             assert np.allclose(batch[i], single[0], rtol=0, atol=1e-12)
+
+    def test_window_rows_must_match_capacities(self):
+        enc = make_encoder()
+        with pytest.raises(dk.ShapeError, match="window rows 2 vs 3 capacities"):
+            enc.forward(np.ones((1, 2, 4)))
 
     def test_parameter_gradients(self):
         enc = make_encoder(seed=11)

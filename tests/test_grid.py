@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from gridres.grid import (
     resolve_slot,
     step_soc,
 )
+from test_harness_helpers import table_config
 
 
 def ess(p_min=-2.0, p_max=2.0, cap=6.0, eff_ch=0.999, eff_dis=1.001, **kw):
@@ -313,6 +315,34 @@ class TestResilienceMetric:
         doubled = replace(out, alpha=0.4)
         assert price(doubled, cfg.costs).shed == pytest.approx(
             2 * price(out, cfg.costs).shed)
+
+
+class TestCompiledFleet:
+    """MicrogridConfig compiles its ESS limits and device capacities once."""
+
+    def test_replace_recompiles_for_the_new_fleet(self):
+        config = table_config()
+        two = dataclasses.replace(config, ess=config.ess[:2])
+        assert [a.shape for a in two.ess_limits] == [(2,)] * 5
+        assert two.ess_limits.p_min.tolist() == [s.p_min for s in config.ess[:2]]
+        # The compiled arrays stay out of equality, hashing and repr.
+        again = dataclasses.replace(config, ess=config.ess[:2])
+        assert two == again and hash(two) == hash(again)
+        assert "capacities" not in repr(two) and "ess_limits" not in repr(two)
+
+    def test_capacities_are_pv_then_loads_as_float(self):
+        config = table_config()
+        assert config.capacities.dtype == np.float64
+        assert config.capacities.tolist() == [
+            s.p_max for s in (*config.pv, *config.loads)]
+
+    def test_compiled_arrays_are_read_only(self):
+        config = table_config()
+        with pytest.raises(ValueError, match="read-only"):
+            config.capacities[0] = 0.0
+        for limits in config.ess_limits:
+            with pytest.raises(ValueError, match="read-only"):
+                limits[0] = 0.0
 
 
 class TestSpecValidation:

@@ -71,15 +71,19 @@ class TestConfig:
         mg["ess"][1]["soc_min"] = 0.95
         mg["ess"][3]["soc_min"] = 0.6
         mg["ess"][4]["soc_max"] = 0.4
+        del mg["ess"][2]["bus"]
         mg["pv"][0]["p_max"] = -1
         del mg["loads"][2]["p_max"]
+        mg["loads"][5]["bus"] = 99
         overrides = {"microgrid": {k: mg[k] for k in ("ess", "pv", "loads")}}
         expected = [
             "microgrid.ess[0]: ESS1: need p_min < 0 < p_max, got [1.0, 2.0]",
             "microgrid.ess[1]: ESS2: bad SoC window [0.95, 0.9]",
+            "microgrid.ess[2]: ESS3: bus must be a feeder bus 1..33, got 0",
             "microgrid.pv[0]: PV1: p_max must be positive",
             "microgrid.loads[2]: LoadSpec.__init__() missing 1 required "
             "positional argument: 'p_max'",
+            "microgrid.loads[5]: Load6: bus must be a feeder bus 1..33, got 99",
             "microgrid: initial_soc 0.5 outside the SoC window of ESS4, ESS5",
         ]
         with pytest.raises(ConfigError) as err:
@@ -374,6 +378,10 @@ class TestCli:
         ("train:\n  gamma: .inf\n", "train.gamma: must be a finite number"),
         ("microgrid:\n  ess: [{id: E1, p_max: .nan}]\n",
          "microgrid.ess[0].p_max: must be a finite number"),
+        ("train:\n  batch_size: 256\n  replay_capacity: 200\n",
+         "train.batch_size: must not exceed train.replay_capacity"),
+        ("train:\n  tau: 1.5\n", "train.tau: must be at most 1"),
+        ("train:\n  gamma: 3.0\n", "train.gamma: must be at most 1"),
     ])
     def test_mistyped_leaf_exits_1(self, tmp_path, capsys, yaml_text, problem):
         bad = tmp_path / "bad.yaml"

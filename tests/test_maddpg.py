@@ -11,7 +11,6 @@ from gridres.env import MicrogridEnv, OutageSettings
 from gridres.grid import (
     SLOTS_PER_DAY,
     CostParams,
-    EssArrays,
     EssSpec,
     GeneratorSpec,
     LoadSpec,
@@ -33,6 +32,7 @@ from gridres.maddpg import (
     noise_sigma,
     run_training,
 )
+from test_harness_helpers import fleet_config
 
 ESS1 = EssSpec(id="ESS1", p_min=-2.0, p_max=2.0, energy_cap=6.0,
                soc_min=0.1, soc_max=0.9)
@@ -68,10 +68,7 @@ def make_trainer(env, groups=None, settings=None, seed=0):
                                          warmup_steps=16, update_every=8,
                                          episodes=2)
     groups = groups or maddpg_groups(env.n_agents)
-    caps = np.concatenate([[s.p_max for s in env.config.pv],
-                           [s.p_max for s in env.config.loads]])
-    return Trainer(env.config.ess, groups, env.obs_window_rows, caps, settings,
-                   np.random.default_rng(seed))
+    return Trainer(env.config, groups, settings, np.random.default_rng(seed))
 
 
 class TestActorNet:
@@ -156,7 +153,7 @@ class TestMaskAction:
     """Trainer.apply_mask: the affine map of raw outputs onto the windows of
     grid.mask_bounds, here for ESS1 alone."""
 
-    LIMITS = EssArrays.of((ESS1,))
+    LIMITS = fleet_config((ESS1,)).ess_limits
 
     @pytest.fixture(scope="class")
     def mask(self):
@@ -533,7 +530,7 @@ def per_group_pis(trainer, actors, socs, counters, v):
     pis = np.zeros((batch, trainer.n_ess))
     caches = []
     for group, actor in zip(trainer.groups, actors):
-        own = socs if group.own_obs is None else socs[:, [group.own_obs]]
+        own = socs[:, list(group.ess_indices)]
         n = 2 * own.shape[1]
         x = np.empty((batch, n + VECTOR_DIM))
         x[:, 0:n:2] = own
@@ -557,7 +554,7 @@ class TestStackedActors:
         specs = tuple(EssSpec(id=f"E{n}", p_min=-1.0 - n, p_max=1.0 + n,
                               energy_cap=4.0, soc_min=0.1, soc_max=0.9)
                       for n in range(self.N_ESS))
-        trainer = Trainer(specs, groups(self.N_ESS), 1, np.ones(1),
+        trainer = Trainer(fleet_config(specs), groups(self.N_ESS),
                           TrainSettings(hidden=16), np.random.default_rng(31))
         rng = np.random.default_rng(32)
         for stack in (trainer.actor_stack, trainer.target_actor_stack):
@@ -582,6 +579,14 @@ class TestStackedActors:
         first, _ = trainer.joint_pis(trainer.actor_stack, socs[:1], counters[:1], v[:1])
         assert trainer.raw_policy(socs[0], counters[0], v[0]).tobytes() == \
             first[0].tobytes()
+
+    def test_groups_out_of_fleet_order_rejected(self):
+        """The stacked outputs are read in ESS order, so groups that split
+        the fleet in another order are refused, not silently misassigned."""
+        groups = [maddpg.AgentGroup((1,), True), maddpg.AgentGroup((0,), True)]
+        with pytest.raises(ValueError, match="split the fleet in ESS order"):
+            Trainer(fleet_config((ESS1, ESS2)), groups, TrainSettings(hidden=4),
+                    np.random.default_rng(0))
 
 
 class TestCheckpoint:

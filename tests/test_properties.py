@@ -14,7 +14,6 @@ from gridres.grid import (
     BALANCE_TOL,
     SLOT_HOURS,
     SLOTS_PER_DAY,
-    EssArrays,
     EssSpec,
     GeneratorSpec,
     LoadSpec,
@@ -75,7 +74,7 @@ def slots(draw):
 def test_mask_maps_unit_interval_ends_to_bounds(slot):
     config, soc, _, _ = slot
     n = len(config.ess)
-    low, up = mask_bounds(EssArrays.of(config.ess), np.array(soc), SLOT_HOURS)
+    low, up = mask_bounds(config.ess_limits, np.array(soc), SLOT_HOURS)
     assert (low <= 0.0).all() and (up >= 0.0).all()
     mask = fleet_mask(config.ess)
     ends = mask(np.array([-np.ones(n), np.ones(n)]), soc)
