@@ -291,7 +291,8 @@ def build_microgrid(cfg: dict[str, Any], bad: Collection[str] = ()) -> Microgrid
     """The fleet objects of a resolved config dict. Each fleet entry not
     mistyped in ``bad`` is built on its own, on a bus of the packaged feeder;
     then, if nothing under ``microgrid`` is mistyped, the fleet as a whole is
-    checked. The ConfigError names every failing entry by path."""
+    checked; a kind whose every configured entry failed is not judged empty.
+    The ConfigError names every failing entry by path."""
     mg, problems = cfg["microgrid"], []
     units: dict[str, list] = {kind: [] for kind in FLEET}
     for kind, spec in FLEET.items():
@@ -308,7 +309,8 @@ def build_microgrid(cfg: dict[str, Any], bad: Collection[str] = ()) -> Microgrid
             except (TypeError, ValueError) as exc:
                 problems.append(f"{path}: {exc}")
     mistyped = any(path.startswith("microgrid.") for path in bad)
-    if not mistyped:
+    emptied = any(mg[kind] and not units[kind] for kind in ("ess", "loads"))
+    if not mistyped and not emptied:
         try:
             fleet = MicrogridConfig(
                 **{kind: tuple(u) for kind, u in units.items()},

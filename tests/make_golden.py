@@ -5,10 +5,11 @@
 The pipeline runs ``train``, ``eval`` (a checkpoint and the rule policy,
 each plain and stressed), ``audit``, ``compare`` with a lambda sweep and
 ``synth-data`` through ``cli.main`` on a small config in which updates do
-run, plus one small ``dp_oracle``. ``tests/test_golden.py`` reruns it and
-compares every digest with the committed file. Rewrite the file only in a
-change that alters run outputs on purpose, and name each digest that moved,
-and why, in CHANGES.md.
+run, plus two ``dp_oracle`` days: one ESS, and two ESS whose 25-point
+refinement pass spans several row blocks. ``tests/test_golden.py`` reruns
+it and compares every digest with the committed file. Rewrite the file only
+in a change that alters run outputs on purpose, and name each digest that
+moved, and why, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -59,20 +60,31 @@ def _run(*argv: str) -> None:
 
 
 def _dp_digests() -> dict[str, str]:
-    """A one-ESS perfect-foresight day with a fixed outage."""
-    config = MicrogridConfig(
-        ess=(EssSpec(id="E1", p_min=-1.5, p_max=1.5, energy_cap=4.0,
-                     soc_min=0.1, soc_max=0.9),),
-        generators=(GeneratorSpec(id="G1", p_max=1.0),),
-        pv=(PvSpec(id="PV1", p_max=2.0),),
-        loads=(LoadSpec(id="L1", p_max=2.0), LoadSpec(id="L2", p_max=1.0)),
-        costs=CostParams(),
-    )
-    series = synth_generator(np.random.default_rng(5), 1, list(config.pv),
-                             list(config.loads))
-    res = dp_oracle(config, series.pv[:, 0, :], series.load[:, 0, :], (70, 13))
-    return {"dp/cost": repr(res.cost), "dp/delta_grid": repr(res.delta_grid),
-            "dp/commands": _sha(np.ascontiguousarray(res.commands).tobytes())}
+    """Perfect-foresight days with a fixed outage: one ESS at the default 21
+    points, and two ESS at 13 points, whose 25-point refinement pass (625
+    states) the DP sweeps in several row blocks, the last one partial."""
+    one = EssSpec(id="E1", p_min=-1.5, p_max=1.5, energy_cap=4.0,
+                  soc_min=0.1, soc_max=0.9)
+    two = EssSpec(id="E2", p_min=-1.0, p_max=1.0, energy_cap=2.5,
+                  soc_min=0.2, soc_max=0.95)
+    digests = {}
+    for name, ess, grid_points in (("dp", (one,), 21), ("dp2", (one, two), 13)):
+        config = MicrogridConfig(
+            ess=ess,
+            generators=(GeneratorSpec(id="G1", p_max=1.0),),
+            pv=(PvSpec(id="PV1", p_max=2.0),),
+            loads=(LoadSpec(id="L1", p_max=2.0), LoadSpec(id="L2", p_max=1.0)),
+            costs=CostParams(),
+        )
+        series = synth_generator(np.random.default_rng(5), 1, list(config.pv),
+                                 list(config.loads))
+        res = dp_oracle(config, series.pv[:, 0, :], series.load[:, 0, :],
+                        (70, 13), grid_points=grid_points)
+        commands = np.ascontiguousarray(res.commands).tobytes()
+        digests |= {f"{name}/cost": repr(res.cost),
+                    f"{name}/delta_grid": repr(res.delta_grid),
+                    f"{name}/commands": _sha(commands)}
+    return digests
 
 
 def pipeline(work: Path) -> dict[str, str]:

@@ -1,12 +1,16 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gridres.baselines import (
+    DpResult,
     DpSizeError,
     RulePolicy,
     TrainedPolicy,
+    _dp_cost,
+    _nearest_state,
     build_trainer,
     dp_oracle,
 )
@@ -21,11 +25,13 @@ from gridres.grid import (
     MicrogridConfig,
     PvSpec,
     day_inputs,
+    dispatch_generators,
     mask_bounds,
     resolve_slot,
     step_soc,
 )
 from gridres.maddpg import TrainSettings
+from gridres.outage import grid_tie
 
 
 def one_ess_config(energy_cap=1.0):
@@ -246,6 +252,132 @@ class TestDpOracle:
         while not done:
             _, _, obs, done = env.step(policy(obs))
         assert out.cost <= env.record.cost + out.delta_grid + 1e-9
+
+
+def reference_dp_cost(config, inputs, grid_points) -> DpResult:
+    """The DP as it was before the row-block sweep: whole joint tables per
+    pass. Kept as the reference that ``_dp_cost`` must match bit for bit."""
+    costs = config.costs
+    n_ess = len(config.ess)
+    connected, pv_sum, load_sum = inputs.connected, inputs.pv_sum, inputs.load_sum
+    slots = len(load_sum)
+    grids = [np.linspace(s.soc_min, s.soc_max, grid_points) for s in config.ess]
+    n_states = grid_points ** n_ess
+
+    lows, ups = mask_bounds(config.ess_limits, np.stack(grids, axis=1), SLOT_HOURS)
+    per_net, per_dis, per_feas = [], [], []
+    for i, (spec, grid) in enumerate(zip(config.ess, grids)):
+        delta_soc = grid[None, :] - grid[:, None]
+        eff = np.where(delta_soc > 0, spec.eff_charge, spec.eff_discharge)
+        power = delta_soc * spec.energy_cap / (eff * SLOT_HOURS)
+        low, up = lows[:, i], ups[:, i]
+        feas = (power >= low[:, None] - 1e-12) & (power <= up[:, None] + 1e-12)
+        per_net.append(power)
+        per_dis.append(np.abs(np.minimum(power, 0.0)))
+        per_feas.append(feas)
+
+    net = np.zeros((1, 1))
+    dis = np.zeros((1, 1))
+    feas = np.ones((1, 1), dtype=bool)
+    for p, d, f in zip(per_net, per_dis, per_feas):
+        s_old, a_old = net.shape
+        g = p.shape[0]
+        net = (net[:, None, :, None] + p[None, :, None, :]).reshape(
+            s_old * g, a_old * g)
+        dis = (dis[:, None, :, None] + d[None, :, None, :]).reshape(
+            s_old * g, a_old * g)
+        feas = (feas[:, None, :, None] & f[None, :, None, :]).reshape(
+            s_old * g, a_old * g)
+
+    gen_sum = [sum(dispatch_generators(config.generators, l)) for l in load_sum]
+
+    wear = costs.lambda_ess * dis * SLOT_HOURS
+    value = np.zeros(n_states)
+    policy = np.zeros((slots, n_states), dtype=np.int32)
+    for t in reversed(range(slots)):
+        if connected[t]:
+            slot_cost = wear + costs.lambda_grid * np.abs(
+                load_sum[t] + net - pv_sum[t]) * SLOT_HOURS
+            ok = feas
+        else:
+            gap = load_sum[t] + net - pv_sum[t] - gen_sum[t]
+            ok = feas & (gap >= -pv_sum[t] - 1e-12) & (gap <= load_sum[t] + 1e-12)
+            if load_sum[t] > 0:
+                alpha = np.clip(gap / load_sum[t], 0.0, 1.0)
+            else:
+                alpha = np.zeros_like(gap)
+            slot_cost = (wear + costs.lambda_gen * gen_sum[t] * SLOT_HOURS
+                         + costs.lambda_load * alpha * load_sum[t] * SLOT_HOURS)
+        total = np.where(ok, slot_cost + value[None, :], np.inf)
+        policy[t] = np.argmin(total, axis=1)
+        value = total[np.arange(n_states), policy[t]]
+
+    start_idx = _nearest_state(grids, config.initial_soc)
+    best = float(value[start_idx])
+
+    commands = np.zeros((slots, n_ess))
+    shape = (grid_points,) * n_ess
+    state = start_idx
+    for t in range(slots):
+        action = int(policy[t, state])
+        from_idx = np.unravel_index(state, shape)
+        to_idx = np.unravel_index(action, shape)
+        for i in range(n_ess):
+            commands[t, i] = per_net[i][from_idx[i], to_idx[i]]
+        state = action
+    return DpResult(cost=best, commands=commands, delta_grid=0.0)
+
+
+def fleet_config(n_ess):
+    """``n_ess`` unlike units, a generator, a PV and two loads."""
+    return MicrogridConfig(
+        ess=tuple(EssSpec(id=f"E{i}", p_min=-2.0 + 0.5 * i, p_max=2.0 - 0.3 * i,
+                          energy_cap=2.0 + i, soc_min=0.1 + 0.05 * i, soc_max=0.9,
+                          eff_charge=0.95 - 0.02 * i, eff_discharge=1.05 + 0.01 * i)
+                  for i in range(n_ess)),
+        generators=(GeneratorSpec(id="G1", p_max=0.8),),
+        pv=(PvSpec(id="PV1", p_max=2.0),),
+        loads=(LoadSpec(id="L1", p_max=1.5), LoadSpec(id="L2", p_max=1.0)),
+        costs=CostParams(),
+    )
+
+
+class TestDpRowBlocks:
+    """The row-block sweep gives the whole-table DP's cost and commands bit
+    for bit: one block (1 ESS at 161 points), several with a partial last
+    block (2 ESS at 17 points, 289 states; 3 ESS at 7 points, 343 states)."""
+
+    @pytest.mark.parametrize("n_ess, grid_points", [(1, 161), (2, 17), (3, 7)])
+    @pytest.mark.parametrize("outage", [None, (40, 20), (0, 96)])
+    def test_matches_whole_table_dp(self, n_ess, grid_points, outage):
+        config = fleet_config(n_ess)
+        rng = np.random.default_rng(30 + n_ess)
+        pv = rng.uniform(0.0, 2.2, size=(1, 96))
+        # Loads up to 1.3x p_max, so some slots are clamped, and slot 50, islanded
+        # in both outages, carries no load at all.
+        load = rng.uniform(0.0, 1.3, size=(2, 96)) * np.array([[1.5], [1.0]])
+        load[:, 50] = 0.0
+        inputs = day_inputs(config, pv, load, grid_tie(outage)[:96])
+        got = _dp_cost(config, inputs, grid_points)
+        want = reference_dp_cost(config, inputs, grid_points)
+        assert repr(got.cost) == repr(want.cost)
+        assert got.commands.tobytes() == want.commands.tobytes()
+
+    def test_memory_is_bounded(self):
+        """Two ESS at 21 then 41 points (2.8M pairs per slot in the fine
+        pass, 200 MiB as whole tables) stay below 16 MiB. The peak does not
+        grow with the day's length, so 12 slots keep the traced run short."""
+        config = two_ess_config()
+        rng = np.random.default_rng(40)
+        pv = rng.uniform(0.0, 1.5, size=(1, 12))
+        load = rng.uniform(0.5, 2.4, size=(1, 12))
+        tracemalloc.start()
+        try:
+            dp_oracle(config, pv, load, (4, 6), grid_points=21, refine=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestTrainedPolicy:

@@ -96,6 +96,15 @@ class TestConfig:
         for problem in expected:
             assert problem in err_text
 
+    @pytest.mark.parametrize("kind, problem", [
+        ("ess", "microgrid: at least one ESS is required"),
+        ("loads", "microgrid: at least one load is required"),
+    ])
+    def test_empty_fleet_list_reported(self, kind, problem):
+        with pytest.raises(ConfigError) as err:
+            resolve_dict(None, {"microgrid": {kind: []}})
+        assert err.value.problems == [problem]
+
     def test_yaml_round_trip(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text("train:\n  episodes: 7\n  warmup_steps: 100\n"
@@ -382,13 +391,21 @@ class TestCli:
          "train.batch_size: must not exceed train.replay_capacity"),
         ("train:\n  tau: 1.5\n", "train.tau: must be at most 1"),
         ("train:\n  gamma: 3.0\n", "train.gamma: must be at most 1"),
+        # A fleet whose only ESS or only load is bad is not also called empty.
+        ("microgrid:\n  ess: [{id: ESS1, p_min: 1.0, p_max: 2.0, energy_cap: 6.0, "
+         "soc_min: 0.1, soc_max: 0.9, bus: 6}]\n",
+         "microgrid.ess[0]: ESS1: need p_min < 0 < p_max"),
+        ("microgrid:\n  loads: [{id: Load1, p_max: -1.0, bus: 2}]\n",
+         "microgrid.loads[0]: Load1: p_max must be positive"),
     ])
     def test_mistyped_leaf_exits_1(self, tmp_path, capsys, yaml_text, problem):
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml_text)
         code = main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 1
-        assert problem in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert problem in err
+        assert "is required" not in err
 
     def test_type_and_range_problems_reported_together(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
