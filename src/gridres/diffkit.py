@@ -8,11 +8,12 @@ differences in the test suite. The one composite is the network block,
 dense -> LayerNorm -> ReLU (``block_init``/``block_forward``/
 ``block_backward``), which every hidden layer of the actor and critic uses.
 
-Batched arrays are (batch, features). The dense and LayerNorm forwards also
-run a stack of G same-shaped layers in one pass: input (G, batch, features),
-every parameter with a leading group axis, and every cache array with the
-group axis first, so ``take_group`` slices one group's cache out for the 2-D
-backward. Parameter collections are plain dicts with deterministic insertion
+Batched arrays are (batch, features). The dense and LayerNorm layers also
+run a stack of G same-shaped layers in one pass, forward and backward: every
+parameter and parameter gradient has a leading group axis, and so do the
+activations, except that a dense layer may take one (batch, features) input
+shared by every group. Each group's slice is then the same arithmetic as its
+2-D call. Parameter collections are plain dicts with deterministic insertion
 order.
 """
 
@@ -48,7 +49,8 @@ def dense_forward(x, w, b):
 
 def dense_backward(cache, grad_out):
     x, w = cache
-    return grad_out @ w.T, x.T @ grad_out, grad_out.sum(axis=0)
+    return (grad_out @ w.swapaxes(-1, -2), x.swapaxes(-1, -2) @ grad_out,
+            grad_out.sum(axis=-2))
 
 
 def layernorm_forward(x, gain, bias):
@@ -71,13 +73,17 @@ def layernorm_forward(x, gain, bias):
 
 
 def layernorm_backward(cache, grad_out):
+    """In place on two full-size arrays, as the forward."""
     xhat, inv, gain = cache
-    dxhat = grad_out * gain
-    dgain = (grad_out * xhat).sum(axis=0)
-    dbias = grad_out.sum(axis=0)
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
+    dx = grad_out * gain[..., None, :]  # dxhat
+    tmp = grad_out * xhat
+    dgain, dbias = tmp.sum(axis=-2), grad_out.sum(axis=-2)
+    m1 = dx.mean(axis=-1, keepdims=True)
+    m2 = np.multiply(dx, xhat, out=tmp).mean(axis=-1, keepdims=True)
+    # dx = inv * (dxhat - m1 - xhat * m2)
+    dx -= m1
+    dx -= np.multiply(xhat, m2, out=tmp)
+    dx *= inv
     return dx, dgain, dbias
 
 
@@ -108,11 +114,11 @@ def sigmoid_backward(cache, grad_out):
 
 
 def mse_loss(pred, target):
-    """Mean squared error over all elements; returns (loss, dpred)."""
+    """Mean squared error along the last axis; returns (losses, d sum / dpred)."""
     if pred.shape != target.shape:
         raise ShapeError(f"prediction {pred.shape} vs target {target.shape}")
     diff = pred - target
-    return float((diff ** 2).mean()), 2.0 * diff / diff.size
+    return (diff ** 2).mean(axis=-1), 2.0 * diff / diff.shape[-1]
 
 
 # ------------------------------------------------------------ network block
@@ -129,8 +135,8 @@ def block_init(rng: np.random.Generator, in_dim: int, out_dim: int,
 def block_forward(x, params, tag: str):
     z, cd = dense_forward(x, params[f"W{tag}"], params[f"b{tag}"])
     n, cn = layernorm_forward(z, params[f"g{tag}"], params[f"be{tag}"])
-    h, cr = relu_forward(n)
-    return h, (cd, cn, cr)
+    cr = n > 0.0
+    return np.maximum(n, 0.0, out=n), (cd, cn, cr)  # the ReLU, in place
 
 
 def block_backward(cache, grad_out, tag: str):
@@ -287,21 +293,19 @@ def soft_update(target: dict[str, np.ndarray], source: dict[str, np.ndarray],
         target[key] += tau * source[key]
 
 
-def clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale the whole gradient dict to a global norm cap; returns the norm."""
-    total = float(np.sqrt(sum(float(np.square(g).sum()) for g in grads.values())))
-    if total > max_norm and total > 0.0:
-        scale = max_norm / total
+def clip_grads(grads: dict[str, np.ndarray], max_norm: float,
+               stacked: bool = False):
+    """Scale the whole gradient dict to a global norm cap, in place; returns
+    the norm. ``stacked``: each slice along the leading group axis is one
+    net's gradient, capped on its own, and the (G,) norms are returned."""
+    rows = (len(next(iter(grads.values()))), -1) if stacked else (-1,)
+    total = np.sqrt(sum(np.square(g).reshape(rows).sum(axis=-1)
+                        for g in grads.values()))
+    if (total > max_norm).any():
+        scale = np.divide(max_norm, total, out=np.ones_like(total), where=total > max_norm)
         for g in grads.values():
-            g *= scale
-    return total
-
-
-def take_group(cache, g: int):
-    """Group ``g``'s slice of a stacked forward's (nested tuple) cache."""
-    if isinstance(cache, tuple):
-        return tuple(take_group(c, g) for c in cache)
-    return cache[g]
+            g *= scale.reshape(scale.shape + (1,) * (g.ndim - scale.ndim))
+    return total if stacked else float(total)
 
 
 def accumulate(into: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:

@@ -9,6 +9,11 @@ The same machinery also runs the single-agent baseline: a "group" is one
 actor commanding a set of ESS units, so the multi-agent learner is N groups
 of one unit each and the single-agent baseline is one group of N units.
 With one ESS the two are the same computation, which the tests exploit.
+
+An update round samples one minibatch for all groups and steps them all at
+once (Jacobi), each pass running once over group-axis stacks of the nets.
+This departs from Algorithm 1 of Lowe et al. 2017, which gives each agent its
+own minibatch and steps the agents in sequence; with one group they coincide.
 """
 
 from __future__ import annotations
@@ -69,11 +74,20 @@ def noise_sigma(step: int, settings: TrainSettings, total_steps: int) -> float:
         settings.noise_sigma_end - settings.noise_sigma_start)
 
 
+def stack_nets(nets: list) -> Any:
+    """One net of ``nets``' type whose parameters hold theirs, copied, along
+    a leading group axis."""
+    stacked = copy.copy(nets[0])
+    stacked.params = {k: np.stack([net.params[k] for net in nets])
+                      for k in nets[0].params}
+    return stacked
+
+
 class ActorNet:
     """features -> 64 LN ReLU -> 64 LN ReLU -> tanh output.
 
-    ``forward`` also runs a stack of same-shaped nets (``stack``) in one
-    pass over a leading group axis; ``backward`` takes one net's 2-D cache.
+    ``forward`` and ``backward`` also run a stack of same-shaped nets
+    (``stack_nets``) in one pass over a leading group axis.
     """
 
     def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int,
@@ -86,18 +100,6 @@ class ActorNet:
                                   scale=1e-3 / np.sqrt(hidden)),
             "b3": np.zeros(out_dim),
         }
-
-    @classmethod
-    def stack(cls, nets: list["ActorNet"]) -> "ActorNet":
-        """One net whose parameters hold ``nets``' along a leading group
-        axis. Each of ``nets`` is rebound to views of the stack, so in-place
-        updates through either are seen by both."""
-        stacked = cls.__new__(cls)
-        stacked.params = {k: np.stack([net.params[k] for net in nets])
-                          for k in nets[0].params}
-        for g, net in enumerate(nets):
-            net.params = {k: p[g] for k, p in stacked.params.items()}
-        return stacked
 
     def forward(self, x: np.ndarray):
         p = self.params
@@ -117,7 +119,9 @@ class ActorNet:
 
 class CriticNet:
     """State through two 64 LN ReLU layers; the action embedding (64, ReLU)
-    joins additively after the first state layer; scalar linear head."""
+    joins additively after the first state layer; scalar linear head. A
+    stack (``stack_nets``) maps one (batch, ·) state and action input to
+    (groups, batch) values."""
 
     def __init__(self, rng: np.random.Generator, state_dim: int, act_dim: int,
                  hidden: int):
@@ -137,11 +141,11 @@ class CriticNet:
         ea, cra = dk.relu_forward(za)
         h2, c2 = dk.block_forward(hs + ea, p, "2")
         q, c3 = dk.dense_forward(h2, p["W3"], p["b3"])
-        return q[:, 0], (cs, ca, cra, c2, c3)
+        return q[..., 0], (cs, ca, cra, c2, c3)
 
     def backward(self, cache, dq: np.ndarray):
         cs, ca, cra, c2, c3 = cache
-        dh2, dW3, db3 = dk.dense_backward(c3, dq[:, None])
+        dh2, dW3, db3 = dk.dense_backward(c3, dq[..., None])
         dh, g2 = dk.block_backward(c2, dh2, "2")
         # dh splits into the state tower and the action embedding.
         dact, dWa, dba = dk.dense_backward(ca, dk.relu_backward(cra, dh))
@@ -217,7 +221,8 @@ class ReplayBuffer:
 
 
 class Trainer:
-    """Owns the networks, targets, optimizer state and the update rules."""
+    """Owns the networks, targets, optimizer state and the update rules;
+    each group's nets and Adam moments are slices of group-axis stacks."""
 
     def __init__(self, config: MicrogridConfig, groups: list[AgentGroup],
                  settings: TrainSettings, init_rng: np.random.Generator):
@@ -234,26 +239,15 @@ class Trainer:
             raise ValueError("groups must split the fleet in ESS order")
 
         self.encoder = GruEncoder(config.capacities, init_rng)
-        self.actors: list[ActorNet] = []
-        self.critics: list[CriticNet] = []
-        self.target_actors: list[ActorNet] = []
-        self.target_critics: list[CriticNet] = []
-        self.actor_adam: list[dk.AdamState] = []
-        self.critic_adam: list[dk.AdamState] = []
-        for group in groups:
-            actor = ActorNet(init_rng, 2 * self.units.shape[1] + VECTOR_DIM,
-                             settings.hidden, len(group.ess_indices))
-            critic = CriticNet(init_rng, self.state_dim, self.n_ess, settings.hidden)
-            self.actors.append(actor)
-            self.critics.append(critic)
-            self.target_actors.append(copy.deepcopy(actor))
-            self.target_critics.append(copy.deepcopy(critic))
-            self.actor_adam.append(dk.AdamState.for_params(actor.params))
-            self.critic_adam.append(dk.AdamState.for_params(critic.params))
-        # The per-group actors and target actors become views of these
-        # stacks, which every actor forward runs on.
-        self.actor_stack = ActorNet.stack(self.actors)
-        self.target_actor_stack = ActorNet.stack(self.target_actors)
+        k = self.units.shape[1]
+        nets = [(ActorNet(init_rng, 2 * k + VECTOR_DIM, settings.hidden, k),
+                 CriticNet(init_rng, self.state_dim, self.n_ess, settings.hidden))
+                for _ in groups]
+        self.actor_stack, self.critic_stack = map(stack_nets, zip(*nets))
+        self.target_actor_stack = copy.deepcopy(self.actor_stack)
+        self.target_critic_stack = copy.deepcopy(self.critic_stack)
+        self.actor_adam = dk.AdamState.for_params(self.actor_stack.params)
+        self.critic_adam = dk.AdamState.for_params(self.critic_stack.params)
         self.gru_adam = dk.AdamState.for_params(self.encoder.params)
 
     # ----------------------------------------------------------- acting
@@ -278,8 +272,10 @@ class Trainer:
 
     # ----------------------------------------------------------- updates
 
-    def critic_update(self, g: int, replay: ReplayBuffer, idx: np.ndarray) -> float:
-        """Temporal-difference regression toward the target networks."""
+    def critic_update(self, replay: ReplayBuffer, idx: np.ndarray, state: np.ndarray):
+        """Every group's temporal-difference regression toward the target
+        networks on minibatch ``idx``, whose critic input is ``state``.
+        Returns the (groups,) losses."""
         s = self.settings
         next_socs = replay.next_socs[idx]
         next_counters = replay.next_counters[idx]
@@ -287,32 +283,33 @@ class Trainer:
         next_pis, _ = self.joint_pis(self.target_actor_stack, next_socs,
                                      next_counters, next_v)
         next_actions, _ = self.apply_mask(next_pis, next_socs)
-        q_next, _ = self.target_critics[g].forward(
+        q_next, _ = self.target_critic_stack.forward(
             features(next_socs, next_counters, next_v), next_actions)
-        y = replay.rewards[idx, g] + s.gamma * (1.0 - replay.dones[idx]) * q_next
+        y = replay.rewards[idx].T + s.gamma * (1.0 - replay.dones[idx]) * q_next
 
-        state = features(replay.socs[idx], replay.counters[idx], replay.v[idx])
-        q, cache = self.critics[g].forward(state, replay.actions[idx])
-        loss, dq = dk.mse_loss(q, y)
-        if not np.isfinite(loss):
-            raise TrainingDiverged(f"critic loss non-finite in group {g}")
-        grads, _, _ = self.critics[g].backward(cache, dq)
-        dk.clip_grads(grads, s.grad_clip)
-        dk.adam_step(self.critics[g].params, grads, self.critic_adam[g], s.lr_critic)
-        return loss
+        q, cache = self.critic_stack.forward(state, replay.actions[idx])
+        losses, dq = dk.mse_loss(q, y)
+        if not np.isfinite(losses).all():
+            raise TrainingDiverged(f"critic loss non-finite in group "
+                                   f"{np.argmin(np.isfinite(losses))}")
+        grads, _, _ = self.critic_stack.backward(cache, dq)
+        dk.clip_grads(grads, s.grad_clip, stacked=True)
+        dk.adam_step(self.critic_stack.params, grads, self.critic_adam, s.lr_critic)
+        return losses
 
-    def actor_update(self, g: int, replay: ReplayBuffer, idx: np.ndarray):
-        """Ascend the critic's value through the masking map.
+    def actor_update(self, replay: ReplayBuffer, idx: np.ndarray,
+                     state: np.ndarray):
+        """Ascend each group's critic value through the masking map.
 
-        The raw output of every group is recomputed from the current
-        behaviour policies on the stored states; only group ``g``'s action
-        path is differentiated. The characteristic vector feeding the actors
-        is re-encoded from the stored windows so the gradient reaches the
-        shared encoder; the critic's state input keeps the stored vector.
-        The critic's backward is seeded with -1/batch, so every gradient
-        here is that of -objective and the descent-style optimizer ascends.
-        Returns (objective, encoder gradient of -objective).
-        """
+        Every group's raw output is computed from the current behaviour
+        policies on the stored states; each group differentiates its own
+        critic along its own units' action columns. The characteristic
+        vector feeding the actors is re-encoded from the stored windows so
+        the gradient reaches the shared encoder; the critics' input
+        ``state`` keeps the stored vector. The backward is seeded with
+        -1/batch, so every gradient here is that of -objective and the
+        descent-style optimizer ascends. Returns the (groups,) objectives
+        and the encoder gradient of their summed -objective."""
         s = self.settings
         batch = len(idx)
         socs = replay.socs[idx]
@@ -321,70 +318,62 @@ class Trainer:
         pis, cache = self.joint_pis(self.actor_stack, socs, counters, v_live)
         actions, slope = self.apply_mask(pis, socs)
 
-        state = features(socs, counters, replay.v[idx])
-        q, critic_cache = self.critics[g].forward(state, actions)
-        objective = float(q.mean())
-        if not np.isfinite(objective):
-            raise TrainingDiverged(f"actor objective non-finite in group {g}")
+        q, critic_cache = self.critic_stack.forward(state, actions)
+        objectives = q.mean(axis=-1)
+        if not np.isfinite(objectives).all():
+            raise TrainingDiverged(f"actor objective non-finite in group "
+                                   f"{np.argmin(np.isfinite(objectives))}")
 
-        _, _, dact = self.critics[g].backward(critic_cache,
-                                              np.full(batch, -1.0 / batch))
-        cols = self.units[g]
-        grads, dfeat = self.actors[g].backward(dk.take_group(cache, g),
-                                               dact[:, cols] * slope[:, cols])
-        dk.clip_grads(grads, s.grad_clip)
-        dk.adam_step(self.actors[g].params, grads, self.actor_adam[g], s.lr_actor)
-        gru_grads = self.encoder.backward(gru_cache, dfeat[:, -VECTOR_DIM:])
-        return objective, gru_grads
+        _, _, dact = self.critic_stack.backward(critic_cache,
+                                                np.full(q.shape, -1.0 / batch))
+        dpi = np.take_along_axis(dact * slope, self.units[:, None, :], axis=2)
+        grads, dfeat = self.actor_stack.backward(cache, dpi)
+        dk.clip_grads(grads, s.grad_clip, stacked=True)
+        dk.adam_step(self.actor_stack.params, grads, self.actor_adam, s.lr_actor)
+        gru_grads = self.encoder.backward(gru_cache,
+                                          dfeat[..., -VECTOR_DIM:].sum(axis=0))
+        return objectives, gru_grads
 
     def update(self, replay: ReplayBuffer, rng: np.random.Generator):
-        """One full round: per group critic + actor + soft targets, then one
-        summed encoder step at its own learning rate.
-
-        Groups update in sequence (Gauss-Seidel, as in Algorithm 1 of Lowe
-        et al. 2017): group ``g``'s critic target uses the already
-        soft-updated target actors of groups ``< g``, and its actor step sees
-        their already-stepped actors. The encoder takes one step on the sum
-        of every group's encoder gradient after all groups.
-        """
+        """One round on one shared minibatch, every group at once (Jacobi,
+        unlike Algorithm 1 of Lowe et al. 2017): all critics step, then all
+        actors through the stepped critics, each seeing the others' actors
+        as before the round; then the soft target updates and one encoder
+        step at its own learning rate. Returns per-group losses and
+        objectives."""
         s = self.settings
-        gru_total: dict[str, np.ndarray] = {}
-        losses = []
-        objectives = []
-        for g in range(len(self.groups)):
-            idx = replay.sample_indices(s.batch_size, rng)
-            losses.append(self.critic_update(g, replay, idx))
-            objective, gru_grads = self.actor_update(g, replay, idx)
-            objectives.append(objective)
-            dk.accumulate(gru_total, gru_grads)
-            dk.soft_update(self.target_critics[g].params, self.critics[g].params, s.tau)
-            dk.soft_update(self.target_actors[g].params, self.actors[g].params, s.tau)
-        dk.clip_grads(gru_total, s.grad_clip)
-        dk.adam_step(self.encoder.params, gru_total, self.gru_adam, s.lr_gru)
-        return losses, objectives
+        idx = replay.sample_indices(s.batch_size, rng)
+        state = features(replay.socs[idx], replay.counters[idx], replay.v[idx])
+        losses = self.critic_update(replay, idx, state)
+        objectives, gru_grads = self.actor_update(replay, idx, state)
+        dk.soft_update(self.target_critic_stack.params, self.critic_stack.params, s.tau)
+        dk.soft_update(self.target_actor_stack.params, self.actor_stack.params, s.tau)
+        dk.clip_grads(gru_grads, s.grad_clip)
+        dk.adam_step(self.encoder.params, gru_grads, self.gru_adam, s.lr_gru)
+        return losses.tolist(), objectives.tolist()
 
     # ------------------------------------------------------- persistence
 
-    def _adam_states(self) -> list[tuple[str, dk.AdamState]]:
-        states = []
-        for g in range(len(self.groups)):
-            states += [(f"actor{g}", self.actor_adam[g]),
-                       (f"critic{g}", self.critic_adam[g])]
-        return states + [("gru", self.gru_adam)]
-
     def _checkpoint_entries(self) -> list[tuple[str, dict[str, np.ndarray]]]:
-        """Every checkpointed tensor dict with its key prefix, in file order.
-        An optimizer's step count is stored as ``adam/<net>/t`` after its
-        moments; its one-element dict here is a copy, restored separately."""
+        """Every checkpointed tensor dict with its key prefix, in file order;
+        a group's are views of its slices of the stacks. An optimizer's step
+        count is stored as ``adam/<net>/t`` after its moments, per group for
+        a stack; its one-element dict here is a copy, restored separately."""
+        at = lambda params, g: {k: p[g] for k, p in params.items()}
         entries = [("gru", self.encoder.params)]
+        adams = []
         for g in range(len(self.groups)):
-            entries += [(f"actor{g}", self.actors[g].params),
-                        (f"critic{g}", self.critics[g].params),
-                        (f"target_actor{g}", self.target_actors[g].params),
-                        (f"target_critic{g}", self.target_critics[g].params)]
-        for name, state in self._adam_states():
-            entries += [(f"adam/{name}/m", state.m), (f"adam/{name}/v", state.v),
-                        (f"adam/{name}", {"t": np.array([state.t], dtype=float)})]
+            entries += [(f"actor{g}", at(self.actor_stack.params, g)),
+                        (f"critic{g}", at(self.critic_stack.params, g)),
+                        (f"target_actor{g}", at(self.target_actor_stack.params, g)),
+                        (f"target_critic{g}", at(self.target_critic_stack.params, g))]
+            adams += [(f"{net}{g}", at(state.m, g), at(state.v, g), state.t)
+                      for net, state in (("actor", self.actor_adam),
+                                         ("critic", self.critic_adam))]
+        adams.append(("gru", self.gru_adam.m, self.gru_adam.v, self.gru_adam.t))
+        for name, m, v, t in adams:
+            entries += [(f"adam/{name}/m", m), (f"adam/{name}/v", v),
+                        (f"adam/{name}", {"t": np.array([t], dtype=float)})]
         return entries
 
     def param_set(self) -> dk.ParamSet:
@@ -400,6 +389,13 @@ class Trainer:
         if missing or unexpected:
             raise ValueError("checkpoint does not match the model: missing "
                              f"{missing or 'none'}, unexpected {unexpected or 'none'}")
+        # A stack has one step count, so the groups' counts must agree.
+        for net, state in (("actor", self.actor_adam), ("critic", self.critic_adam)):
+            counts = {ps.tensors[f"adam/{net}{g}/t"][0] for g in range(len(self.groups))}
+            if len(counts) != 1:
+                raise ValueError(f"unreadable checkpoint: adam/{net}<g>/t differ "
+                                 f"across groups: {sorted(counts)}")
+            state.t = int(counts.pop())
         for prefix, params in self._checkpoint_entries():
             for name in params:
                 src = ps.tensors[f"{prefix}/{name}"]
@@ -407,10 +403,8 @@ class Trainer:
                     raise dk.ShapeError(
                         f"{prefix}/{name}: checkpoint {src.shape} vs "
                         f"model {params[name].shape}")
-                # In place: actor parameters are views of the stacks.
                 params[name][...] = src
-        for name, state in self._adam_states():
-            state.t = int(ps.tensors[f"adam/{name}/t"][0])
+        self.gru_adam.t = int(ps.tensors["adam/gru/t"][0])
 
 
 def maddpg_groups(n_ess: int) -> list[AgentGroup]:

@@ -288,13 +288,13 @@ class TestCriterion8Equivalence:
             t_multi.update(replay, rng_a)
             t_joint.update(replay, rng_b)
         mismatches = []
-        for k in t_multi.actors[0].params:
-            if t_multi.actors[0].params[k].tobytes() != \
-                    t_joint.actors[0].params[k].tobytes():
+        for k in t_multi.actor_stack.params:
+            if t_multi.actor_stack.params[k].tobytes() != \
+                    t_joint.actor_stack.params[k].tobytes():
                 mismatches.append(f"actor/{k}")
-        for k in t_multi.critics[0].params:
-            if t_multi.critics[0].params[k].tobytes() != \
-                    t_joint.critics[0].params[k].tobytes():
+        for k in t_multi.critic_stack.params:
+            if t_multi.critic_stack.params[k].tobytes() != \
+                    t_joint.critic_stack.params[k].tobytes():
                 mismatches.append(f"critic/{k}")
         for k in t_multi.encoder.params:
             if t_multi.encoder.params[k].tobytes() != \

@@ -393,8 +393,8 @@ class TestTrainedPolicy:
         env = MicrogridEnv(config, series, table, OutageSettings(), horizon=4)
         trainer = build_trainer(env, TrainSettings(hidden=16), "maddpg",
                                 np.random.default_rng(24))
-        for actor in trainer.actors:  # so that the actions follow v visibly
-            actor.params["W3"] *= 1e3
+        # So that the actions follow v visibly.
+        trainer.actor_stack.params["W3"] *= 1e3
         policy = TrainedPolicy(trainer)
         rng = np.random.default_rng(25)
         for day in (0, 1):

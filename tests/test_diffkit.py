@@ -59,20 +59,30 @@ class TestLayerNorm:
 
     def test_stacked_groups_match_each_group_alone(self):
         """A leading group axis on input and parameters computes each
-        group's layer as the 2-D call would, also when the batch is 1 or
-        equals the group count (where a bare (G, H) bias would broadcast)."""
+        group's layer, forward and backward, as the 2-D call would, also
+        when the batch is 1 or equals the group count (where a bare (G, H)
+        bias or gain would broadcast), and with a dense input shared by
+        every group."""
         rng = np.random.default_rng(13)
         for batch in (1, 4, 9):
-            x, w = rand(rng, 4, batch, 3), rand(rng, 4, 3, 6)
-            b, g, be = rand(rng, 4, 6), rand(rng, 4, 6), rand(rng, 4, 6)
-            z, _ = dk.dense_forward(x, w, b)
-            n, cache = dk.layernorm_forward(z, g, be)
-            for k in range(4):
-                zk, _ = dk.dense_forward(x[k], w[k], b[k])
-                nk, cache_k = dk.layernorm_forward(zk, g[k], be[k])
-                assert np.array_equal(z[k], zk) and np.array_equal(n[k], nk)
-                for got, want in zip(dk.take_group(cache, k), cache_k):
-                    assert np.array_equal(got, want)
+            w, b = rand(rng, 4, 3, 6), rand(rng, 4, 6)
+            g, be = rand(rng, 4, 6), rand(rng, 4, 6)
+            seed = rand(rng, 4, batch, 6)
+            for x in (rand(rng, 4, batch, 3), rand(rng, batch, 3)):
+                z, cd = dk.dense_forward(x, w, b)
+                n, cn = dk.layernorm_forward(z, g, be)
+                dz, dg, dbe = dk.layernorm_backward(cn, seed)
+                dx, dw, db = dk.dense_backward(cd, dz)
+                for k in range(4):
+                    xk = x[k] if x.ndim == 3 else x
+                    zk, cd_k = dk.dense_forward(xk, w[k], b[k])
+                    nk, cn_k = dk.layernorm_forward(zk, g[k], be[k])
+                    dz_k, dg_k, dbe_k = dk.layernorm_backward(cn_k, seed[k])
+                    dx_k, dw_k, db_k = dk.dense_backward(cd_k, dz_k)
+                    for got, want in ((z[k], zk), (n[k], nk), (dz[k], dz_k),
+                                      (dg[k], dg_k), (dbe[k], dbe_k),
+                                      (dx[k], dx_k), (dw[k], dw_k), (db[k], db_k)):
+                        assert got.tobytes() == want.tobytes()
 
     def test_gradients(self):
         rng = np.random.default_rng(2)
@@ -253,6 +263,13 @@ class TestHelpers:
         assert norm == pytest.approx(5.0)
         total = np.sqrt(sum(float(np.square(g).sum()) for g in grads.values()))
         assert total == pytest.approx(1.0)
+
+    def test_clip_grads_stacked_caps_each_group(self):
+        grads = {"a": np.array([[3.0], [0.3]]), "b": np.array([[4.0], [0.4]])}
+        norms = dk.clip_grads(grads, 1.0, stacked=True)
+        assert norms == pytest.approx([5.0, 0.5])
+        assert np.allclose(grads["a"], [[0.6], [0.3]])
+        assert np.allclose(grads["b"], [[0.8], [0.4]])
 
     def test_deterministic_forward(self):
         rng = np.random.default_rng(8)

@@ -502,11 +502,17 @@ class TestCli:
             [n for n in tensors["__order__"] if n != "gru/emb/W"] + ["extra"])
         tensors["extra"] = np.zeros(1)
         np.savez(tmp_path / "missing.npz", **tensors)
+        with np.load(path) as data:
+            tensors = {k: data[k] for k in data.files}
+        tensors["adam/actor1/t"] = tensors["adam/actor1/t"] + 1.0
+        np.savez(tmp_path / "steps.npz", **tensors)
         np.save(tmp_path / "array.npy", np.zeros(3))
         cases = {"truncated": (good[: len(good) // 2], "unreadable checkpoint"),
                  "npy": ((tmp_path / "array.npy").read_bytes(), "unreadable checkpoint"),
                  "missing": ((tmp_path / "missing.npz").read_bytes(),
-                             "missing ['gru/emb/W'], unexpected ['extra']")}
+                             "missing ['gru/emb/W'], unexpected ['extra']"),
+                 "steps": ((tmp_path / "steps.npz").read_bytes(),
+                           "adam/actor<g>/t differ across groups")}
         for case, (blob, problem) in cases.items():
             path.write_bytes(blob)
             for command in ("eval", "audit"):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -24,9 +26,11 @@ from gridres.maddpg import (
     CriticNet,
     ReplayBuffer,
     Trainer,
+    TrainingDiverged,
     TrainSettings,
     ddpg_groups,
     explore,
+    features,
     group_reward,
     maddpg_groups,
     noise_sigma,
@@ -41,7 +45,9 @@ ESS2 = EssSpec(id="ESS2", p_min=-1.5, p_max=1.5, energy_cap=4.0,
 
 
 def tiny_config(n_ess=2):
-    specs = (ESS1, ESS2)[:n_ess]
+    specs = ((ESS1, ESS2) + tuple(
+        EssSpec(id=f"ESS{n + 1}", p_min=-1.0, p_max=1.0, energy_cap=3.0,
+                soc_min=0.1, soc_max=0.9) for n in range(2, n_ess)))[:n_ess]
     return MicrogridConfig(
         ess=specs,
         generators=(GeneratorSpec(id="G1", p_max=1.0),),
@@ -276,6 +282,17 @@ def fill_replay(env, trainer, steps=40, seed=0):
     return replay
 
 
+def critic_state(replay, idx):
+    """The critics' state input for the minibatch ``idx``, as ``update``
+    builds it."""
+    return maddpg.features(replay.socs[idx], replay.counters[idx], replay.v[idx])
+
+
+def zero_params(net):
+    for k in net.params:
+        net.params[k] = np.zeros_like(net.params[k])
+
+
 class TestCriticUpdate:
     def test_gamma_zero_reduces_to_reward_regression(self):
         env = tiny_env()
@@ -283,25 +300,22 @@ class TestCriticUpdate:
         trainer = make_trainer(env, settings=settings)
         replay = fill_replay(env, trainer)
         idx = np.arange(8)
-        # Zero the critic so that Q == 0: loss must be mean(r^2).
-        for k in trainer.critics[0].params:
-            trainer.critics[0].params[k] = np.zeros_like(trainer.critics[0].params[k])
-        loss = trainer.critic_update(0, replay, idx)
-        r = replay.rewards[idx, 0]
-        assert loss == pytest.approx(float((r ** 2).mean()), rel=1e-9)
+        # Zero the critics so that Q == 0: each loss must be mean(r^2).
+        zero_params(trainer.critic_stack)
+        losses = trainer.critic_update(replay, idx, critic_state(replay, idx))
+        r = replay.rewards[idx]
+        assert losses == pytest.approx((r ** 2).mean(axis=0), rel=1e-9)
 
     def test_unit_reward_zero_nets_loss_one(self):
         env = tiny_env()
         trainer = make_trainer(env)
         replay = fill_replay(env, trainer)
         replay.rewards[:, :] = 1.0
-        for nets in (trainer.critics, trainer.target_critics):
-            for net in nets:
-                for k in net.params:
-                    net.params[k] = np.zeros_like(net.params[k])
+        for net in (trainer.critic_stack, trainer.target_critic_stack):
+            zero_params(net)
         idx = np.arange(8)
-        loss = trainer.critic_update(0, replay, idx)
-        assert loss == pytest.approx(1.0)
+        losses = trainer.critic_update(replay, idx, critic_state(replay, idx))
+        assert losses == pytest.approx([1.0, 1.0])
 
     def test_loss_decreases_on_frozen_batch(self):
         env = tiny_env()
@@ -309,10 +323,11 @@ class TestCriticUpdate:
         trainer = make_trainer(env, settings=settings)
         replay = fill_replay(env, trainer, steps=32)
         idx = np.arange(16)
-        first = trainer.critic_update(0, replay, idx)
+        state = critic_state(replay, idx)
+        first = trainer.critic_update(replay, idx, state)
         for _ in range(99):
-            last = trainer.critic_update(0, replay, idx)
-        assert last < first
+            last = trainer.critic_update(replay, idx, state)
+        assert (last < first).all()
 
 
 class TestActorUpdate:
@@ -320,12 +335,12 @@ class TestActorUpdate:
         env = tiny_env()
         trainer = make_trainer(env)
         replay = fill_replay(env, trainer)
-        for k in trainer.critics[0].params:
-            trainer.critics[0].params[k] = np.zeros_like(trainer.critics[0].params[k])
-        before = {k: p.copy() for k, p in trainer.actors[0].params.items()}
-        trainer.actor_update(0, replay, np.arange(8))
+        zero_params(trainer.critic_stack)
+        before = {k: p.copy() for k, p in trainer.actor_stack.params.items()}
+        idx = np.arange(8)
+        trainer.actor_update(replay, idx, critic_state(replay, idx))
         # Adam with exactly zero gradient leaves parameters untouched.
-        for k, p in trainer.actors[0].params.items():
+        for k, p in trainer.actor_stack.params.items():
             assert np.array_equal(p, before[k]), k
 
     def test_objective_non_decreasing_with_frozen_critic(self):
@@ -334,14 +349,16 @@ class TestActorUpdate:
         trainer = make_trainer(env, settings=settings, seed=3)
         replay = fill_replay(env, trainer, steps=32, seed=4)
         idx = np.arange(16)
-        objs = [trainer.actor_update(0, replay, idx)[0] for _ in range(100)]
-        assert objs[-1] >= objs[0]
+        state = critic_state(replay, idx)
+        objs = [trainer.actor_update(replay, idx, state)[0] for _ in range(100)]
+        assert (objs[-1] >= objs[0]).all()
 
     def test_gru_gradients_flow(self):
         env = tiny_env()
         trainer = make_trainer(env)
         replay = fill_replay(env, trainer)
-        _, gru_grads = trainer.actor_update(0, replay, np.arange(8))
+        idx = np.arange(8)
+        _, gru_grads = trainer.actor_update(replay, idx, critic_state(replay, idx))
         total = sum(float(np.abs(g).sum()) for g in gru_grads.values())
         assert total > 0.0
 
@@ -351,8 +368,8 @@ class TestTargets:
         env = tiny_env()
         trainer = make_trainer(env)
         tau = trainer.settings.tau
-        src = trainer.actors[0].params
-        tgt = trainer.target_actors[0].params
+        src = trainer.actor_stack.params
+        tgt = trainer.target_actor_stack.params
         src["W1"] += 1.0  # freeze a gap
         errors = []
         for _ in range(4):
@@ -505,9 +522,9 @@ class TestEquivalenceSingleAgent:
                               seed=11)
         t_ddpg = make_trainer(env_b, groups=ddpg_groups(1), settings=settings,
                               seed=11)
-        for k in t_madd.actors[0].params:
-            assert np.array_equal(t_madd.actors[0].params[k],
-                                  t_ddpg.actors[0].params[k])
+        for k in t_madd.actor_stack.params:
+            assert np.array_equal(t_madd.actor_stack.params[k],
+                                  t_ddpg.actor_stack.params[k])
 
         replay = fill_replay(env_a, t_madd, steps=64, seed=12)
         rng_a = np.random.default_rng(13)
@@ -515,12 +532,12 @@ class TestEquivalenceSingleAgent:
         for _ in range(100):
             t_madd.update(replay, rng_a)
             t_ddpg.update(replay, rng_b)
-        for k in t_madd.actors[0].params:
-            assert t_madd.actors[0].params[k].tobytes() == \
-                t_ddpg.actors[0].params[k].tobytes(), k
-        for k in t_madd.critics[0].params:
-            assert t_madd.critics[0].params[k].tobytes() == \
-                t_ddpg.critics[0].params[k].tobytes(), k
+        for k in t_madd.actor_stack.params:
+            assert t_madd.actor_stack.params[k].tobytes() == \
+                t_ddpg.actor_stack.params[k].tobytes(), k
+        for k in t_madd.critic_stack.params:
+            assert t_madd.critic_stack.params[k].tobytes() == \
+                t_ddpg.critic_stack.params[k].tobytes(), k
 
 
 def per_group_pis(trainer, actors, socs, counters, v):
@@ -542,6 +559,27 @@ def per_group_pis(trainer, actors, socs, counters, v):
     return pis, caches
 
 
+def group_net(stack, g):
+    """Group ``g``'s 2-D net, a view of its slice of ``stack``."""
+    net = copy.copy(stack)
+    net.params = {k: p[g] for k, p in stack.params.items()}
+    return net
+
+
+def five_unit_trainer(groups, seed):
+    specs = tuple(EssSpec(id=f"E{n}", p_min=-1.0 - n, p_max=1.0 + n,
+                          energy_cap=4.0, soc_min=0.1, soc_max=0.9)
+                  for n in range(5))
+    trainer = Trainer(fleet_config(specs), groups(5), TrainSettings(hidden=16),
+                      np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for stack in (trainer.actor_stack, trainer.target_actor_stack,
+                  trainer.critic_stack, trainer.target_critic_stack):
+        for p in stack.params.values():  # distinct per group and net
+            p += 0.3 * rng.standard_normal(p.shape)
+    return trainer, rng
+
+
 class TestStackedActors:
     N_ESS = 5
 
@@ -551,31 +589,24 @@ class TestStackedActors:
         """One stacked pass gives each group's outputs and actor gradients
         bit for bit, also at batch 1 and batch == groups, where a stacked
         bias that skipped the batch axis would still broadcast."""
-        specs = tuple(EssSpec(id=f"E{n}", p_min=-1.0 - n, p_max=1.0 + n,
-                              energy_cap=4.0, soc_min=0.1, soc_max=0.9)
-                      for n in range(self.N_ESS))
-        trainer = Trainer(fleet_config(specs), groups(self.N_ESS),
-                          TrainSettings(hidden=16), np.random.default_rng(31))
-        rng = np.random.default_rng(32)
-        for stack in (trainer.actor_stack, trainer.target_actor_stack):
-            for p in stack.params.values():  # distinct per group and net
-                p += 0.3 * rng.standard_normal(p.shape)
+        trainer, rng = five_unit_trainer(groups, 31)
         socs = rng.uniform(0.1, 0.9, (batch, self.N_ESS))
         counters = rng.integers(0, SLOTS_PER_DAY, batch).astype(float)
         v = rng.standard_normal((batch, VECTOR_DIM))
         dpi = rng.standard_normal((batch, self.N_ESS))
-        for stack, nets in ((trainer.actor_stack, trainer.actors),
-                            (trainer.target_actor_stack, trainer.target_actors)):
+        for stack in (trainer.actor_stack, trainer.target_actor_stack):
+            nets = [group_net(stack, g) for g in range(len(trainer.groups))]
             pis, cache = trainer.joint_pis(stack, socs, counters, v)
             want, caches = per_group_pis(trainer, nets, socs, counters, v)
             assert pis.tobytes() == want.tobytes()
+            grads, dx = stack.backward(cache, np.stack(
+                [dpi[:, list(group.ess_indices)] for group in trainer.groups]))
             for g, group in enumerate(trainer.groups):
                 cols = list(group.ess_indices)
-                grads, dx = nets[g].backward(dk.take_group(cache, g), dpi[:, cols])
                 ref_grads, ref_dx = nets[g].backward(caches[g], dpi[:, cols])
-                assert dx.tobytes() == ref_dx.tobytes()
+                assert dx[g].tobytes() == ref_dx.tobytes()
                 for k in ref_grads:
-                    assert grads[k].tobytes() == ref_grads[k].tobytes(), (g, k)
+                    assert grads[k][g].tobytes() == ref_grads[k].tobytes(), (g, k)
         first, _ = trainer.joint_pis(trainer.actor_stack, socs[:1], counters[:1], v[:1])
         assert trainer.raw_policy(socs[0], counters[0], v[0]).tobytes() == \
             first[0].tobytes()
@@ -587,6 +618,181 @@ class TestStackedActors:
         with pytest.raises(ValueError, match="split the fleet in ESS order"):
             Trainer(fleet_config((ESS1, ESS2)), groups, TrainSettings(hidden=4),
                     np.random.default_rng(0))
+
+
+class TestStackedCritics:
+    N_ESS = 5
+
+    @pytest.mark.parametrize("groups", [maddpg_groups, ddpg_groups])
+    @pytest.mark.parametrize("batch", [1, N_ESS, 128])
+    def test_stacked_pass_matches_per_group_reference(self, groups, batch):
+        """One stacked critic forward and backward over a shared state and
+        action input gives each group's values, parameter gradients,
+        ``dstate`` and ``dact`` as its 2-D pass, bit for bit."""
+        trainer, rng = five_unit_trainer(groups, 41)
+        state = rng.standard_normal((batch, trainer.state_dim))
+        actions = rng.standard_normal((batch, self.N_ESS))
+        for stack in (trainer.critic_stack, trainer.target_critic_stack):
+            q, cache = stack.forward(state, actions)
+            dq = rng.standard_normal(q.shape)
+            grads, dstate, dact = stack.backward(cache, dq)
+            assert q.shape == (len(trainer.groups), batch)
+            for g in range(len(trainer.groups)):
+                net = group_net(stack, g)
+                ref_q, ref_cache = net.forward(state, actions)
+                ref_grads, ref_dstate, ref_dact = net.backward(ref_cache, dq[g])
+                assert q[g].tobytes() == ref_q.tobytes()
+                assert dstate[g].tobytes() == ref_dstate.tobytes()
+                assert dact[g].tobytes() == ref_dact.tobytes()
+                for k in ref_grads:
+                    assert grads[k][g].tobytes() == ref_grads[k].tobytes(), (g, k)
+
+
+def take_group(cache, g: int):
+    """Group ``g``'s slice of a stacked forward's (nested tuple) cache."""
+    if isinstance(cache, tuple):
+        return tuple(take_group(c, g) for c in cache)
+    return cache[g]
+
+
+class ReferenceTrainer(Trainer):
+    """The Gauss-Seidel round that ``Trainer.update`` replaced: per group, a
+    minibatch of its own, a critic step, an actor step through its stepped
+    critic and its soft updates, each group seeing the groups before it
+    already stepped; then one summed encoder step. It runs on a copy of a
+    trainer, with per-group nets and Adam states on views of the copy's
+    stacks, as the per-group lists were."""
+
+    def __init__(self, trainer: Trainer):
+        self.__dict__.update(copy.deepcopy(trainer).__dict__)
+        groups = range(len(self.groups))
+        self.actors = [group_net(self.actor_stack, g) for g in groups]
+        self.critics = [group_net(self.critic_stack, g) for g in groups]
+        self.target_actors = [group_net(self.target_actor_stack, g) for g in groups]
+        self.target_critics = [group_net(self.target_critic_stack, g) for g in groups]
+        self.actor_adam = [dk.AdamState.for_params(n.params) for n in self.actors]
+        self.critic_adam = [dk.AdamState.for_params(n.params) for n in self.critics]
+
+    def critic_update(self, g: int, replay: ReplayBuffer, idx: np.ndarray) -> float:
+        """Temporal-difference regression toward the target networks."""
+        s = self.settings
+        next_socs = replay.next_socs[idx]
+        next_counters = replay.next_counters[idx]
+        next_v = replay.next_v[idx]
+        next_pis, _ = self.joint_pis(self.target_actor_stack, next_socs,
+                                     next_counters, next_v)
+        next_actions, _ = self.apply_mask(next_pis, next_socs)
+        q_next, _ = self.target_critics[g].forward(
+            features(next_socs, next_counters, next_v), next_actions)
+        y = replay.rewards[idx, g] + s.gamma * (1.0 - replay.dones[idx]) * q_next
+
+        state = features(replay.socs[idx], replay.counters[idx], replay.v[idx])
+        q, cache = self.critics[g].forward(state, replay.actions[idx])
+        loss, dq = dk.mse_loss(q, y)
+        if not np.isfinite(loss):
+            raise TrainingDiverged(f"critic loss non-finite in group {g}")
+        grads, _, _ = self.critics[g].backward(cache, dq)
+        dk.clip_grads(grads, s.grad_clip)
+        dk.adam_step(self.critics[g].params, grads, self.critic_adam[g], s.lr_critic)
+        return loss
+
+    def actor_update(self, g: int, replay: ReplayBuffer, idx: np.ndarray):
+        """Ascend the critic's value through the masking map.
+
+        The raw output of every group is recomputed from the current
+        behaviour policies on the stored states; only group ``g``'s action
+        path is differentiated. The characteristic vector feeding the actors
+        is re-encoded from the stored windows so the gradient reaches the
+        shared encoder; the critic's state input keeps the stored vector.
+        The critic's backward is seeded with -1/batch, so every gradient
+        here is that of -objective and the descent-style optimizer ascends.
+        Returns (objective, encoder gradient of -objective).
+        """
+        s = self.settings
+        batch = len(idx)
+        socs = replay.socs[idx]
+        counters = replay.counters[idx]
+        v_live, gru_cache = self.encoder.forward(replay.windows[idx])
+        pis, cache = self.joint_pis(self.actor_stack, socs, counters, v_live)
+        actions, slope = self.apply_mask(pis, socs)
+
+        state = features(socs, counters, replay.v[idx])
+        q, critic_cache = self.critics[g].forward(state, actions)
+        objective = float(q.mean())
+        if not np.isfinite(objective):
+            raise TrainingDiverged(f"actor objective non-finite in group {g}")
+
+        _, _, dact = self.critics[g].backward(critic_cache,
+                                              np.full(batch, -1.0 / batch))
+        cols = self.units[g]
+        grads, dfeat = self.actors[g].backward(take_group(cache, g),
+                                               dact[:, cols] * slope[:, cols])
+        dk.clip_grads(grads, s.grad_clip)
+        dk.adam_step(self.actors[g].params, grads, self.actor_adam[g], s.lr_actor)
+        gru_grads = self.encoder.backward(gru_cache, dfeat[:, -VECTOR_DIM:])
+        return objective, gru_grads
+
+    def reference_update(self, replay: ReplayBuffer, rng: np.random.Generator):
+        """One full round: per group critic + actor + soft targets, then one
+        summed encoder step at its own learning rate.
+
+        Groups update in sequence (Gauss-Seidel, as in Algorithm 1 of Lowe
+        et al. 2017): group ``g``'s critic target uses the already
+        soft-updated target actors of groups ``< g``, and its actor step sees
+        their already-stepped actors. The encoder takes one step on the sum
+        of every group's encoder gradient after all groups.
+        """
+        s = self.settings
+        gru_total: dict[str, np.ndarray] = {}
+        losses = []
+        objectives = []
+        for g in range(len(self.groups)):
+            idx = replay.sample_indices(s.batch_size, rng)
+            losses.append(self.critic_update(g, replay, idx))
+            objective, gru_grads = self.actor_update(g, replay, idx)
+            objectives.append(objective)
+            dk.accumulate(gru_total, gru_grads)
+            dk.soft_update(self.target_critics[g].params, self.critics[g].params, s.tau)
+            dk.soft_update(self.target_actors[g].params, self.actors[g].params, s.tau)
+        dk.clip_grads(gru_total, s.grad_clip)
+        dk.adam_step(self.encoder.params, gru_total, self.gru_adam, s.lr_gru)
+        return losses, objectives
+
+
+class TestReferenceRound:
+    @pytest.mark.parametrize("n_ess, groups", [(1, maddpg_groups),
+                                               (1, ddpg_groups), (5, ddpg_groups)])
+    def test_one_group_round_matches_gauss_seidel_bit_for_bit(self, n_ess, groups):
+        """With one group the shared-minibatch round is the per-group
+        round's arithmetic: 100 rounds leave every parameter, target, Adam
+        moment and step count, and every loss and objective, the same bits."""
+        env = tiny_env(n_ess=n_ess)
+        settings = TrainSettings(hidden=16, batch_size=8)
+        trainer = make_trainer(env, groups=groups(n_ess), settings=settings, seed=51)
+        reference = ReferenceTrainer(trainer)
+        replay = fill_replay(env, trainer, steps=64, seed=52)
+        rng_a, rng_b = np.random.default_rng(53), np.random.default_rng(53)
+        for _ in range(100):
+            got = trainer.update(replay, rng_a)
+            want = reference.reference_update(replay, rng_b)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+        pairs = [(trainer.encoder.params, reference.encoder.params),
+                 (trainer.gru_adam.m, reference.gru_adam.m),
+                 (trainer.gru_adam.v, reference.gru_adam.v)]
+        for stack, nets in ((trainer.actor_stack, reference.actors),
+                            (trainer.critic_stack, reference.critics),
+                            (trainer.target_actor_stack, reference.target_actors),
+                            (trainer.target_critic_stack, reference.target_critics)):
+            pairs.append((stack.params, nets[0].params))
+        for state, states in ((trainer.actor_adam, reference.actor_adam),
+                              (trainer.critic_adam, reference.critic_adam)):
+            pairs += [(state.m, states[0].m), (state.v, states[0].v)]
+            assert state.t == states[0].t == 100
+        assert trainer.gru_adam.t == reference.gru_adam.t == 100
+        for got, want in pairs:
+            assert list(got) == list(want)
+            for k in got:
+                assert got[k].tobytes() == want[k].tobytes(), k
 
 
 class TestCheckpoint:
