@@ -11,6 +11,7 @@ lives in timing.csv and the manifest so byte-level reproducibility holds.
 from __future__ import annotations
 
 import json
+import resource
 import time
 import zlib
 from dataclasses import dataclass, fields
@@ -182,6 +183,7 @@ def train_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
         "episodes": len(metrics),
         "final_cost_usd": metrics[-1].cost if metrics else None,
         "status": "ok",
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     write_manifest(out, cfg, seed, method, dataset.checksum, wall, outcome)
     return metrics

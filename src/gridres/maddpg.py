@@ -25,7 +25,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import diffkit as dk
-from .encoder import DayEncoding, GruEncoder, VECTOR_DIM
+from .encoder import DayEncoding, GruEncoder, VECTOR_DIM, gather_windows
 from .grid import SLOT_HOURS, SLOTS_PER_DAY, MicrogridConfig, mask_bounds
 
 COUNTER_SCALE = 1.0 / SLOTS_PER_DAY  # keeps the slots-to-peak feature near unit range
@@ -143,15 +143,22 @@ class CriticNet:
         q, c3 = dk.dense_forward(h2, p["W3"], p["b3"])
         return q[..., 0], (cs, ca, cra, c2, c3)
 
+    def _to_action(self, cache, dq: np.ndarray):
+        """The backward through the head and block "2": the gradients where the towers
+        join and at the action embedding's pre-activation, and those layers' grads."""
+        dh2, dW3, db3 = dk.dense_backward(cache[4], dq[..., None])
+        dh, g2 = dk.block_backward(cache[3], dh2, "2")
+        return dh, dk.relu_backward(cache[2], dh), {**g2, "W3": dW3, "b3": db3}
+
     def backward(self, cache, dq: np.ndarray):
-        cs, ca, cra, c2, c3 = cache
-        dh2, dW3, db3 = dk.dense_backward(c3, dq[..., None])
-        dh, g2 = dk.block_backward(c2, dh2, "2")
-        # dh splits into the state tower and the action embedding.
-        dact, dWa, dba = dk.dense_backward(ca, dk.relu_backward(cra, dh))
-        dstate, gs = dk.block_backward(cs, dh, "s")
-        grads = {**gs, "Wa": dWa, "ba": dba, **g2, "W3": dW3, "b3": db3}
-        return grads, dstate, dact
+        dh, dza, top = self._to_action(cache, dq)
+        dact, dWa, dba = dk.dense_backward(cache[1], dza)
+        dstate, gs = dk.block_backward(cache[0], dh, "s")
+        return {**gs, "Wa": dWa, "ba": dba, **top}, dstate, dact
+
+    def action_grad(self, cache, dq: np.ndarray) -> np.ndarray:
+        """``backward``'s ``dact`` alone, the same bits, without the state tower."""
+        return self._to_action(cache, dq)[1] @ cache[1][1].swapaxes(-1, -2)
 
 
 @dataclass
@@ -181,11 +188,11 @@ def features(socs: np.ndarray, counters: np.ndarray, v: np.ndarray,
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO of transitions in flat arrays. ``actions`` holds
-    the masked commands (MW) the environment received."""
+    """Fixed-capacity FIFO of transitions in flat arrays. ``actions`` holds the masked
+    commands (MW) the env received; ``windows`` gathers windows by (day, slot)."""
 
     def __init__(self, capacity: int, n_ess: int, n_groups: int,
-                 window_shape: tuple[int, int]):
+                 window_source: Callable[[np.ndarray, np.ndarray], np.ndarray]):
         self.capacity = capacity
         self.size = 0
         self._cursor = 0
@@ -198,10 +205,11 @@ class ReplayBuffer:
         self.next_counters = np.zeros(capacity)
         self.next_v = np.zeros((capacity, VECTOR_DIM))
         self.dones = np.zeros(capacity)
-        self.windows = np.zeros((capacity,) + window_shape)
+        self.days, self.slots = np.zeros((2, capacity), dtype=int)
+        self.window_source = window_source
 
     def add(self, socs, counter, v, actions, rewards, next_socs, next_counter,
-            next_v, done, window) -> None:
+            next_v, done, day, slot) -> None:
         i = self._cursor
         self.socs[i] = socs
         self.counters[i] = counter
@@ -212,12 +220,15 @@ class ReplayBuffer:
         self.next_counters[i] = next_counter
         self.next_v[i] = next_v
         self.dones[i] = float(done)
-        self.windows[i] = window
+        self.days[i], self.slots[i] = day, slot
         self._cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
     def sample_indices(self, batch: int, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(self.size, size=batch)
+
+    def windows(self, idx: np.ndarray) -> np.ndarray:
+        return self.window_source(self.days[idx], self.slots[idx])
 
 
 class Trainer:
@@ -304,7 +315,7 @@ class Trainer:
         Every group's raw output is computed from the current behaviour
         policies on the stored states; each group differentiates its own
         critic along its own units' action columns. The characteristic
-        vector feeding the actors is re-encoded from the stored windows so
+        vector feeding the actors is re-encoded from the gathered windows so
         the gradient reaches the shared encoder; the critics' input
         ``state`` keeps the stored vector. The backward is seeded with
         -1/batch, so every gradient here is that of -objective and the
@@ -314,7 +325,7 @@ class Trainer:
         batch = len(idx)
         socs = replay.socs[idx]
         counters = replay.counters[idx]
-        v_live, gru_cache = self.encoder.forward(replay.windows[idx])
+        v_live, gru_cache = self.encoder.forward(replay.windows(idx))
         pis, cache = self.joint_pis(self.actor_stack, socs, counters, v_live)
         actions, slope = self.apply_mask(pis, socs)
 
@@ -324,8 +335,7 @@ class Trainer:
             raise TrainingDiverged(f"actor objective non-finite in group "
                                    f"{np.argmin(np.isfinite(objectives))}")
 
-        _, _, dact = self.critic_stack.backward(critic_cache,
-                                                np.full(q.shape, -1.0 / batch))
+        dact = self.critic_stack.action_grad(critic_cache, np.full(q.shape, -1.0 / batch))
         dpi = np.take_along_axis(dact * slope, self.units[:, None, :], axis=2)
         grads, dfeat = self.actor_stack.backward(cache, dpi)
         dk.clip_grads(grads, s.grad_clip, stacked=True)
@@ -453,9 +463,8 @@ def run_training(env, trainer: Trainer, settings: TrainSettings,
     ``next_v``, so it predates an update that lands between the two slots.
     """
     total_steps = settings.episodes * SLOTS_PER_DAY
-    replay = ReplayBuffer(settings.replay_capacity, trainer.n_ess,
-                          len(trainer.groups),
-                          (env.obs_window_rows, env.horizon))
+    replay = ReplayBuffer(settings.replay_capacity, trainer.n_ess, len(trainer.groups),
+                          lambda *at: gather_windows(env.series, env.forecasts, env.horizon, *at))
     metrics: list[EpisodeMetrics] = []
     step = 0
     for episode in range(settings.episodes):
@@ -481,7 +490,7 @@ def run_training(env, trainer: Trainer, settings: TrainSettings,
             ep_reward += float(rewards.sum())
             next_v = encoded.vector(next_obs.slot)
             replay.add(obs.soc, obs.counter, v, actions[0], rewards, next_obs.soc,
-                       next_obs.counter, next_v, done, obs.window)
+                       next_obs.counter, next_v, done, day, obs.slot)
             obs, v = next_obs, next_v
             step += 1
             if (step >= settings.warmup_steps

@@ -4,7 +4,7 @@ import pytest
 from gradcheck import assert_grads_close, numeric_grad
 from gridres import diffkit as dk
 from gridres.dataio import ForecastModel, make_forecasts, synth_generator
-from gridres.encoder import GruEncoder, build_window
+from gridres.encoder import GruEncoder, build_window, gather_windows
 from gridres.grid import LoadSpec, PvSpec
 
 PV = [PvSpec(id="PV1", p_max=1.0), PvSpec(id="PV2", p_max=2.0)]
@@ -70,6 +70,23 @@ class TestBuildWindow:
             for t in range(96):
                 want = per_slot_window(series, table, day, t, horizon)
                 assert stack[t].tobytes() == want.tobytes(), (day, t)
+
+    @pytest.mark.parametrize("horizon", [1, 4, 8])
+    def test_pair_gather_matches_day_stack_bit_for_bit(self, horizon):
+        """Every (day, slot) pair, in a shuffled order with repeats, gathers
+        its day stack's row: slot 0, the slots whose horizon crosses the
+        day's end and the last slot included."""
+        series, table = series_and_forecasts(std=0.1, days=3, horizon=horizon)
+        stacks = [build_window(series, table, day, horizon) for day in range(3)]
+        pairs = np.argwhere(np.ones((3, 96), bool))
+        pairs = np.concatenate([pairs, pairs[:50]])
+        np.random.default_rng(7).shuffle(pairs)
+        got = gather_windows(series, table, horizon, pairs[:, 0], pairs[:, 1])
+        assert got.shape == (len(pairs), 3, horizon)
+        for (day, t), window in zip(pairs, got):
+            assert window.tobytes() == stacks[day][t].tobytes(), (day, t)
+        one = gather_windows(series, table, horizon, [2], [95])
+        assert one.tobytes() == stacks[2][95:].tobytes()
 
 
 def make_encoder(seed=0):

@@ -1,4 +1,5 @@
 import json
+import os
 import textwrap
 from pathlib import Path
 
@@ -156,6 +157,8 @@ class TestTrainRun:
     def test_outputs_and_manifest(self, tmp_path):
         cfg = small_cfg()
         out = tmp_path / "run"
+        with open("/proc/self/statm") as fh:  # resident pages before the run
+            resident_mb = int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
         metrics = train_run(cfg, 3, out)
         assert (out / "checkpoint.npz").exists()
         assert (out / "metrics.csv").exists()
@@ -166,6 +169,8 @@ class TestTrainRun:
         assert manifest["method"] == "maddpg"
         assert len(manifest["dataset_checksum"]) == 64
         assert manifest["outcome"]["status"] == "ok"
+        # The process's peak so far, so at least what it held before the run.
+        assert manifest["outcome"]["peak_rss_mb"] >= resident_mb > 0
         header = (out / "metrics.csv").read_text().splitlines()[0]
         assert header == "episode,cost_usd,shed_mwh,critic_loss,actor_objective,reward"
 

@@ -1,4 +1,5 @@
 import copy
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from gradcheck import assert_grads_close, numeric_grad
 from gridres import diffkit as dk
 from gridres import maddpg
 from gridres.baselines import TrainedPolicy
+from gridres.config import build_microgrid, resolve_dict
 from gridres.dataio import ForecastModel, make_forecasts, synth_generator
-from gridres.encoder import VECTOR_DIM
+from gridres.encoder import VECTOR_DIM, gather_windows
 from gridres.env import MicrogridEnv, OutageSettings
 from gridres.grid import (
     SLOTS_PER_DAY,
@@ -233,18 +235,28 @@ class TestExplore:
 
 class TestReplayBuffer:
     def test_fifo_overwrite(self):
-        buf = ReplayBuffer(4, 1, 1, (2, 2))
+        buf = ReplayBuffer(4, 1, 1, None)
         for i in range(6):
             buf.add([i], i, np.zeros(VECTOR_DIM), [0.0], [0.0], [0.0], 0,
-                    np.zeros(VECTOR_DIM), False, np.zeros((2, 2)))
+                    np.zeros(VECTOR_DIM), False, i // 2, i)
         assert buf.size == 4
         assert sorted(buf.socs[:, 0]) == [2, 3, 4, 5]
+        assert sorted(zip(buf.days, buf.slots)) == [(1, 2), (1, 3), (2, 4), (2, 5)]
+
+    def test_default_fleet_reserve_is_bounded(self):
+        """At capacity 100,000 the default fleet's replay reserves at most
+        50 MB: a window is gathered from its (day, slot), not copied (a
+        (26, 8) float64 copy per transition took 210.4 MB)."""
+        n_ess = build_microgrid(resolve_dict()).n_agents
+        buf = ReplayBuffer(100_000, n_ess, n_ess, None)
+        arrays = [a for a in vars(buf).values() if isinstance(a, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) <= 50_000_000
 
     def test_uniform_sampling(self):
-        buf = ReplayBuffer(1000, 1, 1, (1, 1))
+        buf = ReplayBuffer(1000, 1, 1, None)
         for i in range(1000):
             buf.add([i], 0, np.zeros(VECTOR_DIM), [0.0], [0.0], [0.0], 0,
-                    np.zeros(VECTOR_DIM), False, np.zeros((1, 1)))
+                    np.zeros(VECTOR_DIM), False, 0, 0)
         rng = np.random.default_rng(3)
         counts = np.zeros(1000)
         n = 100_000
@@ -260,10 +272,16 @@ def encode_one(trainer, window):
     return trainer.encoder.forward(window[None])[0][0]
 
 
+def window_source(env):
+    """The (days, slots) -> windows gather over ``env``'s dataset, as
+    ``run_training`` gives its replay."""
+    return partial(gather_windows, env.series, env.forecasts, env.horizon)
+
+
 def fill_replay(env, trainer, steps=40, seed=0):
     rng = np.random.default_rng(seed)
     replay = ReplayBuffer(256, trainer.n_ess, len(trainer.groups),
-                          (env.obs_window_rows, env.horizon))
+                          window_source(env))
     obs = env.reset(0, rng)
     v = encode_one(trainer, obs.window)
     for _ in range(steps):
@@ -274,7 +292,7 @@ def fill_replay(env, trainer, steps=40, seed=0):
         rewards = [group_reward(g, agent_rewards, result.cost_total)
                    for g in trainer.groups]
         replay.add(obs.soc, obs.counter, v, actions[0], rewards, next_obs.soc,
-                   next_obs.counter, next_v, done, obs.window)
+                   next_obs.counter, next_v, done, 0, obs.slot)
         obs, v = next_obs, next_v
         if done:
             obs = env.reset(0, rng)
@@ -425,6 +443,45 @@ class TestRunTraining:
         assert run() == run()
 
     @pytest.mark.parametrize("update_every", [24, 7])
+    def test_replay_windows_match_the_windows_shown(self, update_every, monkeypatch):
+        """Each stored transition's gathered window is the ``obs.window``
+        the env showed at that step."""
+        settings = TrainSettings(hidden=16, batch_size=8, warmup_steps=16,
+                                 update_every=update_every, episodes=4)
+        env = tiny_env()
+        shown, buffers = [], []
+        reset, step = env.reset, env.step
+
+        def record_reset(day, rng):
+            obs = reset(day, rng)
+            shown.append(obs.window.copy())
+            return obs
+
+        def record_step(commands):
+            out = step(commands)
+            if not out[3]:
+                shown.append(out[2].window.copy())
+            return out
+
+        class RecordedReplay(ReplayBuffer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                buffers.append(self)
+
+        monkeypatch.setattr(env, "reset", record_reset)
+        monkeypatch.setattr(env, "step", record_step)
+        monkeypatch.setattr(maddpg, "ReplayBuffer", RecordedReplay)
+        metrics = run_training(env, make_trainer(env, settings=settings), settings,
+                               [0, 1, 2], np.random.default_rng(3),
+                               np.random.default_rng(4), np.random.default_rng(5))
+        replay, = buffers
+        assert not np.isnan(metrics[-1].critic_loss)  # updates ran
+        assert replay.size == len(shown) == 4 * SLOTS_PER_DAY
+        assert len(set(replay.days[:replay.size])) > 1
+        got = replay.windows(np.arange(replay.size))
+        assert got.tobytes() == np.stack(shown).tobytes()
+
+    @pytest.mark.parametrize("update_every", [24, 7])
     def test_segment_encoding_matches_per_window_reference(self, update_every,
                                                            monkeypatch):
         """``run_training`` encodes each update-free segment of a day in one
@@ -468,8 +525,7 @@ def per_window_run_training(env, trainer, settings, train_days, env_rng,
     total_steps = settings.episodes * SLOTS_PER_DAY
     # Looked up on the module, as run_training does, so a test can record it.
     replay = maddpg.ReplayBuffer(settings.replay_capacity, trainer.n_ess,
-                                 len(trainer.groups),
-                                 (env.obs_window_rows, env.horizon))
+                                 len(trainer.groups), window_source(env))
     metrics = []
     step = 0
     for episode in range(settings.episodes):
@@ -492,7 +548,7 @@ def per_window_run_training(env, trainer, settings, train_days, env_rng,
             ep_reward += float(rewards.sum())
             next_v = encode_one(trainer, next_obs.window)
             replay.add(obs.soc, obs.counter, v, actions[0], rewards, next_obs.soc,
-                       next_obs.counter, next_v, done, obs.window)
+                       next_obs.counter, next_v, done, day, obs.slot)
             obs, v = next_obs, next_v
             step += 1
             if (step >= settings.warmup_steps
@@ -647,6 +703,21 @@ class TestStackedCritics:
                 for k in ref_grads:
                     assert grads[k][g].tobytes() == ref_grads[k].tobytes(), (g, k)
 
+    @pytest.mark.parametrize("groups", [maddpg_groups, ddpg_groups])
+    @pytest.mark.parametrize("batch", [1, N_ESS, 128])
+    def test_action_grad_matches_full_backward(self, groups, batch):
+        """The actor step's short backward gives the full backward's
+        ``dact`` bit for bit, for 5 stacked groups and for 1."""
+        trainer, rng = five_unit_trainer(groups, 43)
+        state = rng.standard_normal((batch, trainer.state_dim))
+        actions = rng.standard_normal((batch, self.N_ESS))
+        q, cache = trainer.critic_stack.forward(state, actions)
+        dq = rng.standard_normal(q.shape)
+        _, _, dact = trainer.critic_stack.backward(cache, dq)
+        got = trainer.critic_stack.action_grad(cache, dq)
+        assert got.shape == (len(trainer.groups), batch, self.N_ESS)
+        assert got.tobytes() == dact.tobytes()
+
 
 def take_group(cache, g: int):
     """Group ``g``'s slice of a stacked forward's (nested tuple) cache."""
@@ -702,7 +773,7 @@ class ReferenceTrainer(Trainer):
         The raw output of every group is recomputed from the current
         behaviour policies on the stored states; only group ``g``'s action
         path is differentiated. The characteristic vector feeding the actors
-        is re-encoded from the stored windows so the gradient reaches the
+        is re-encoded from the transitions' windows so the gradient reaches the
         shared encoder; the critic's state input keeps the stored vector.
         The critic's backward is seeded with -1/batch, so every gradient
         here is that of -objective and the descent-style optimizer ascends.
@@ -712,7 +783,7 @@ class ReferenceTrainer(Trainer):
         batch = len(idx)
         socs = replay.socs[idx]
         counters = replay.counters[idx]
-        v_live, gru_cache = self.encoder.forward(replay.windows[idx])
+        v_live, gru_cache = self.encoder.forward(replay.windows(idx))
         pis, cache = self.joint_pis(self.actor_stack, socs, counters, v_live)
         actions, slope = self.apply_mask(pis, socs)
 
