@@ -18,6 +18,8 @@ def _parse_stress(text: str) -> dict[str, float]:
     out = {}
     for part in text.split(","):
         key, _, value = part.partition("=")
+        if key in out:
+            raise ConfigError([f"--stress: {key!r} listed twice"])
         try:
             out[key] = float(value)
         except ValueError:

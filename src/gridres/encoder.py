@@ -127,17 +127,19 @@ class GruEncoder:
 
 
 class DayEncoding:
-    """Characteristic vectors of one day's window stack, encoded in one
-    batched pass from the first slot asked for to the end of the day.
+    """Characteristic vectors of one day's window stack, encoded in batched
+    passes of ``span`` slots (default: the rest) from a slot no pass covers.
 
     A window depends only on (day, slot), so the vectors stay valid until
     the encoder's parameters change; ``clear`` then drops them and the next
-    ``vector`` call re-encodes the remaining slots under the new parameters.
+    ``vector`` call encodes from its slot under the new parameters.
     """
 
-    def __init__(self, encoder: GruEncoder, windows: np.ndarray):
+    def __init__(self, encoder: GruEncoder, windows: np.ndarray,
+                 span: int | None = None):
         self.encoder = encoder
         self.windows = windows
+        self.span = len(windows) if span is None else span
         self.clear()
 
     def clear(self) -> None:
@@ -145,7 +147,10 @@ class DayEncoding:
         self._v: np.ndarray | None = None
 
     def vector(self, slot: int) -> np.ndarray:
-        if self._v is None:
+        if self._v is None or slot >= self._first + len(self._v):
+            stop = slot + self.span
+            if stop == len(self.windows) - 1:
+                stop += 1  # no one-window pass later: it would take other bits
             self._first = slot
-            self._v, _ = self.encoder.forward(self.windows[slot:])
+            self._v, _ = self.encoder.forward(self.windows[slot:stop])
         return self._v[slot - self._first]

@@ -457,10 +457,11 @@ def run_training(env, trainer: Trainer, settings: TrainSettings,
     round runs every ``update_every`` steps. Raises TrainingDiverged if any
     loss goes non-finite.
 
-    Each update-free segment of a day is encoded in one batched pass. Every
-    stored vector is encoded under the parameters current at its step, and
-    the vector an agent acts on at slot t is the one stored as slot t-1's
-    ``next_v``, so it predates an update that lands between the two slots.
+    A day wholly in warmup is encoded in one batched pass, a later day in
+    passes of ``update_every + 1`` slots. Every stored vector is encoded
+    under the parameters current at its step, and the vector an agent acts
+    on at slot t is the one stored as slot t-1's ``next_v``, so it predates
+    an update that lands between the two slots.
     """
     total_steps = settings.episodes * SLOTS_PER_DAY
     replay = ReplayBuffer(settings.replay_capacity, trainer.n_ess, len(trainer.groups),
@@ -470,7 +471,9 @@ def run_training(env, trainer: Trainer, settings: TrainSettings,
     for episode in range(settings.episodes):
         day = int(train_days[env_rng.integers(len(train_days))])
         obs = env.reset(day, env_rng)
-        encoded = DayEncoding(trainer.encoder, obs.windows)
+        warm = step + SLOTS_PER_DAY <= settings.warmup_steps  # no update this day
+        encoded = DayEncoding(trainer.encoder, obs.windows,
+                              None if warm else settings.update_every + 1)
         v = encoded.vector(obs.slot)
         ep_losses: list[float] = []
         ep_objectives: list[float] = []

@@ -67,19 +67,32 @@ class _FeederTree:
     branch feeding it share index k (BFS order)."""
 
     nodes: list[int]
-    index: dict[int, int]
     branch_keys: list[tuple[int, int]]  # (upstream bus, bus) per node
-    path: np.ndarray
+    bibc: np.ndarray  # complex path matrix transposed; C order keeps numpy's cast's bits
+    bcbv: np.ndarray  # complex path matrix
     z: np.ndarray  # per-unit branch impedances
+    bus_at: np.ndarray  # per feeder bus, its node index (len(nodes) for the slack)
 
 
 @dataclass(frozen=True)
 class PowerFlowSolution:
-    v_mag: dict[int, float]  # pu
-    branch_loss_mw: dict[tuple[int, int], float]
+    """Voltages (pu) per bus and losses (MW) per branch; the dicts are built when read."""
+
+    buses: tuple[int, ...]
+    v_bus: np.ndarray  # in ``buses`` order
+    branch_keys: list[tuple[int, int]]
+    loss: np.ndarray  # in ``branch_keys`` order
     total_loss_mw: float
     converged: bool
     iterations: int
+
+    @property
+    def v_mag(self) -> dict[int, float]:
+        return dict(zip(self.buses, self.v_bus.tolist()))
+
+    @property
+    def branch_loss_mw(self) -> dict[tuple[int, int], float]:
+        return dict(zip(self.branch_keys, self.loss.tolist()))
 
 
 @dataclass(frozen=True)
@@ -134,16 +147,13 @@ def _tree_order(topology: FeederTopology, slack: int):
     parent: dict[int, tuple[int, Branch]] = {}
     order = [slack]
     seen = {slack}
-    queue = [slack]
-    while queue:
-        bus = queue.pop(0)
+    for bus in order:  # the list grows as the search reaches new buses
         for nxt, br in adjacency[bus]:
             if nxt in seen:
                 continue
             seen.add(nxt)
             parent[nxt] = (bus, br)
             order.append(nxt)
-            queue.append(nxt)
     if len(seen) != len(topology.buses):
         raise TopologyError("feeder graph is cyclic or disconnected")
     return order, parent
@@ -168,9 +178,12 @@ def _feeder_tree(topology: FeederTopology, slack: int) -> _FeederTree:
             path[k] = path[index[up]]
         path[k, k] = 1.0
         z[k] = complex(br.r_ohm, br.x_ohm) / topology.z_base
-    path.flags.writeable = z.flags.writeable = False  # shared by every solve
-    tree = _FeederTree(nodes, index, [(parent[bus][0], bus) for bus in nodes],
-                       path, z)
+    bibc = np.ascontiguousarray(path.T, dtype=complex)
+    bcbv = path.astype(complex)
+    bus_at = np.array([index.get(bus, len(nodes)) for bus in topology.buses])
+    bibc.flags.writeable = bcbv.flags.writeable = z.flags.writeable = False  # shared by every solve
+    tree = _FeederTree(nodes, [(parent[bus][0], bus) for bus in nodes],
+                       bibc, bcbv, z, bus_at)
     topology._trees[slack] = tree
     return tree
 
@@ -182,32 +195,30 @@ def solve_bfs(topology: FeederTopology, p_mw: dict[int, float],
     (generation negative). Non-convergence is reported, never raised."""
     slack = topology.slack_bus if slack_bus is None else slack_bus
     tree = _feeder_tree(topology, slack)
-    nodes, index, path, z = tree.nodes, tree.index, tree.path, tree.z
-    q_mvar = q_mvar or {}
-    s = np.array([complex(p_mw.get(bus, 0.0), q_mvar.get(bus, 0.0))
-                  for bus in nodes]) / topology.base_mva
+    nodes, z = tree.nodes, tree.z
+    s = np.zeros(len(nodes), dtype=complex)
+    s.real = [p_mw.get(bus, 0.0) for bus in nodes]
+    if q_mvar:
+        s.imag = [q_mvar.get(bus, 0.0) for bus in nodes]
+    s /= topology.base_mva
 
     v = np.ones(len(nodes), dtype=complex)
-    i_br = np.zeros(len(nodes), dtype=complex)
-    converged = False
-    iterations = 0
     for iterations in range(1, MAX_ITER + 1):
-        i_br = path.T @ np.conj(s / v)  # BIBC: branch current from injections
-        new_v = 1.0 - path @ (z * i_br)  # BCBV: bus voltage from branch currents
-        max_dv = np.max(np.abs(new_v - v), initial=0.0)
+        i_br = tree.bibc @ np.conj(s / v)  # BIBC: branch current from injections
+        new_v = 1.0 - tree.bcbv @ (z * i_br)  # BCBV: bus voltage from branch currents
+        max_dv = np.abs(new_v - v).max(initial=0.0)
         v = new_v
         if max_dv < tol:
-            converged = True
             break
 
     loss = np.abs(i_br) ** 2 * z.real * topology.base_mva
-    losses = {key: float(l) for key, l in zip(tree.branch_keys, loss)}
-    v_mag = np.abs(v).tolist()
     return PowerFlowSolution(
-        v_mag={b: 1.0 if b == slack else v_mag[index[b]] for b in topology.buses},
-        branch_loss_mw=losses,
-        total_loss_mw=sum(losses.values()),
-        converged=converged,
+        buses=topology.buses,
+        v_bus=np.append(np.abs(v), 1.0)[tree.bus_at],  # the slack holds 1 pu
+        branch_keys=tree.branch_keys,
+        loss=loss,
+        total_loss_mw=sum(loss.tolist()),  # left to right, not pairwise
+        converged=bool(max_dv < tol),
         iterations=iterations,
     )
 
@@ -256,9 +267,8 @@ def check_dispatch(topology: FeederTopology, config: MicrogridConfig,
     inj[slack] = 0.0  # slack bus absorbs its own injection plus losses
     sol = solve_bfs(topology, inj, slack_bus=slack)
     lo, hi = V_BAND
-    violations = tuple((bus, v) for bus, v in sorted(sol.v_mag.items())
-                       if not lo <= v <= hi)
-    mags = list(sol.v_mag.values())
+    mags = sol.v_bus.tolist()
+    violations = tuple(sorted((b, v) for b, v in zip(sol.buses, mags) if not lo <= v <= hi))
     return FeasibilityReport(
         converged=sol.converged,
         slack_bus=slack,

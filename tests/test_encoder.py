@@ -4,7 +4,7 @@ import pytest
 from gradcheck import assert_grads_close, numeric_grad
 from gridres import diffkit as dk
 from gridres.dataio import ForecastModel, make_forecasts, synth_generator
-from gridres.encoder import GruEncoder, build_window, gather_windows
+from gridres.encoder import DayEncoding, GruEncoder, build_window, gather_windows
 from gridres.grid import LoadSpec, PvSpec
 
 PV = [PvSpec(id="PV1", p_max=1.0), PvSpec(id="PV2", p_max=2.0)]
@@ -151,3 +151,37 @@ class TestGruEncoder:
                      "head/W", "head/b"]:
             num = numeric_grad(lambda _: loss(), enc.params[name])
             assert_grads_close(grads[name], num, context=name)
+
+
+class TestDayEncoding:
+    @pytest.mark.parametrize("span, want", [
+        (None, [96]), (24, [24] * 4), (25, [25, 25, 25, 21]), (5, [5] * 18 + [6])])
+    def test_passes_of_span_keep_the_whole_day_bits(self, span, want):
+        """Read slot by slot, a day is encoded in passes of ``span`` windows
+        from the slot asked for, the last pass never leaving slot 95 to a
+        one-window pass of its own; every vector keeps the bits of the
+        whole-day pass."""
+        series, table = series_and_forecasts(horizon=8)
+        windows = build_window(series, table, 1, 8)
+        enc = make_encoder(seed=13)
+        whole, _ = enc.forward(windows)
+        passes = []
+        forward = enc.forward
+        enc.forward = lambda w: (passes.append(len(w)), forward(w))[1]
+        day = DayEncoding(enc, windows, span)
+        got = np.stack([day.vector(slot) for slot in range(96)])
+        assert got.tobytes() == whole.tobytes()
+        assert passes == want
+
+    def test_clear_encodes_from_the_next_slot_asked_for(self):
+        series, table = series_and_forecasts(horizon=8)
+        windows = build_window(series, table, 0, 8)
+        enc = make_encoder(seed=14)
+        day = DayEncoding(enc, windows, 10)
+        day.vector(0)
+        for k in enc.params:
+            enc.params[k] = enc.params[k] * 0.5
+        day.clear()
+        want, _ = enc.forward(windows[40:50])
+        assert day.vector(40).tobytes() == want[0].tobytes()
+        assert day.vector(49).tobytes() == want[9].tobytes()

@@ -472,6 +472,8 @@ class TestCli:
         (["synth-data", "--seed", "x"],
          "argument --seed: expected a non-negative integer, got 'x'"),
         (["train", "--config", "updates.yaml"], "train.updates_per: unknown key"),
+        (["eval", "--method", "rule", "--stress", "pv=0.9,pv=1.2"],
+         "--stress: 'pv' listed twice"),
     ])
     def test_out_of_range_count_flag_exits_1(self, tmp_path, capsys, monkeypatch,
                                              argv, problem):
@@ -582,3 +584,5 @@ class TestCli:
         assert _parse_stress("pv=0.85,load=1.15") == {"pv": 0.85, "load": 1.15}
         with pytest.raises(ConfigError):
             _parse_stress("wind=2")
+        with pytest.raises(ConfigError, match="'load' listed twice"):
+            _parse_stress("load=1.1,pv=0.9,load=1.2")

@@ -518,6 +518,65 @@ class TestRunTraining:
                     getattr(want, field), rel=1e-9, nan_ok=True), field
 
 
+    @pytest.mark.parametrize("update_every", [24, 7])
+    def test_segments_keep_the_whole_day_encodings_bits(self, update_every,
+                                                        monkeypatch):
+        """A day wholly in warmup is one pass; after warmup a segment
+        encodes ``update_every + 1`` slots, yet every stored ``v`` and
+        ``next_v`` is, bit for bit, its slot's row of a whole-day encoding
+        under the parameters of its step. A one-window pass (slot 95 asked
+        for first after an update) takes numpy's matrix-vector product and
+        stands for itself."""
+        settings = TrainSettings(hidden=16, batch_size=8,
+                                 warmup_steps=SLOTS_PER_DAY,
+                                 update_every=update_every, episodes=4)
+        env = tiny_env()
+        trainer = make_trainer(env, settings=settings)
+        forward = trainer.encoder.forward
+        stacks, rows, passes = [], {}, []
+
+        def recorded(windows):
+            out = forward(windows)
+            stack = windows.base
+            if stack is not None and len(stack) == SLOTS_PER_DAY:  # a day's pass
+                if not any(stack is seen for seen in stacks):
+                    stacks.append(stack)
+                episode = len(stacks) - 1
+                first = (windows.ctypes.data - stack.ctypes.data) // stack.strides[0]
+                want = forward(stack)[0][first:] if len(windows) > 1 else out[0]
+                for k, v in enumerate(out[0]):
+                    assert v.tobytes() == want[k].tobytes(), (episode, first + k)
+                    rows.setdefault((episode, first + k), set()).add(v.tobytes())
+                passes.append((episode, len(windows)))
+            return out
+
+        buffers = []
+
+        class RecordedReplay(ReplayBuffer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                buffers.append(self)
+
+        monkeypatch.setattr(trainer.encoder, "forward", recorded)
+        monkeypatch.setattr(maddpg, "ReplayBuffer", RecordedReplay)
+        metrics = run_training(env, trainer, settings, [0, 1, 2],
+                               np.random.default_rng(3), np.random.default_rng(4),
+                               np.random.default_rng(5))
+        replay, = buffers
+        assert not np.isnan(metrics[-1].critic_loss)  # updates ran
+        assert replay.size == len(stacks) * SLOTS_PER_DAY
+        for i in range(replay.size):
+            episode, slot = i // SLOTS_PER_DAY, int(replay.slots[i])
+            next_slot = min(slot + 1, SLOTS_PER_DAY - 1)
+            assert replay.v[i].tobytes() in rows[episode, slot], i
+            assert replay.next_v[i].tobytes() in rows[episode, next_slot], i
+        assert [n for episode, n in passes if episode == 0] == [SLOTS_PER_DAY]
+        last = [n for episode, n in passes if episode == len(stacks) - 1]
+        segments = -(-SLOTS_PER_DAY // update_every)
+        assert sum(last) <= SLOTS_PER_DAY + segments  # the parent encoded 240 at 24
+        assert max(last) <= update_every + 1
+
+
 def per_window_run_training(env, trainer, settings, train_days, env_rng,
                             noise_rng, replay_rng):
     """Reference for ``run_training``: the same loop with every window

@@ -3,11 +3,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gridres.baselines import TrainedPolicy, build_trainer
+from gridres.config import resolve_dict
 from gridres.grid import CostBreakdown, DispatchResult
+from gridres.harness import build_dataset, build_env, run_days, seed_stream
+from gridres.maddpg import TrainSettings
 from gridres.powerflow import (
+    MAX_ITER,
+    V_BAND,
     Branch,
+    FeasibilityReport,
     FeederTopology,
     TopologyError,
+    _feeder_tree,
     check_dispatch,
     dispatch_injections,
     load_ieee33,
@@ -79,6 +87,74 @@ def power_summation_sweep(topology, p_mw, q_mvar=None, tol=1e-10, max_iter=200,
         if max_dv < tol:
             break
     return {b: abs(v[b]) for b in topology.buses}
+
+
+def reference_solve_bfs(topology, p_mw, q_mvar=None, tol=1e-8, slack_bus=None):
+    """The solve with the real path matrix cast to complex in every product
+    and per-bus dicts in and out; returns (v_mag, branch_loss_mw,
+    total_loss_mw, converged, iterations)."""
+    slack = topology.slack_bus if slack_bus is None else slack_bus
+    tree = _feeder_tree(topology, slack)
+    nodes, z = tree.nodes, tree.z
+    index = {bus: k for k, bus in enumerate(nodes)}
+    path = np.ascontiguousarray(tree.bcbv.real)
+    q_mvar = q_mvar or {}
+    s = np.array([complex(p_mw.get(bus, 0.0), q_mvar.get(bus, 0.0))
+                  for bus in nodes]) / topology.base_mva
+
+    v = np.ones(len(nodes), dtype=complex)
+    i_br = np.zeros(len(nodes), dtype=complex)
+    converged = False
+    iterations = 0
+    for iterations in range(1, MAX_ITER + 1):
+        i_br = path.T @ np.conj(s / v)  # BIBC: branch current from injections
+        new_v = 1.0 - path @ (z * i_br)  # BCBV: bus voltage from branch currents
+        max_dv = np.max(np.abs(new_v - v), initial=0.0)
+        v = new_v
+        if max_dv < tol:
+            converged = True
+            break
+
+    loss = np.abs(i_br) ** 2 * z.real * topology.base_mva
+    losses = {key: float(l) for key, l in zip(tree.branch_keys, loss)}
+    v_mag = np.abs(v).tolist()
+    return ({b: 1.0 if b == slack else v_mag[index[b]] for b in topology.buses},
+            losses, sum(losses.values()), converged, iterations)
+
+
+def reference_check_dispatch(topology, config, result):
+    """check_dispatch over reference_solve_bfs, reading the dicts."""
+    slack = topology.slack_bus
+    if not result.connected:
+        online = [(p, spec.bus) for spec, p in zip(config.generators, result.p_gen)
+                  if p > 0.0]
+        if online:
+            slack = max(online)[1]
+        elif config.generators:
+            slack = max((g.p_max, g.bus) for g in config.generators)[1]
+        else:
+            slack = config.ess[0].bus
+    inj = dispatch_injections(topology, config, result)
+    inj[slack] = 0.0  # slack bus absorbs its own injection plus losses
+    v_mag, _, total_loss_mw, converged, _ = reference_solve_bfs(
+        topology, inj, slack_bus=slack)
+    lo, hi = V_BAND
+    violations = tuple((bus, v) for bus, v in sorted(v_mag.items())
+                       if not lo <= v <= hi)
+    mags = list(v_mag.values())
+    return FeasibilityReport(
+        converged=converged,
+        slack_bus=slack,
+        violations=violations if converged else tuple(),
+        v_min=min(mags),
+        v_max=max(mags),
+        loss_mw=total_loss_mw,
+    )
+
+
+def solution_fields(sol):
+    return (sol.v_mag, sol.branch_loss_mw, sol.total_loss_mw, sol.converged,
+            sol.iterations)
 
 
 def two_bus(r=0.01, x=0.01):
@@ -167,7 +243,8 @@ class TestSolveBfs:
                             (other, 18), (base, 18)):
             got = solve_bfs(topo, p, slack_bus=slack)
             want = solve_bfs(replace(topo), p, slack_bus=slack)
-            assert repr(got) == repr(want), (topo is other, slack)
+            assert repr(solution_fields(got)) == repr(solution_fields(want)), (
+                topo is other, slack)
         assert (solve_bfs(other, p).v_mag[33] != solve_bfs(base, p).v_mag[33])
 
     def test_cycle_rejected(self):
@@ -178,6 +255,74 @@ class TestSolveBfs:
         )
         with pytest.raises(TopologyError):
             solve_bfs(topo, {})
+
+
+class TestSameBitsAsReference:
+    """The solve and the audit give, field for field, the bits of the
+    dict-based reference above (repr of a float is exact)."""
+
+    def test_solves_with_reactive_power_and_moved_slack(self):
+        topo = load_ieee33()
+        rng = np.random.default_rng(3)
+        cases = [(topo.nominal_load_mw, topo.nominal_load_mvar, slack)
+                 for slack in (1, 6, 25, 33)]
+        for _ in range(20):
+            p = {b: rng.uniform(-0.3, 0.4) for b in topo.buses}
+            q = {b: rng.uniform(-0.1, 0.2) for b in topo.buses if rng.random() < 0.7}
+            cases.append((p, q, int(rng.choice(topo.buses))))
+        for p, q, slack in cases:
+            got = solve_bfs(topo, p, q, slack_bus=slack)
+            want = reference_solve_bfs(topo, p, q, slack_bus=slack)
+            assert repr(solution_fields(got)) == repr(want), slack
+        assert any(topo.nominal_load_mvar.values())
+
+    def test_solve_at_max_iter_without_converging(self):
+        topo = load_ieee33()
+        got = solve_bfs(topo, topo.nominal_load_mw, topo.nominal_load_mvar,
+                        slack_bus=18)
+        want = reference_solve_bfs(topo, topo.nominal_load_mw,
+                                   topo.nominal_load_mvar, slack_bus=18)
+        assert not got.converged and got.iterations == MAX_ITER
+        assert repr(solution_fields(got)) == repr(want)
+
+    def test_connected_and_islanded_slots(self):
+        topo = load_ieee33()
+        config = table_config()
+        online = [0.0] * len(config.generators)
+        online[1] = 0.8
+        results = [make_result(config, load_scale=scale, connected=connected,
+                               gens=gens)
+                   for scale in (0.0, 0.05, 0.3, 1.0, 10.0)
+                   for connected, gens in ((True, None), (False, online),
+                                           (False, None))]
+        for result in results:
+            got = check_dispatch(topo, config, result)
+            assert repr(got) == repr(reference_check_dispatch(topo, config, result))
+        assert {r.connected for r in results} == {True, False}
+
+    def test_greedy_slots_of_a_test_day(self):
+        cfg = resolve_dict()
+        dataset = build_dataset(cfg, seed_stream(1, "data"))
+        env = build_env(cfg, dataset)
+        trainer = build_trainer(env, TrainSettings.from_dict(cfg["train"]),
+                                "maddpg", seed_stream(1, "init"))
+        _, episodes = run_days(env, TrainedPolicy(trainer), dataset.test_days[:1],
+                               seed_stream(1, "env"))
+        topo = load_ieee33()
+        reports = [check_dispatch(topo, env.config, result)
+                   for result in episodes[0].results]
+        assert len(reports) == 96
+        assert any(r.violations for r in reports)
+        for result, got in zip(episodes[0].results, reports):
+            assert repr(got) == repr(reference_check_dispatch(topo, env.config, result))
+
+    def test_tree_matrices_are_read_only(self):
+        tree = _feeder_tree(load_ieee33(), 1)
+        for a in (tree.bibc, tree.bcbv, tree.z):
+            assert a.dtype == complex and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert tree.bibc.flags.c_contiguous and tree.bcbv.flags.c_contiguous
 
 
 def make_result(config, alpha=0.0, load_scale=1.0, connected=True, gens=None):
