@@ -33,21 +33,27 @@ RULE_TARGET_SOC = 0.5
 class RulePolicy:
     """Hold every unit at the target SoC; discharge to serve when islanded.
 
-    Connected: full correction toward the setpoint within one slot, clipped
-    into the SoC-feasible window. Islanded: discharge covers the residual
-    demand left after PV and generators, split across units proportionally
-    to their available discharge headroom.
+    Connected: full correction toward the setpoint within one slot, with the
+    setpoint clamped into each unit's SoC window and the move into its power
+    limits. Float differences and positive products keep order, so that is bit
+    for bit the move clipped into the SoC-feasible ``mask_bounds``. Islanded:
+    discharge covers the residual demand left after PV and generators, split
+    across units proportionally to their available discharge headroom.
     """
 
     def __init__(self, config: MicrogridConfig):
         self.config = config
+        self._units = [(min(max(RULE_TARGET_SOC, s.soc_min), s.soc_max), s.energy_cap,
+                        s.p_min, s.p_max) for s in config.ess]  # target SoC, cap, limits
 
     def __call__(self, obs: Observation) -> np.ndarray:
-        limits = self.config.ess_limits
-        low, up = mask_bounds(limits, obs.soc, SLOT_HOURS)
         if obs.connected:
-            raw = (RULE_TARGET_SOC - obs.soc) * limits.energy_cap / SLOT_HOURS
-            return np.minimum(np.maximum(raw, low), up)
+            out = []
+            for (target, cap, p_min, p_max), soc in zip(self._units, obs.soc.tolist()):
+                move = (target - soc) * cap / SLOT_HOURS
+                out.append(p_min if move < p_min else p_max if move > p_max else move)
+            return np.array(out)
+        low, _ = mask_bounds(self.config.ess_limits, obs.soc, SLOT_HOURS)
         now = obs.window[:, 0].tolist()  # the slot's raw values, PV rows first
         n_pv = len(self.config.pv)
         load_sum = sum(now[n_pv:])

@@ -123,7 +123,7 @@ class MicrogridEnv:
         self._counters = np.where(t < onset, np.maximum(peak_slot - t, 0),
                                   0).tolist()
         self.record = EpisodeRecord(day=day, outage=outage)
-        self.record.soc_trace.append(list(self._soc))
+        self.record.soc_trace.append(self._soc)
         return self._observe()
 
     def _observe(self) -> Observation:
@@ -137,18 +137,16 @@ class MicrogridEnv:
         )
 
     def step(self, commands_mw: np.ndarray):
-        """Resolve the current slot. Returns
-        (result, rewards, next_observation, done)."""
+        """Resolve the current slot. Returns (result, rewards,
+        next_observation, done), with every agent's reward in fleet order."""
         if self._slot >= SLOTS_PER_DAY:
             raise RuntimeError("no episode in progress; call reset")
         result = resolve_slot(self.config, self._inputs, self._slot,
                               np.asarray(commands_mw, float).tolist())
-        rewards = np.array([reward_for_agent(n, result, self.config.costs)
-                            for n in range(self.n_agents)])
-        self._soc = [step_soc(spec, soc, p, SLOT_HOURS).soc
-                     for spec, soc, p in zip(self.config.ess, self._soc, result.p_ess)]
+        rewards = reward_for_agent(result, self.config.costs)
+        self._soc = step_soc(self.config.ess, self._soc, result.p_ess, SLOT_HOURS).soc
         self._slot += 1
         done = self._slot >= SLOTS_PER_DAY
         self.record.results.append(result)
-        self.record.soc_trace.append(list(self._soc))
+        self.record.soc_trace.append(self._soc)
         return result, rewards, self._observe(), done

@@ -26,7 +26,9 @@ class DispatchError(ValueError):
     """An ESS command violated its power bounds (masking failed upstream)."""
 
 
-def _not_finite(name: str, value: float) -> None:
+def _not_finite(**values: float) -> None:
+    """Raise for the first of ``values``, in keyword order, that is not finite."""
+    name, value = next((k, v) for k, v in values.items() if not math.isfinite(v))
     raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -187,8 +189,7 @@ class CostBreakdown(NamedTuple):
     shed: float
 
 
-@dataclass(frozen=True)
-class DispatchResult:
+class DispatchResult(NamedTuple):
     """Resolved powers for one slot; balance residual is guaranteed tiny."""
 
     p_ess: tuple[float, ...]
@@ -205,27 +206,30 @@ class DispatchResult:
 
 
 class SocUpdate(NamedTuple):
-    soc: float
-    excess: float  # signed SoC amount removed by clamping, 0.0 inside bounds
+    soc: list[float]
+    excess: list[float]  # signed SoC amounts removed by clamping, 0.0 inside bounds
 
 
-def step_soc(spec: EssSpec, soc: float, p_ess: float, dt: float) -> SocUpdate:
-    """Advance one storage unit by one slot.
+def step_soc(ess: Sequence[EssSpec], socs: Sequence[float], p_ess: Sequence[float],
+             dt: float) -> SocUpdate:
+    """Advance every unit of a fleet by one slot, in fleet order.
 
     Charging applies ``eff_charge``, discharging (p_ess <= 0) applies
-    ``eff_discharge``. The result is clamped to the SoC window; the clamped
+    ``eff_discharge``. Each SoC is clamped to its window, as the comparisons
+    of ``min(max(raw, soc_min), soc_max)`` without the calls; the clamped
     excess is reported so callers can tell saturation from a clean step.
     """
-    if not math.isfinite(soc):
-        _not_finite("soc", soc)
-    if not math.isfinite(p_ess):
-        _not_finite("p_ess", p_ess)
-    if not math.isfinite(dt):
-        _not_finite("dt", dt)
-    eff = spec.eff_charge if p_ess > 0.0 else spec.eff_discharge
-    raw = soc + eff * p_ess * dt / spec.energy_cap
-    clamped = min(max(raw, spec.soc_min), spec.soc_max)
-    return SocUpdate(clamped, raw - clamped)
+    soc_out, excess = [], []
+    for spec, soc, p in zip(ess, socs, p_ess):
+        if not (math.isfinite(soc) and math.isfinite(p) and math.isfinite(dt)):
+            _not_finite(soc=soc, p_ess=p, dt=dt)
+        eff = spec.eff_charge if p > 0.0 else spec.eff_discharge
+        raw = soc + eff * p * dt / spec.energy_cap
+        lo, hi = spec.soc_min, spec.soc_max
+        clamped = lo if raw < lo else hi if raw > hi else raw
+        soc_out.append(clamped)
+        excess.append(raw - clamped)
+    return SocUpdate(soc_out, excess)
 
 
 def mask_bounds(ess: EssArrays, socs: np.ndarray,
@@ -248,7 +252,7 @@ def dispatch_generators(gens: Sequence[GeneratorSpec], total_load: float) -> lis
     the demand is split proportionally to capacity.
     """
     if not math.isfinite(total_load):
-        _not_finite("total_load", total_load)
+        _not_finite(total_load=total_load)
     if total_load < 0.0:
         raise ValueError("total_load must be >= 0")
     cap_sum = sum(g.p_max for g in gens)
@@ -278,7 +282,7 @@ def resolve_slot(config: MicrogridConfig, inputs: DayInputs, slot: int,
     p_ess = []
     for spec, cmd in zip(config.ess, ess_commands):
         if not math.isfinite(cmd):
-            _not_finite("command", cmd)
+            _not_finite(command=cmd)
         if cmd > spec.p_max + COMMAND_TOL or cmd < spec.p_min - COMMAND_TOL:
             raise DispatchError(
                 f"{spec.id}: command {cmd} outside [{spec.p_min}, {spec.p_max}]")
@@ -322,19 +326,9 @@ def resolve_slot(config: MicrogridConfig, inputs: DayInputs, slot: int,
     residual = (1.0 - alpha) * load_sum - pv_used + ess_net - gen_sum - p_grid
 
     breakdown = price_slot(config.costs, p_ess, p_gen, p_grid, alpha, inputs.load[slot])
-    return DispatchResult(
-        p_ess=tuple(p_ess),
-        p_gen=tuple(p_gen),
-        p_grid=p_grid,
-        alpha=alpha,
-        p_load=inputs.load[slot],
-        p_pv=inputs.pv[slot],
-        pv_curtailed=pv_curtailed,
-        connected=connected,
-        balance_residual=residual,
-        cost_total=sum(breakdown),
-        cost_breakdown=breakdown,
-    )
+    return DispatchResult(tuple(p_ess), tuple(p_gen), p_grid, alpha, inputs.load[slot],
+                          inputs.pv[slot], pv_curtailed, connected, residual,
+                          sum(breakdown), breakdown)
 
 
 def price_slot(costs: CostParams, p_ess: Sequence[float], p_gen: Sequence[float],
@@ -349,9 +343,9 @@ def price_slot(costs: CostParams, p_ess: Sequence[float], p_gen: Sequence[float]
     )
 
 
-def reward_for_agent(n: int, result: DispatchResult, costs: CostParams) -> float:
-    """Per-agent reward: negative slot cost where the storage-wear term counts
-    only agent ``n``'s discharge while the other, priced terms are shared."""
+def reward_for_agent(result: DispatchResult, costs: CostParams) -> list[float]:
+    """Every agent's reward in fleet order: negative slot cost where the
+    storage-wear term counts only the agent's own discharge."""
     b = result.cost_breakdown
-    own = costs.lambda_ess * abs(min(result.p_ess[n], 0.0)) * SLOT_HOURS
-    return -(own + (b.gen + b.grid + b.shed))
+    shared = b.gen + b.grid + b.shed
+    return [-(costs.lambda_ess * abs(min(p, 0.0)) * SLOT_HOURS + shared) for p in result.p_ess]

@@ -425,7 +425,7 @@ def ddpg_groups(n_ess: int) -> list[AgentGroup]:
     return [AgentGroup(ess_indices=tuple(range(n_ess)), own_reward=False)]
 
 
-def group_reward(group: AgentGroup, agent_rewards: np.ndarray,
+def group_reward(group: AgentGroup, agent_rewards: list[float],
                  slot_cost: float) -> float:
     """An own-reward group is paid its one unit's reward; a joint group pays
     the full slot cost (the same value, by another path, with one ESS)."""

@@ -67,10 +67,10 @@ class TestCriterion1PhysicsExactness:
         socs = np.stack([d[0] for d in draws], axis=1)
         cmds = fleet_mask(ESS_FLEET)(np.stack([d[1] for d in draws], axis=1), socs)
         for i, spec in enumerate(ESS_FLEET):
-            for soc, p in zip(socs[:, i], cmds[:, i]):
-                out = step_soc(spec, soc, p, dt)
-                if not spec.soc_min <= out.soc <= spec.soc_max:
-                    violations += 1
+            out = step_soc([spec] * len(socs), socs[:, i].tolist(),
+                           cmds[:, i].tolist(), dt)
+            violations += sum(not spec.soc_min <= soc <= spec.soc_max
+                              for soc in out.soc)
 
         config = MicrogridConfig(
             ess=ESS_FLEET[:2],

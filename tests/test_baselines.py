@@ -165,7 +165,7 @@ class TestDpOracle:
                     feasible = False  # slot physics had to rescale the command
                     break
                 cost += result.cost_total
-                soc = step_soc(spec, soc, result.p_ess[0], dt).soc
+                (soc,) = step_soc([spec], [soc], result.p_ess, dt).soc
                 # Enumeration tracks the grid value; step_soc agrees closely.
                 assert soc == pytest.approx(target, abs=1e-9)
                 soc = target

@@ -7,12 +7,14 @@ import pytest
 from gridres.grid import (
     CostParams,
     DispatchError,
+    DispatchResult,
     EssSpec,
     GeneratorSpec,
     LoadSpec,
     MicrogridConfig,
     PvSpec,
     SLOT_HOURS,
+    SocUpdate,
     day_inputs,
     dispatch_generators,
     price_slot,
@@ -51,50 +53,55 @@ def slot_inputs(cfg, connected, pv, load):
 class TestStepSoc:
     def test_charge_worked_value(self):
         # 0.5 + 0.999 * 2 * 0.25 / 6
-        out = step_soc(ess(), 0.5, 2.0, 0.25)
-        assert out.soc == pytest.approx(0.583250, abs=1e-12)
-        assert out.excess == 0.0
+        out = step_soc([ess()], [0.5], [2.0], 0.25)
+        assert out.soc[0] == pytest.approx(0.583250, abs=1e-12)
+        assert out.excess == [0.0]
 
     def test_zero_power_identity(self):
-        assert step_soc(ess(), 0.5, 0.0, 0.25).soc == 0.5
+        assert step_soc([ess()], [0.5], [0.0], 0.25).soc == [0.5]
 
     def test_discharge_worked_value(self):
         # 0.5 - 1.001 * 2 * 0.25 / 6
-        out = step_soc(ess(), 0.5, -2.0, 0.25)
-        assert out.soc == pytest.approx(0.5 - 1.001 * 0.5 / 6.0, abs=1e-12)
+        out = step_soc([ess()], [0.5], [-2.0], 0.25)
+        assert out.soc[0] == pytest.approx(0.5 - 1.001 * 0.5 / 6.0, abs=1e-12)
 
     def test_clamping_reports_excess(self):
-        out = step_soc(ess(), 0.89, 2.0, 0.25)
-        assert out.soc == 0.9
-        assert out.excess > 0.0
-        assert out.excess == pytest.approx(0.89 + 0.999 * 0.5 / 6.0 - 0.9)
+        (soc,), (excess,) = step_soc([ess()], [0.89], [2.0], 0.25)
+        assert soc == 0.9
+        assert excess > 0.0
+        assert excess == pytest.approx(0.89 + 0.999 * 0.5 / 6.0 - 0.9)
+
+    def test_fleet_steps_each_unit_in_order(self):
+        specs = [ess(), ess(cap=3.0)]
+        out = step_soc(specs, [0.5, 0.89], [-2.0, 2.0], 0.25)
+        assert out.soc == [0.5 - 1.001 * 0.5 / 6.0, 0.9]
+        assert out.excess[0] == 0.0 and out.excess[1] > 0.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            step_soc(ess(), float("nan"), 1.0, 0.25)
+            step_soc([ess()], [float("nan")], [1.0], 0.25)
         with pytest.raises(ValueError):
-            step_soc(ess(), 0.5, float("inf"), 0.25)
+            step_soc([ess()], [0.5], [float("inf")], 0.25)
 
     def test_round_trip_never_gains(self):
         # Charging some energy then discharging the same energy cannot raise
         # SoC when eff_charge <= 1 <= eff_discharge.
         rng = np.random.default_rng(7)
-        spec = ess()
-        for _ in range(500):
-            soc0 = rng.uniform(0.3, 0.7)
-            p = rng.uniform(0.1, 1.0)
-            up = step_soc(spec, soc0, p, 0.25)
-            down = step_soc(spec, up.soc, -p, 0.25)
-            assert down.soc <= soc0 + 1e-12
+        specs = [ess()] * 500
+        soc0 = rng.uniform(0.3, 0.7, size=500).tolist()
+        p = rng.uniform(0.1, 1.0, size=500).tolist()
+        up = step_soc(specs, soc0, p, 0.25)
+        down = step_soc(specs, up.soc, [-x for x in p], 0.25)
+        for before, after in zip(soc0, down.soc):
+            assert after <= before + 1e-12
 
     def test_bounds_always_hold(self):
         rng = np.random.default_rng(11)
         spec = ess()
-        for _ in range(2000):
-            soc = rng.uniform(spec.soc_min, spec.soc_max)
-            p = rng.uniform(spec.p_min, spec.p_max)
-            out = step_soc(spec, soc, p, 0.25)
-            assert spec.soc_min <= out.soc <= spec.soc_max
+        soc = rng.uniform(spec.soc_min, spec.soc_max, size=2000).tolist()
+        p = rng.uniform(spec.p_min, spec.p_max, size=2000).tolist()
+        for out in step_soc([spec] * 2000, soc, p, 0.25).soc:
+            assert spec.soc_min <= out <= spec.soc_max
 
 
 class TestDispatchGenerators:
@@ -233,8 +240,6 @@ def discharge_result():
     Built directly (not via resolve_slot) to pin the pricing formula on
     hand-picked powers.
     """
-    from gridres.grid import DispatchResult
-
     cfg = small_config()
     breakdown = price_slot(cfg.costs, (-2.0,), (3.0,), 0.0, 0.2, (5.0,))
     out = DispatchResult(
@@ -254,7 +259,7 @@ class TestCostAndReward:
         cfg = small_config()
         out = resolve_slot(cfg, slot_inputs(cfg, False, 0.0, 0.0), 0, [0.0])
         assert out.cost_total == 0.0
-        assert reward_for_agent(0, out, cfg.costs) == 0.0
+        assert reward_for_agent(out, cfg.costs) == [0.0]
 
     def test_grid_import_only(self):
         cfg = small_config()
@@ -264,11 +269,10 @@ class TestCostAndReward:
 
     def test_reward_owner_vs_idle_agent(self):
         cfg, out = discharge_result()
-        assert reward_for_agent(0, out, cfg.costs) == pytest.approx(-0.85)
+        assert reward_for_agent(out, cfg.costs) == pytest.approx([-0.85])
         # A second idle agent shares everything except the wear term.
-        from dataclasses import replace
-        out2 = replace(out, p_ess=(-2.0, 0.0))
-        assert reward_for_agent(1, out2, cfg.costs) == pytest.approx(-0.75)
+        out2 = out._replace(p_ess=(-2.0, 0.0))
+        assert reward_for_agent(out2, cfg.costs) == pytest.approx([-0.85, -0.75])
 
     def test_reward_is_negative_per_agent_cost(self):
         cfg = small_config()
@@ -276,7 +280,7 @@ class TestCostAndReward:
         for _ in range(100):
             day = slot_inputs(cfg, False, pv=rng.uniform(0, 5), load=rng.uniform(0, 9))
             out = resolve_slot(cfg, day, 0, [rng.uniform(-2, 2)])
-            assert reward_for_agent(0, out, cfg.costs) <= 0.0
+            assert reward_for_agent(out, cfg.costs)[0] <= 0.0
 
     def test_reward_equals_scaled_per_agent_cost_bit_for_bit(self):
         # The reward reads the slot's priced terms; scaling by the slot
@@ -291,9 +295,11 @@ class TestCostAndReward:
             shared = (sum(c.lambda_gen * p for p in out.p_gen)
                       + c.lambda_grid * abs(out.p_grid)
                       + sum(out.alpha * c.lambda_load * p for p in out.p_load))
+            rewards = reward_for_agent(out, c)
+            assert len(rewards) == 2
             for n in range(2):
                 own = c.lambda_ess * abs(min(out.p_ess[n], 0.0))
-                assert reward_for_agent(n, out, c) == -(own + shared) * SLOT_HOURS
+                assert rewards[n] == -(own + shared) * SLOT_HOURS
 
 
 class TestResilienceMetric:
@@ -311,8 +317,7 @@ class TestResilienceMetric:
 
     def test_linearity(self):
         cfg, out = discharge_result()
-        from dataclasses import replace
-        doubled = replace(out, alpha=0.4)
+        doubled = out._replace(alpha=0.4)
         assert price(doubled, cfg.costs).shed == pytest.approx(
             2 * price(out, cfg.costs).shed)
 
@@ -352,3 +357,152 @@ class TestSpecValidation:
                     soc_min=0.1, soc_max=0.9)
         with pytest.raises(ValueError):
             ess(eff_ch=1.1)
+
+
+# The per-unit SoC step and reward that the fleet calls replaced, verbatim:
+# the reference the fleet calls must match bit for bit.
+
+def _not_finite(name: str, value: float) -> None:
+    raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def unit_step_soc(spec: EssSpec, soc: float, p_ess: float, dt: float) -> SocUpdate:
+    """Advance one storage unit by one slot.
+
+    Charging applies ``eff_charge``, discharging (p_ess <= 0) applies
+    ``eff_discharge``. The result is clamped to the SoC window; the clamped
+    excess is reported so callers can tell saturation from a clean step.
+    """
+    if not math.isfinite(soc):
+        _not_finite("soc", soc)
+    if not math.isfinite(p_ess):
+        _not_finite("p_ess", p_ess)
+    if not math.isfinite(dt):
+        _not_finite("dt", dt)
+    eff = spec.eff_charge if p_ess > 0.0 else spec.eff_discharge
+    raw = soc + eff * p_ess * dt / spec.energy_cap
+    clamped = min(max(raw, spec.soc_min), spec.soc_max)
+    return SocUpdate(clamped, raw - clamped)
+
+
+def unit_reward_for_agent(n: int, result: DispatchResult, costs: CostParams) -> float:
+    """Per-agent reward: negative slot cost where the storage-wear term counts
+    only agent ``n``'s discharge while the other, priced terms are shared."""
+    b = result.cost_breakdown
+    own = costs.lambda_ess * abs(min(result.p_ess[n], 0.0)) * SLOT_HOURS
+    return -(own + (b.gen + b.grid + b.shed))
+
+
+def unit_steps(specs, socs, p_ess, dt):
+    """The fleet step as the per-unit calls made it, as one SocUpdate of lists."""
+    steps = [unit_step_soc(s, x, p, dt) for s, x, p in zip(specs, socs, p_ess)]
+    return SocUpdate([u.soc for u in steps], [u.excess for u in steps])
+
+
+def random_fleet(rng, n):
+    """``n`` random units whose SoC windows all hold a random point, which
+    is returned as the fleet's initial SoC."""
+    common = float(rng.uniform(0.05, 0.95))
+    specs = [EssSpec(
+        id=f"E{i}", p_min=-float(rng.uniform(0.1, 3.0)),
+        p_max=float(rng.uniform(0.1, 3.0)),
+        energy_cap=float(rng.uniform(0.5, 10.0)),
+        soc_min=float(rng.uniform(0.0, common)),
+        soc_max=float(rng.uniform(common, 1.0)),
+        eff_charge=float(rng.uniform(0.9, 1.0)),
+        eff_discharge=float(rng.uniform(1.0, 1.1))) for i in range(n)]
+    return specs, common
+
+
+def random_socs(rng, specs):
+    """Each unit's SoC inside its window, one in three exactly on an edge."""
+    pick = rng.integers(6, size=len(specs))
+    return [s.soc_min if k == 0 else s.soc_max if k == 1
+            else float(rng.uniform(s.soc_min, s.soc_max))
+            for s, k in zip(specs, pick)]
+
+
+class TestFleetCallsMatchPerUnitReference:
+    """The fleet's ``step_soc`` and ``reward_for_agent`` give, by ``repr``,
+    the floats and the errors of the per-unit calls made in fleet order."""
+
+    def test_soc_step_matches_on_random_fleets(self):
+        rng = np.random.default_rng(23)
+        clamped = zeros = 0
+        for _ in range(2000):
+            specs, _ = random_fleet(rng, int(rng.integers(1, 7)))
+            socs = random_socs(rng, specs)
+            # Commands up to twice the power limits, so steps clamp both ways;
+            # exact and signed zeros mixed in.
+            p = [float(rng.uniform(2.0 * s.p_min, 2.0 * s.p_max)) for s in specs]
+            pick = rng.integers(6, size=len(specs))
+            p = [0.0 if k == 0 else -0.0 if k == 1 else x for x, k in zip(p, pick)]
+            dt = SLOT_HOURS if rng.integers(2) else float(rng.uniform(0.05, 1.0))
+            got = step_soc(specs, socs, p, dt)
+            assert repr(got) == repr(unit_steps(specs, socs, p, dt))
+            clamped += sum(e != 0.0 for e in got.excess)
+            zeros += sum(x == 0.0 for x in p)
+        assert clamped > 500 and zeros > 500
+
+    def test_non_finite_input_raises_the_same_error(self):
+        rng = np.random.default_rng(29)
+        bad = (float("nan"), float("inf"), float("-inf"))
+        for _ in range(500):
+            specs, _ = random_fleet(rng, int(rng.integers(1, 6)))
+            socs = random_socs(rng, specs)
+            p = [float(rng.uniform(s.p_min, s.p_max)) for s in specs]
+            dt = SLOT_HOURS
+            # One to three non-finite values among the SoCs, powers and dt.
+            for _ in range(int(rng.integers(1, 4))):
+                where, value = int(rng.integers(3)), bad[rng.integers(3)]
+                if where == 2:
+                    dt = value
+                else:
+                    (socs, p)[where][rng.integers(len(specs))] = value
+            with pytest.raises(ValueError) as want:
+                unit_steps(specs, socs, p, dt)
+            with pytest.raises(ValueError, match="must be finite") as got:
+                step_soc(specs, socs, p, dt)
+            assert str(got.value) == str(want.value)
+
+    def test_rewards_match_on_random_slots_with_both_islanded_rescales(self):
+        rng = np.random.default_rng(31)
+        rescaled = {"discharge": 0, "charge": 0}
+        for _ in range(1500):
+            specs, common = random_fleet(rng, int(rng.integers(1, 6)))
+            gens = tuple(GeneratorSpec(id=f"G{i}", p_max=float(rng.uniform(0.0, 3.0)))
+                         for i in range(int(rng.integers(0, 3))))
+            cfg = MicrogridConfig(
+                ess=tuple(specs), generators=gens,
+                pv=(PvSpec(id="PV1", p_max=10.0),), loads=(LoadSpec(id="L1", p_max=10.0),),
+                costs=CostParams(*rng.uniform(0.0, 2.0, size=4).tolist()),
+                initial_soc=common)
+            # Small loads and PV leave islanded discharge stranded; charging
+            # beyond PV and generation exceeds the supply.
+            day = slot_inputs(cfg, bool(rng.integers(4) == 0),
+                              pv=float(rng.uniform(0.0, 2.0)),
+                              load=float(rng.uniform(0.0, 4.0)))
+            cmds = [float(rng.uniform(s.p_min, s.p_max)) for s in specs]
+            pick = rng.integers(5, size=len(specs))
+            cmds = [0.0 if k == 0 else x for x, k in zip(cmds, pick)]
+            out = resolve_slot(cfg, day, 0, cmds)
+            for sign, kind in ((-1.0, "discharge"), (1.0, "charge")):
+                rescaled[kind] += any(c * sign > 0.0 and p != c
+                                      for c, p in zip(cmds, out.p_ess))
+            want = [unit_reward_for_agent(n, out, cfg.costs) for n in range(len(specs))]
+            assert repr(reward_for_agent(out, cfg.costs)) == repr(want)
+            socs = random_socs(rng, specs)
+            assert repr(step_soc(specs, socs, out.p_ess, SLOT_HOURS)) == repr(
+                unit_steps(specs, socs, out.p_ess, SLOT_HOURS))
+        assert rescaled["discharge"] > 50 and rescaled["charge"] > 50
+
+
+class TestDispatchResult:
+    def test_repr_lists_every_field_as_the_dataclass_did(self):
+        cfg, out = discharge_result()
+        fields = ("p_ess", "p_gen", "p_grid", "alpha", "p_load", "p_pv",
+                  "pv_curtailed", "connected", "balance_residual", "cost_total",
+                  "cost_breakdown")
+        assert DispatchResult._fields == fields
+        assert repr(out) == "DispatchResult(" + ", ".join(
+            f"{f}={getattr(out, f)!r}" for f in fields) + ")"

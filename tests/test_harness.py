@@ -1,5 +1,5 @@
 import json
-import os
+import resource
 import textwrap
 from pathlib import Path
 
@@ -157,8 +157,9 @@ class TestTrainRun:
     def test_outputs_and_manifest(self, tmp_path):
         cfg = small_cfg()
         out = tmp_path / "run"
-        with open("/proc/self/statm") as fh:  # resident pages before the run
-            resident_mb = int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+        # The peak before the run, from the counter the manifest reads: an
+        # exact resident count (statm) can run ahead of it.
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         metrics = train_run(cfg, 3, out)
         assert (out / "checkpoint.npz").exists()
         assert (out / "metrics.csv").exists()
@@ -170,7 +171,7 @@ class TestTrainRun:
         assert len(manifest["dataset_checksum"]) == 64
         assert manifest["outcome"]["status"] == "ok"
         # The process's peak so far, so at least what it held before the run.
-        assert manifest["outcome"]["peak_rss_mb"] >= resident_mb > 0
+        assert manifest["outcome"]["peak_rss_mb"] >= peak_mb > 0
         header = (out / "metrics.csv").read_text().splitlines()[0]
         assert header == "episode,cost_usd,shed_mwh,critic_loss,actor_objective,reward"
 

@@ -201,9 +201,9 @@ class TestMaskAction:
         rng = np.random.default_rng(9)
         socs = rng.uniform(0.1, 0.9, size=2000)
         actions = mask(rng.uniform(-1, 1, size=2000), socs)
-        for soc, a in zip(socs, actions):
-            out = step_soc(ESS1, soc, a, 0.25)
-            assert 0.1 <= out.soc <= 0.9
+        out = step_soc([ESS1] * len(socs), socs.tolist(), actions.tolist(), 0.25)
+        for soc in out.soc:
+            assert 0.1 <= soc <= 0.9
 
 
 class TestExplore:

@@ -373,8 +373,8 @@ class TestInjections:
         topo = load_ieee33()
         config = table_config()
         p_pv = tuple(0.5 * s.p_max for s in config.pv)  # plants of 1 and 2 MW
-        result = replace(make_result(config, load_scale=0.0), p_pv=p_pv,
-                         pv_curtailed=0.25 * sum(p_pv))
+        result = make_result(config, load_scale=0.0)._replace(
+            p_pv=p_pv, pv_curtailed=0.25 * sum(p_pv))
         inj = dispatch_injections(topo, config, result)
         for spec, p in zip(config.pv, p_pv):
             assert inj[spec.bus] == pytest.approx(-0.75 * p)

@@ -4,12 +4,12 @@ against the slot core on hand-built one-slot days."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gridres.baselines import RulePolicy
+from gridres.baselines import RULE_TARGET_SOC, RulePolicy
 from gridres.dataio import ForecastModel, SeriesSet, make_forecasts
-from gridres.env import MicrogridEnv, OutageSettings
+from gridres.env import MicrogridEnv, Observation, OutageSettings
 from gridres.grid import (
     BALANCE_TOL,
     SLOT_HOURS,
@@ -96,13 +96,54 @@ def test_masked_slot_keeps_the_physics_invariants(slot):
     assert result.cost_total == pytest.approx(sum(result.cost_breakdown),
                                               rel=1e-12, abs=1e-12)
     assert result.cost_total >= 0.0
-    for spec, soc, p in zip(config.ess, socs, result.p_ess):
-        update = step_soc(spec, soc, p, SLOT_HOURS)
-        assert spec.soc_min <= update.soc <= spec.soc_max
+    update = step_soc(config.ess, socs, result.p_ess, SLOT_HOURS)
+    for spec, soc, excess, p in zip(config.ess, update.soc, update.excess,
+                                    result.p_ess):
+        assert spec.soc_min <= soc <= spec.soc_max
         # The mask ignores eff_discharge, so only a discharge may clamp, and
         # by no more than its efficiency loss.
         slack = (spec.eff_discharge - 1.0) * abs(p) * SLOT_HOURS / spec.energy_cap
-        assert abs(update.excess) <= slack + 1e-12
+        assert abs(excess) <= slack + 1e-12
+
+
+@st.composite
+def rule_fleets(draw):
+    """(config, SoCs): a fleet whose SoC windows share one drawn point, the
+    initial SoC, so windows wholly above or below ``RULE_TARGET_SOC`` occur;
+    each unit's SoC lies in its window and is often exactly on an edge."""
+    common = draw(between(0.0, 1.0))
+    ess, socs = [], []
+    for i in range(draw(st.integers(1, 5))):
+        soc_min, soc_max = draw(between(0.0, common)), draw(between(common, 1.0))
+        assume(soc_min < soc_max)
+        ess.append(EssSpec(id=f"E{i}", p_min=-draw(between(0.1, 3.0)),
+                           p_max=draw(between(0.1, 3.0)),
+                           energy_cap=draw(between(0.5, 10.0)),
+                           soc_min=soc_min, soc_max=soc_max))
+        socs.append(draw(st.one_of(st.just(soc_min), st.just(soc_max),
+                                   between(soc_min, soc_max))))
+    config = MicrogridConfig(ess=tuple(ess), generators=(),
+                             pv=(PvSpec(id="PV", p_max=1.0),),
+                             loads=(LoadSpec(id="L", p_max=1.0),),
+                             initial_soc=common)
+    return config, socs
+
+
+@PROPERTY
+@given(rule_fleets())
+def test_connected_rule_is_the_target_move_clipped_into_the_mask(fleet):
+    """The rule's connected command, the move to the setpoint clamped into
+    each SoC window and clipped into the power limits, is bit for bit the
+    unclamped move clipped into the mask's [low, up]."""
+    config, socs = fleet
+    soc = np.array(socs)
+    obs = Observation(soc=soc, counter=0, slot=0,
+                      windows=np.zeros((1, 2, 1)), connected=True)
+    limits = config.ess_limits
+    low, up = mask_bounds(limits, soc, SLOT_HOURS)
+    raw = (RULE_TARGET_SOC - soc) * limits.energy_cap / SLOT_HOURS
+    want = np.minimum(np.maximum(raw, low), up)
+    assert repr(RulePolicy(config)(obs).tolist()) == repr(want.tolist())
 
 
 def _device_day(rng, specs):
@@ -165,6 +206,5 @@ def test_env_day_matches_hand_built_slots(config, seed, outage, rule):
             assert repr(now) == repr(clamped)
             assert repr(total) == repr(sum(clamped))
         assert repr(result) == repr(resolve_slot(config, one, 0, commands))
-        soc = [step_soc(s, x, p, SLOT_HOURS).soc
-               for s, x, p in zip(config.ess, soc, result.p_ess)]
+        soc = step_soc(config.ess, soc, result.p_ess, SLOT_HOURS).soc
         assert repr(env.record.soc_trace[t + 1]) == repr(soc)
