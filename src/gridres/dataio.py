@@ -65,17 +65,22 @@ class ForecastModel:
             raise ValueError("forecast stds must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForecastTable:
-    """Predictions made at slot t for slots t+1..t+T-1.
+    """Every slot's input window, shaped (day, slot, rows, horizon), read-only.
 
-    Arrays are shaped (device, day, slot, lead-1); lead index k stores the
-    prediction of slot t+k+1 issued at slot t, clipped to device bounds.
+    Rows are the PV devices then the loads, in id order. Column 0 holds the
+    slot's served actual; column k the forecast of slot t+k issued at slot t,
+    clipped to the device's range. Past the day's end a column holds the last
+    in-day forecast, and the final slot holds its actual in every column.
     """
 
-    pv: np.ndarray
-    load: np.ndarray
-    horizon: int
+    windows: np.ndarray
+
+
+def build_window(forecasts: ForecastTable, day: int) -> np.ndarray:
+    """The day's (slots, rows, horizon) window stack, a fresh read-only view."""
+    return forecasts.windows[day]
 
 
 def load_csv(path: str, pv_specs: list[PvSpec], load_specs: list[LoadSpec]) -> SeriesSet:
@@ -108,6 +113,9 @@ def load_csv(path: str, pv_specs: list[PvSpec], load_specs: list[LoadSpec]) -> S
                 raise SeriesError(f"{path}:{lineno}: {exc}") from None
             if any(not np.isfinite(v) or v < 0 for v in values):
                 raise SeriesError(f"{path}:{lineno}: negative or non-finite value")
+            if rows and (ts.utcoffset() is None) != (rows[-1][0].utcoffset() is None):
+                raise SeriesError(f"{path}:{lineno}: timestamps must all carry a UTC "
+                                  "offset or none")
             if rows and ts <= rows[-1][0]:
                 raise SeriesError(f"{path}:{lineno}: timestamps must be increasing")
             rows.append((ts, values))
@@ -174,40 +182,43 @@ def scale_to_capacity(series: SeriesSet, pv_specs: list[PvSpec],
     return SeriesSet(pv=pv, load=load, day_labels=series.day_labels)
 
 
-def make_forecasts(series: SeriesSet, model: ForecastModel, horizon: int,
-                   rng: np.random.Generator, pv_specs: list[PvSpec],
+def make_forecasts(series: SeriesSet, served: SeriesSet, model: ForecastModel,
+                   horizon: int, rng: np.random.Generator, pv_specs: list[PvSpec],
                    load_specs: list[LoadSpec]) -> ForecastTable:
-    """Predictions as truth plus independent Gaussian noise per device, slot
-    and lead, clipped to the device's physical range."""
+    """The window table of ``served``, whose forecasts are ``series`` plus
+    independent Gaussian noise per device, slot and lead, clipped to the
+    device's physical range."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-
-    def _table(actual: np.ndarray, caps: np.ndarray, std: float) -> np.ndarray:
-        n_dev, n_days, n_slots = actual.shape
-        out = np.empty((n_dev, n_days, n_slots, horizon - 1))
+    n_pv = len(series.pv)
+    n_days, n_slots = series.pv.shape[1:]
+    windows = np.empty((n_days, n_slots, n_pv + len(series.load), horizon))
+    for rows, truth, actual, specs, std in (
+            (slice(0, n_pv), series.pv, served.pv, pv_specs, model.std_pv),
+            (slice(n_pv, None), series.load, served.load, load_specs, model.std_load)):
+        caps = np.array([s.p_max for s in specs], dtype=float)
+        table = windows[:, :, rows]  # (day, slot, device, lead)
+        table[..., 0] = actual.transpose(1, 2, 0)
         for k in range(1, horizon):
-            target = np.roll(actual, -k, axis=2)
-            # Targets beyond the day's end hold the final slot's value.
-            target[:, :, n_slots - k:] = actual[:, :, -1][:, :, None]
-            noise = rng.normal(0.0, 1.0, size=target.shape)
-            noisy = target + noise * std * caps[:, None, None]
-            out[:, :, :, k - 1] = np.clip(noisy, 0.0, caps[:, None, None])
-        return out
-
-    pv_caps = np.array([s.p_max for s in pv_specs], dtype=float)
-    load_caps = np.array([s.p_max for s in load_specs], dtype=float)
-    return ForecastTable(
-        pv=_table(series.pv, pv_caps, model.std_pv),
-        load=_table(series.load, load_caps, model.std_load),
-        horizon=horizon,
-    )
+            # Drawn for every slot, in device-major order; those past the
+            # day's end are dropped.
+            noise = rng.normal(0.0, 1.0, size=truth.shape)
+            in_day = max(n_slots - k, 0)
+            ahead = truth[:, :, k:] + noise[:, :, :in_day] * std * caps[:, None, None]
+            np.clip(ahead.transpose(1, 2, 0), 0.0, caps, out=table[:, :in_day, :, k])
+    # Slot 95 - lead's forecast of the final slot holds past the day's end.
+    for lead in range(1, min(horizon - 1, n_slots)):
+        windows[:, -1 - lead, :, lead + 1:] = windows[:, -1 - lead, :, lead:lead + 1]
+    windows[:, -1, :, 1:] = windows[:, -1, :, :1]
+    windows.flags.writeable = False
+    return ForecastTable(windows)
 
 
 def stress_transform(series: SeriesSet, pv_factor: float, load_factor: float) -> SeriesSet:
     """Scale the actuals to model systematic forecast bias.
 
-    Forecasts should be built from the unstressed series before calling this,
-    so that predictions keep tracking the original truth.
+    ``make_forecasts`` draws its forecasts from the unstressed series, so
+    that predictions keep tracking the original truth.
     """
     return SeriesSet(pv=series.pv * pv_factor, load=series.load * load_factor,
                      day_labels=series.day_labels)

@@ -1,7 +1,7 @@
 """Temporal feature encoder for PV/load observations.
 
-Builds a day's per-slot input matrices (current values plus the forecast
-horizon, one row per device) and compresses each into a 16-dimensional
+Compresses each slot's input window (current values plus the forecast
+horizon, one row per device; ``dataio.ForecastTable``) into a 16-dimensional
 characteristic vector with an embedding layer, a two-layer GRU and a
 rectified linear head.
 Inputs are normalized by device capacity before the embedding so MW-scale
@@ -12,37 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataio import ForecastTable, SeriesSet
 from . import diffkit as dk
 
 VECTOR_DIM = 16
-
-
-def gather_windows(series: SeriesSet, forecasts: ForecastTable, horizon: int,
-                   days: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """The (n, rows, T) windows of n (day, slot) pairs: rows are PV devices then loads in id
-    order, column 0 the slot's actual, columns 1..T-1 the forecasts issued at that slot, held
-    at the last in-day forecast past the day's end; a final slot has none and holds its actual."""
-    n_slots, slots = series.pv.shape[2], np.asarray(slots)
-    at = np.asarray(days) * n_slots + slots  # flat (day, slot) index
-    ahead_at = (at * (horizon - 1))[:, None] + np.minimum(
-        np.arange(horizon - 1), np.maximum(n_slots - 2 - slots, 0)[:, None])
-    flat = lambda a: a.reshape(len(a), a[0].size)  # (device, day * slot ...)
-    windows = np.empty((len(at), len(series.pv) + len(series.load), horizon))
-    for rows, actual, ahead in ((slice(0, len(series.pv)), series.pv, forecasts.pv),
-                                (slice(len(series.pv), None), series.load, forecasts.load)):
-        windows[:, rows, 0] = flat(actual).take(at, axis=1).T
-        windows[:, rows, 1:] = flat(ahead).take(ahead_at, axis=1).transpose(1, 0, 2)
-    final = slots == n_slots - 1  # its columns 1..T-1 hold placeholders
-    windows[final, :, 1:] = windows[final, :, :1]
-    return windows
-
-
-def build_window(series: SeriesSet, forecasts: ForecastTable, day: int,
-                 horizon: int) -> np.ndarray:
-    """The day's (slots, rows, T) window stack."""
-    slots = np.arange(series.pv.shape[2])
-    return gather_windows(series, forecasts, horizon, np.full_like(slots, day), slots)
 
 
 class GruEncoder:

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import ForecastTable, SeriesSet
-from .encoder import build_window
+from .dataio import ForecastTable, SeriesSet, build_window
 from .grid import (
     SLOT_HOURS,
     SLOTS_PER_DAY,
@@ -35,7 +34,7 @@ class Observation:
     soc: np.ndarray  # per ESS
     counter: int  # slots until the primary risk peak, same for all agents
     slot: int  # the slot whose window this is; 95 on the terminal observation
-    windows: np.ndarray  # the day's (SLOTS_PER_DAY, devices, horizon) stack
+    windows: np.ndarray  # the day's read-only (SLOTS_PER_DAY, devices, horizon) stack
     connected: bool  # this slot's grid tie
 
     @property
@@ -90,7 +89,7 @@ class MicrogridEnv:
 
     @property
     def obs_window_rows(self) -> int:
-        return self.series.pv.shape[0] + self.series.load.shape[0]
+        return self.forecasts.windows.shape[2]
 
     def reset(self, day: int, rng: np.random.Generator) -> Observation:
         """Start an episode on a dataset day; samples this day's storm."""
@@ -98,9 +97,8 @@ class MicrogridEnv:
             raise IndexError(f"day {day} outside dataset of {self.series.n_days}")
         self._slot = 0
         self._soc = [self.config.initial_soc] * self.n_agents
-        # A new array every day: policies key their per-day encoding on it.
-        self._windows = build_window(self.series, self.forecasts, day,
-                                     self.horizon)
+        # A new view every day: policies key their per-day encoding on it.
+        self._windows = build_window(self.forecasts, day)
         cfg = self.outage_cfg
         if cfg.forced_onset is not None:
             duration = cfg.forced_duration or cfg.duration_range[0]

@@ -127,7 +127,7 @@ class MicrogridConfig:
     costs: CostParams = field(default_factory=CostParams)
     initial_soc: float = 0.5
     # Compiled from the specs, read-only and shared: ESS limits in fleet order,
-    # and PV then load capacities in the window-row order of ``build_window``.
+    # and PV then load capacities in the row order of ``dataio.ForecastTable``.
     ess_limits: EssArrays = field(init=False, repr=False, compare=False)
     capacities: np.ndarray = field(init=False, repr=False, compare=False)
 

@@ -25,6 +25,7 @@ from .baselines import RulePolicy, TrainedPolicy, build_trainer
 from .config import ConfigError, build_microgrid, merge_config, resolve_dict
 from .dataio import (
     ForecastModel,
+    ForecastTable,
     SeriesSet,
     load_csv,
     make_forecasts,
@@ -82,17 +83,17 @@ class DayRecord:
 @dataclass
 class Dataset:
     series: SeriesSet
-    forecasts: Any
+    forecasts: ForecastTable
     train_days: list[int]
     test_days: list[int]
     checksum: str
 
 
 def build_dataset(cfg: dict[str, Any], data_rng: np.random.Generator) -> Dataset:
-    """Series + forecasts + split for a resolved config.
+    """Served series + window table + split for a resolved config.
 
-    Forecasts are always generated from the unstressed truth; stress factors
-    rescale the served actuals afterwards, modelling systematic bias.
+    Forecasts are always drawn from the unstressed truth; stress factors
+    rescale the served actuals, modelling systematic bias.
     """
     mg = build_microgrid(cfg)
     data = cfg["data"]
@@ -102,14 +103,15 @@ def build_dataset(cfg: dict[str, Any], data_rng: np.random.Generator) -> Dataset
     else:
         series = load_csv(data["source"], pv_specs, load_specs)
         series = scale_to_capacity(series, pv_specs, load_specs)
-    model = ForecastModel(data["forecast_std_pv"], data["forecast_std_load"])
-    forecasts = make_forecasts(series, model, data["window"], data_rng,
-                               pv_specs, load_specs)
+    served = series
     if data["stress_pv"] != 1.0 or data["stress_load"] != 1.0:
-        series = stress_transform(series, data["stress_pv"], data["stress_load"])
-    train_days, test_days = split_days(series.n_days, data_rng)
-    return Dataset(series=series, forecasts=forecasts, train_days=train_days,
-                   test_days=test_days, checksum=series.checksum())
+        served = stress_transform(series, data["stress_pv"], data["stress_load"])
+    model = ForecastModel(data["forecast_std_pv"], data["forecast_std_load"])
+    forecasts = make_forecasts(series, served, model, data["window"], data_rng,
+                               pv_specs, load_specs)
+    train_days, test_days = split_days(served.n_days, data_rng)
+    return Dataset(series=served, forecasts=forecasts, train_days=train_days,
+                   test_days=test_days, checksum=served.checksum())
 
 
 def build_env(cfg: dict[str, Any], dataset: Dataset) -> MicrogridEnv:
@@ -192,8 +194,22 @@ def train_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
 def read_run(run_dir: str | Path) -> tuple[dict[str, Any], int, str]:
     """Config, seed and method of a training run directory. Keys that earlier
     versions wrote (train keys, generators' ``p_min``) are dropped; another
-    slot length is refused, as 15-minute slots would silently change its physics."""
+    slot length is refused, as 15-minute slots would silently change its physics.
+    A manifest missing keys that a run needs raises one ValueError naming them all."""
     manifest = read_manifest(Path(run_dir))
+    missing = []
+    for path in ("config", "seed", "method",
+                 *(f"config.train.{f.name}" for f in fields(TrainSettings)),
+                 "config.microgrid.generators"):
+        node, keys = manifest, path.split(".")
+        for depth, key in enumerate(keys):
+            if not isinstance(node, dict) or key not in node:
+                missing += [".".join(keys[:depth + 1])]  # its deeper keys with it
+                break
+            node = node[key]
+    if missing:
+        raise ValueError(f"{run_dir}: manifest.json lacks "
+                         + ", ".join(dict.fromkeys(missing)))
     cfg = manifest["config"]
     cfg["train"] = {f.name: cfg["train"][f.name] for f in fields(TrainSettings)}
     for gen in cfg["microgrid"]["generators"]:

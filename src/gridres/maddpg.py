@@ -25,7 +25,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import diffkit as dk
-from .encoder import DayEncoding, GruEncoder, VECTOR_DIM, gather_windows
+from .encoder import DayEncoding, GruEncoder, VECTOR_DIM
 from .grid import SLOT_HOURS, SLOTS_PER_DAY, MicrogridConfig, mask_bounds
 
 COUNTER_SCALE = 1.0 / SLOTS_PER_DAY  # keeps the slots-to-peak feature near unit range
@@ -189,10 +189,10 @@ def features(socs: np.ndarray, counters: np.ndarray, v: np.ndarray,
 
 class ReplayBuffer:
     """Fixed-capacity FIFO of transitions in flat arrays. ``actions`` holds the masked
-    commands (MW) the env received; ``windows`` gathers windows by (day, slot)."""
+    commands (MW) the env received; ``windows`` indexes the dataset's (day, slot,
+    rows, horizon) window ``table`` by each transition's (day, slot)."""
 
-    def __init__(self, capacity: int, n_ess: int, n_groups: int,
-                 window_source: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    def __init__(self, capacity: int, n_ess: int, n_groups: int, table: np.ndarray):
         self.capacity = capacity
         self.size = 0
         self._cursor = 0
@@ -206,7 +206,7 @@ class ReplayBuffer:
         self.next_v = np.zeros((capacity, VECTOR_DIM))
         self.dones = np.zeros(capacity)
         self.days, self.slots = np.zeros((2, capacity), dtype=int)
-        self.window_source = window_source
+        self.table = table
 
     def add(self, socs, counter, v, actions, rewards, next_socs, next_counter,
             next_v, done, day, slot) -> None:
@@ -228,7 +228,7 @@ class ReplayBuffer:
         return rng.integers(self.size, size=batch)
 
     def windows(self, idx: np.ndarray) -> np.ndarray:
-        return self.window_source(self.days[idx], self.slots[idx])
+        return self.table[self.days[idx], self.slots[idx]]
 
 
 class Trainer:
@@ -465,7 +465,7 @@ def run_training(env, trainer: Trainer, settings: TrainSettings,
     """
     total_steps = settings.episodes * SLOTS_PER_DAY
     replay = ReplayBuffer(settings.replay_capacity, trainer.n_ess, len(trainer.groups),
-                          lambda *at: gather_windows(env.series, env.forecasts, env.horizon, *at))
+                          env.forecasts.windows)
     metrics: list[EpisodeMetrics] = []
     step = 0
     for episode in range(settings.episodes):

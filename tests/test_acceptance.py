@@ -259,7 +259,7 @@ def small_scenario(seed: int, n_ess: int = 1):
     )
     rng = np.random.default_rng(seed)
     series = synth_generator(rng, 1, list(config.pv), list(config.loads))
-    table = make_forecasts(series, ForecastModel(0.0, 0.0), 8,
+    table = make_forecasts(series, series, ForecastModel(0.0, 0.0), 8,
                            np.random.default_rng(seed + 1),
                            list(config.pv), list(config.loads))
     onset = int(rng.integers(66, 80))

@@ -100,7 +100,7 @@ class TestRulePolicy:
         config = one_ess_config(energy_cap=6.0)
         series = synth_generator(np.random.default_rng(1), 2,
                                  list(config.pv), list(config.loads))
-        table = make_forecasts(series, ForecastModel(0, 0), 4,
+        table = make_forecasts(series, series, ForecastModel(0, 0), 4,
                                np.random.default_rng(2),
                                list(config.pv), list(config.loads))
         env = MicrogridEnv(config, series, table,
@@ -217,7 +217,7 @@ class TestDpOracle:
         out = dp_oracle(config, pv, load, outage, grid_points=17, refine=False)
 
         series = SeriesSet(pv[:, None, :], load[:, None, :], ("d0",))
-        table = make_forecasts(series, ForecastModel(0, 0), 4,
+        table = make_forecasts(series, series, ForecastModel(0, 0), 4,
                                np.random.default_rng(7),
                                list(config.pv), list(config.loads))
         env = MicrogridEnv(config, series, table,
@@ -239,7 +239,7 @@ class TestDpOracle:
         out = dp_oracle(config, pv, load, outage, grid_points=21)
 
         series = SeriesSet(pv[:, None, :], load[:, None, :], ("d0",))
-        table = make_forecasts(series, ForecastModel(0, 0), 4,
+        table = make_forecasts(series, series, ForecastModel(0, 0), 4,
                                np.random.default_rng(10),
                                list(config.pv), list(config.loads))
         env = MicrogridEnv(config, series, table,
@@ -387,7 +387,7 @@ class TestTrainedPolicy:
         config = two_ess_config()
         series = synth_generator(np.random.default_rng(22), 2,
                                  list(config.pv), list(config.loads))
-        table = make_forecasts(series, ForecastModel(0.05, 0.05), 4,
+        table = make_forecasts(series, series, ForecastModel(0.05, 0.05), 4,
                                np.random.default_rng(23),
                                list(config.pv), list(config.loads))
         env = MicrogridEnv(config, series, table, OutageSettings(), horizon=4)
@@ -414,7 +414,7 @@ class TestDdpgBaseline:
         config = two_ess_config()
         series = synth_generator(np.random.default_rng(12), 2,
                                  list(config.pv), list(config.loads))
-        table = make_forecasts(series, ForecastModel(0, 0), 4,
+        table = make_forecasts(series, series, ForecastModel(0, 0), 4,
                                np.random.default_rng(13),
                                list(config.pv), list(config.loads))
         env = MicrogridEnv(config, series, table, OutageSettings(), horizon=4)
@@ -432,7 +432,7 @@ class TestDdpgBaseline:
         config = two_ess_config()
         series = synth_generator(np.random.default_rng(16), 2,
                                  list(config.pv), list(config.loads))
-        table = make_forecasts(series, ForecastModel(0, 0), 4,
+        table = make_forecasts(series, series, ForecastModel(0, 0), 4,
                                np.random.default_rng(17),
                                list(config.pv), list(config.loads))
         env = MicrogridEnv(config, series, table, OutageSettings(), horizon=4)

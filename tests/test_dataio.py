@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,13 @@ class TestLoadCsv:
         with pytest.raises(SeriesError, match="increasing"):
             load_csv(path, PV2, LOAD2)
 
+    def test_mixed_naive_and_aware_timestamps_rejected(self, tmp_path):
+        rows = day_rows(1)
+        rows[0] = rows[0].replace("00:00:00,", "00:00:00+00:00,", 1)
+        path = write_csv(tmp_path, rows, "timestamp,PV1,PV2,L1,L2")
+        with pytest.raises(SeriesError, match=r":3: timestamps must all carry"):
+            load_csv(path, PV2, LOAD2)
+
 
 class TestScaleToCapacity:
     def test_max_maps_to_cap_and_ratio_constant(self):
@@ -93,24 +102,95 @@ class TestScaleToCapacity:
         assert (ss.pv == 0).all()
 
 
+@dataclass
+class ReferenceForecasts:
+    """The (device, day, slot, lead-1) forecast layout the window table replaced."""
+
+    pv: np.ndarray
+    load: np.ndarray
+    horizon: int
+
+
+def reference_make_forecasts(series, model, horizon, rng, pv_specs, load_specs):
+    """The forecast builder the window table replaced, kept verbatim."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+
+    def _table(actual: np.ndarray, caps: np.ndarray, std: float) -> np.ndarray:
+        n_dev, n_days, n_slots = actual.shape
+        out = np.empty((n_dev, n_days, n_slots, horizon - 1))
+        for k in range(1, horizon):
+            target = np.roll(actual, -k, axis=2)
+            # Targets beyond the day's end hold the final slot's value.
+            target[:, :, n_slots - k:] = actual[:, :, -1][:, :, None]
+            noise = rng.normal(0.0, 1.0, size=target.shape)
+            noisy = target + noise * std * caps[:, None, None]
+            out[:, :, :, k - 1] = np.clip(noisy, 0.0, caps[:, None, None])
+        return out
+
+    pv_caps = np.array([s.p_max for s in pv_specs], dtype=float)
+    load_caps = np.array([s.p_max for s in load_specs], dtype=float)
+    return ReferenceForecasts(
+        pv=_table(series.pv, pv_caps, model.std_pv),
+        load=_table(series.load, load_caps, model.std_load),
+        horizon=horizon,
+    )
+
+
+def reference_gather_windows(series, forecasts, horizon, days, slots):
+    """The window gather the table replaced, kept verbatim: the (n, rows, T)
+    windows of n (day, slot) pairs over ``series``' actuals and the reference
+    forecasts."""
+    n_slots, slots = series.pv.shape[2], np.asarray(slots)
+    at = np.asarray(days) * n_slots + slots  # flat (day, slot) index
+    ahead_at = (at * (horizon - 1))[:, None] + np.minimum(
+        np.arange(horizon - 1), np.maximum(n_slots - 2 - slots, 0)[:, None])
+    flat = lambda a: a.reshape(len(a), a[0].size)  # (device, day * slot ...)
+    windows = np.empty((len(at), len(series.pv) + len(series.load), horizon))
+    for rows, actual, ahead in ((slice(0, len(series.pv)), series.pv, forecasts.pv),
+                                (slice(len(series.pv), None), series.load, forecasts.load)):
+        windows[:, rows, 0] = flat(actual).take(at, axis=1).T
+        windows[:, rows, 1:] = flat(ahead).take(ahead_at, axis=1).transpose(1, 0, 2)
+    final = slots == n_slots - 1  # its columns 1..T-1 hold placeholders
+    windows[final, :, 1:] = windows[final, :, :1]
+    return windows
+
+
+def reference_windows(series, served, model, horizon, seed):
+    """Every (day, slot) window of ``served`` by the reference builders, as a
+    (day, slot, rows, horizon) array, and the rng they drew from."""
+    rng = np.random.default_rng(seed)
+    forecasts = reference_make_forecasts(series, model, horizon, rng, PV2, LOAD2)
+    days, slots = np.indices(series.pv.shape[1:]).reshape(2, -1)
+    windows = reference_gather_windows(served, forecasts, horizon, days, slots)
+    return windows.reshape(series.pv.shape[1:] + windows.shape[1:]), rng
+
+
 class TestMakeForecasts:
+    @pytest.mark.parametrize("stress", [(1.0, 1.0), (0.85, 1.15)])
+    @pytest.mark.parametrize("horizon", [1, 2, 4, 8])
+    def test_table_matches_the_reference_gather_bit_for_bit(self, horizon, stress):
+        """Every (day, slot) window, the slots whose horizon crosses the day's
+        end and the final slot included, keeps the reference's bytes, and
+        the rng is left where the reference left it."""
+        series = synth_generator(np.random.default_rng(1), 3, PV2, LOAD2)
+        served = stress_transform(series, *stress)
+        model = ForecastModel(0.05, 0.03)
+        rng = np.random.default_rng(2)
+        table = make_forecasts(series, served, model, horizon, rng, PV2, LOAD2)
+        want, want_rng = reference_windows(series, served, model, horizon, 2)
+        assert table.windows.shape == (3, 96, 4, horizon)
+        assert table.windows.tobytes() == want.tobytes()
+        assert rng.random(4).tobytes() == want_rng.random(4).tobytes()
+
     def test_zero_std_equals_truth(self):
         rng = np.random.default_rng(1)
         series = synth_generator(rng, 2, PV2, LOAD2)
-        table = make_forecasts(series, ForecastModel(0.0, 0.0), 8,
+        table = make_forecasts(series, series, ForecastModel(0.0, 0.0), 8,
                                np.random.default_rng(2), PV2, LOAD2)
         for k in range(1, 8):
-            got = table.pv[0, 0, :96 - k, k - 1]
+            got = table.windows[0, :96 - k, 0, k]
             assert np.allclose(got, series.pv[0, 0, k:])
-
-    def test_end_of_day_last_value_hold(self):
-        rng = np.random.default_rng(1)
-        series = synth_generator(rng, 1, PV2, LOAD2)
-        table = make_forecasts(series, ForecastModel(0.0, 0.0), 8,
-                               np.random.default_rng(2), PV2, LOAD2)
-        # Prediction issued at slot 95 for any lead holds the slot-95 value.
-        assert table.load[1, 0, 95, :] == pytest.approx(
-            [series.load[1, 0, 95]] * 7)
 
     def test_noise_std_close_to_nominal(self):
         pv = np.full((1, 11, 96), 5.0)
@@ -118,19 +198,27 @@ class TestMakeForecasts:
         series = SeriesSet(pv, load, tuple(f"d{i}" for i in range(11)))
         specs_pv = [PvSpec(id="PV1", p_max=10.0)]
         specs_load = [LoadSpec(id="L1", p_max=10.0)]
-        table = make_forecasts(series, ForecastModel(0.05, 0.03), 8,
+        table = make_forecasts(series, series, ForecastModel(0.05, 0.03), 8,
                                np.random.default_rng(3), specs_pv, specs_load)
-        err = table.pv[0, :, :, :] - 5.0  # truth constant, no clipping active
+        # Each in-day forecast once; truth constant, no clipping active.
+        err = np.concatenate([table.windows[:, :96 - k, 0, k].ravel() - 5.0
+                              for k in range(1, 8)])
         assert err.std() == pytest.approx(0.05 * 10.0, rel=0.03)
 
     def test_clipping_keeps_nonnegative(self):
         pv = np.zeros((2, 2, 96))
         load = np.zeros((2, 2, 96)) + 0.01
         series = SeriesSet(pv, load, ("a", "b"))
-        table = make_forecasts(series, ForecastModel(0.5, 0.5), 4,
+        table = make_forecasts(series, series, ForecastModel(0.5, 0.5), 4,
                                np.random.default_rng(4), PV2, LOAD2)
-        assert (table.pv >= 0).all()
-        assert (table.load >= 0).all()
+        assert (table.windows >= 0).all()
+
+    def test_table_is_read_only(self):
+        series = synth_generator(np.random.default_rng(1), 1, PV2, LOAD2)
+        table = make_forecasts(series, series, ForecastModel(), 4,
+                               np.random.default_rng(2), PV2, LOAD2)
+        with pytest.raises(ValueError, match="read-only"):
+            table.windows[0, 0, 0, 0] = 1.0
 
 
 class TestStressTransform:

@@ -3,9 +3,10 @@ import pytest
 
 from gradcheck import assert_grads_close, numeric_grad
 from gridres import diffkit as dk
-from gridres.dataio import ForecastModel, make_forecasts, synth_generator
-from gridres.encoder import DayEncoding, GruEncoder, build_window, gather_windows
+from gridres.dataio import ForecastModel, build_window, make_forecasts, synth_generator
+from gridres.encoder import DayEncoding, GruEncoder
 from gridres.grid import LoadSpec, PvSpec
+from test_dataio import reference_gather_windows, reference_make_forecasts
 
 PV = [PvSpec(id="PV1", p_max=1.0), PvSpec(id="PV2", p_max=2.0)]
 LOAD = [LoadSpec(id="L1", p_max=1.0)]
@@ -13,13 +14,14 @@ LOAD = [LoadSpec(id="L1", p_max=1.0)]
 
 def series_and_forecasts(std=0.0, days=2, horizon=8, seed=1):
     series = synth_generator(np.random.default_rng(seed), days, PV, LOAD)
-    table = make_forecasts(series, ForecastModel(std, std), horizon,
+    table = make_forecasts(series, series, ForecastModel(std, std), horizon,
                            np.random.default_rng(seed + 1), PV, LOAD)
     return series, table
 
 
 def per_slot_window(series, forecasts, day, t, horizon):
-    """One slot's window by the per-slot rule the day stack replaced."""
+    """One slot's window by the per-slot rule the day stack replaced, over
+    the reference (device, day, slot, lead) forecasts."""
     n_slots = series.pv.shape[2]
     rows = series.pv.shape[0] + series.load.shape[0]
     window = np.empty((rows, horizon))
@@ -38,7 +40,7 @@ def per_slot_window(series, forecasts, day, t, horizon):
 class TestBuildWindow:
     def test_single_column_horizon(self):
         series, table = series_and_forecasts(horizon=1)
-        w = build_window(series, table, 0, 1)
+        w = build_window(table, 0)
         assert w.shape == (96, 3, 1)
         assert w[40, :, 0] == pytest.approx(
             list(series.pv[:, 0, 40]) + [series.load[0, 0, 40]])
@@ -47,15 +49,15 @@ class TestBuildWindow:
         series, table = series_and_forecasts()
         series.pv[:] = 0.7
         series.load[:] = 0.3
-        table = make_forecasts(series, ForecastModel(0, 0), 8,
+        table = make_forecasts(series, series, ForecastModel(0, 0), 8,
                                np.random.default_rng(0), PV, LOAD)
-        w = build_window(series, table, 0, 8)
+        w = build_window(table, 0)
         assert np.allclose(w[:, :2], 0.7)
         assert np.allclose(w[:, 2:], 0.3)
 
     def test_end_of_day_holds_last_value(self):
         series, table = series_and_forecasts()
-        w = build_window(series, table, 1, 8)
+        w = build_window(table, 1)
         for j in range(1, 8):
             assert np.allclose(w[95, :, j], w[95, :, 0])
         # One slot earlier: only the first forecast column is real.
@@ -63,29 +65,43 @@ class TestBuildWindow:
 
     @pytest.mark.parametrize("horizon", [1, 4, 8])
     def test_day_stack_matches_per_slot_rule_bit_for_bit(self, horizon):
-        series, table = series_and_forecasts(std=0.1, days=3, horizon=horizon)
+        series = synth_generator(np.random.default_rng(1), 3, PV, LOAD)
+        model = ForecastModel(0.1, 0.1)
+        table = make_forecasts(series, series, model, horizon,
+                               np.random.default_rng(2), PV, LOAD)
+        reference = reference_make_forecasts(series, model, horizon,
+                                             np.random.default_rng(2), PV, LOAD)
         for day in range(3):
-            stack = build_window(series, table, day, horizon)
+            stack = build_window(table, day)
             assert stack.shape == (96, 3, horizon)
             for t in range(96):
-                want = per_slot_window(series, table, day, t, horizon)
+                want = per_slot_window(series, reference, day, t, horizon)
                 assert stack[t].tobytes() == want.tobytes(), (day, t)
 
     @pytest.mark.parametrize("horizon", [1, 4, 8])
     def test_pair_gather_matches_day_stack_bit_for_bit(self, horizon):
-        """Every (day, slot) pair, in a shuffled order with repeats, gathers
-        its day stack's row: slot 0, the slots whose horizon crosses the
-        day's end and the last slot included."""
-        series, table = series_and_forecasts(std=0.1, days=3, horizon=horizon)
-        stacks = [build_window(series, table, day, horizon) for day in range(3)]
+        """Every (day, slot) pair, in a shuffled order with repeats, indexes
+        its day stack's row from the table as the replay does, and the
+        reference gather returns the same bytes: slot 0, the slots whose
+        horizon crosses the day's end and the last slot included."""
+        series = synth_generator(np.random.default_rng(1), 3, PV, LOAD)
+        model = ForecastModel(0.1, 0.1)
+        table = make_forecasts(series, series, model, horizon,
+                               np.random.default_rng(2), PV, LOAD)
+        reference = reference_make_forecasts(series, model, horizon,
+                                             np.random.default_rng(2), PV, LOAD)
+        stacks = [build_window(table, day) for day in range(3)]
         pairs = np.argwhere(np.ones((3, 96), bool))
         pairs = np.concatenate([pairs, pairs[:50]])
         np.random.default_rng(7).shuffle(pairs)
-        got = gather_windows(series, table, horizon, pairs[:, 0], pairs[:, 1])
+        got = table.windows[pairs[:, 0], pairs[:, 1]]
+        want = reference_gather_windows(series, reference, horizon,
+                                        pairs[:, 0], pairs[:, 1])
         assert got.shape == (len(pairs), 3, horizon)
+        assert got.tobytes() == want.tobytes()
         for (day, t), window in zip(pairs, got):
             assert window.tobytes() == stacks[day][t].tobytes(), (day, t)
-        one = gather_windows(series, table, horizon, [2], [95])
+        one = table.windows[[2], [95]]
         assert one.tobytes() == stacks[2][95:].tobytes()
 
 
@@ -162,7 +178,7 @@ class TestDayEncoding:
         one-window pass of its own; every vector keeps the bits of the
         whole-day pass."""
         series, table = series_and_forecasts(horizon=8)
-        windows = build_window(series, table, 1, 8)
+        windows = build_window(table, 1)
         enc = make_encoder(seed=13)
         whole, _ = enc.forward(windows)
         passes = []
@@ -175,7 +191,7 @@ class TestDayEncoding:
 
     def test_clear_encodes_from_the_next_slot_asked_for(self):
         series, table = series_and_forecasts(horizon=8)
-        windows = build_window(series, table, 0, 8)
+        windows = build_window(table, 0)
         enc = make_encoder(seed=14)
         day = DayEncoding(enc, windows, 10)
         day.vector(0)

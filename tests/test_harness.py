@@ -1,6 +1,7 @@
 import json
 import resource
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from gridres.harness import (
     seed_stream,
     train_run,
 )
+from gridres.maddpg import TrainSettings
 
 SMALL = {
     "train": {"episodes": 4, "warmup_steps": 64, "update_every": 24,
@@ -269,8 +271,17 @@ class TestEvalRun:
                                            "stress_load": 1.15}})
         stressed = build_dataset(stressed_cfg, seed_stream(5, "data"))
         assert np.allclose(stressed.series.pv, 0.85 * base.series.pv)
-        # Forecast tables track the unstressed truth.
-        assert np.array_equal(stressed.forecasts.pv, base.forecasts.pv)
+        # Column 0 serves the stressed actuals; the forecasts track the
+        # unstressed truth, and the final slot holds its served actual.
+        windows, n_pv = stressed.forecasts.windows, len(stressed.series.pv)
+        assert np.array_equal(windows[:, :, :n_pv, 0],
+                              stressed.series.pv.transpose(1, 2, 0))
+        assert np.array_equal(windows[:, :, n_pv:, 0],
+                              stressed.series.load.transpose(1, 2, 0))
+        assert np.array_equal(windows[:, :-1, :, 1:],
+                              base.forecasts.windows[:, :-1, :, 1:])
+        assert np.array_equal(windows[:, -1, :, 1:],
+                              np.repeat(windows[:, -1, :, :1], 7, axis=2))
 
 
 def tiny_cfg():
@@ -530,6 +541,25 @@ class TestCli:
                 err = capsys.readouterr().err
                 assert err.startswith("error: ") and problem in err
                 assert "Traceback" not in err
+                assert not out.exists()
+
+    def test_malformed_manifest_exits_2_naming_every_missing_key(self, tmp_path,
+                                                                   capsys):
+        train_keys = [f"config.train.{f.name}" for f in fields(TrainSettings)]
+        cases = {"no-train": ({"config": {"train": {}}, "seed": 1, "method": "maddpg"},
+                              train_keys + ["config.microgrid"]),
+                 "seed-only": ({"seed": 1}, ["config", "method"])}
+        for case, (manifest, missing) in cases.items():
+            run = tmp_path / case
+            run.mkdir()
+            (run / "manifest.json").write_text(json.dumps(manifest))
+            for command in ("eval", "audit"):
+                out = tmp_path / f"{command}-{case}"
+                assert main([command, "--checkpoint", str(run),
+                             "--out", str(out)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and "Traceback" not in err
+                assert err.rstrip().endswith("manifest.json lacks " + ", ".join(missing))
                 assert not out.exists()
 
     def test_missing_data_source_exits_2_without_output(self, tmp_path, capsys):

@@ -1,5 +1,4 @@
 import copy
-from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from gridres import maddpg
 from gridres.baselines import TrainedPolicy
 from gridres.config import build_microgrid, resolve_dict
 from gridres.dataio import ForecastModel, make_forecasts, synth_generator
-from gridres.encoder import VECTOR_DIM, gather_windows
+from gridres.encoder import VECTOR_DIM
 from gridres.env import MicrogridEnv, OutageSettings
 from gridres.grid import (
     SLOTS_PER_DAY,
@@ -63,7 +62,7 @@ def tiny_env(n_ess=2, days=3, seed=0, peak_prob=0.3):
     config = tiny_config(n_ess)
     rng = np.random.default_rng(seed)
     series = synth_generator(rng, days, list(config.pv), list(config.loads))
-    table = make_forecasts(series, ForecastModel(0.02, 0.02), 4,
+    table = make_forecasts(series, series, ForecastModel(0.02, 0.02), 4,
                            np.random.default_rng(seed + 1),
                            list(config.pv), list(config.loads))
     outage = OutageSettings(peak_prob=peak_prob, breakpoints=2,
@@ -272,16 +271,10 @@ def encode_one(trainer, window):
     return trainer.encoder.forward(window[None])[0][0]
 
 
-def window_source(env):
-    """The (days, slots) -> windows gather over ``env``'s dataset, as
-    ``run_training`` gives its replay."""
-    return partial(gather_windows, env.series, env.forecasts, env.horizon)
-
-
 def fill_replay(env, trainer, steps=40, seed=0):
     rng = np.random.default_rng(seed)
     replay = ReplayBuffer(256, trainer.n_ess, len(trainer.groups),
-                          window_source(env))
+                          env.forecasts.windows)
     obs = env.reset(0, rng)
     v = encode_one(trainer, obs.window)
     for _ in range(steps):
@@ -533,16 +526,23 @@ class TestRunTraining:
         env = tiny_env()
         trainer = make_trainer(env, settings=settings)
         forward = trainer.encoder.forward
+        table = env.forecasts.windows
         stacks, rows, passes = [], {}, []
+        reset = env.reset
+
+        def record_reset(day, rng):
+            obs = reset(day, rng)
+            stacks.append(obs.windows)
+            return obs
 
         def recorded(windows):
             out = forward(windows)
-            stack = windows.base
-            if stack is not None and len(stack) == SLOTS_PER_DAY:  # a day's pass
-                if not any(stack is seen for seen in stacks):
-                    stacks.append(stack)
+            if windows.base is table:  # a pass over a day's view, not a replay gather
+                stack = stacks[-1]
+                assert stack.base is table and len(stack) == SLOTS_PER_DAY
                 episode = len(stacks) - 1
                 first = (windows.ctypes.data - stack.ctypes.data) // stack.strides[0]
+                assert 0 <= first < SLOTS_PER_DAY
                 want = forward(stack)[0][first:] if len(windows) > 1 else out[0]
                 for k, v in enumerate(out[0]):
                     assert v.tobytes() == want[k].tobytes(), (episode, first + k)
@@ -557,6 +557,7 @@ class TestRunTraining:
                 super().__init__(*args)
                 buffers.append(self)
 
+        monkeypatch.setattr(env, "reset", record_reset)
         monkeypatch.setattr(trainer.encoder, "forward", recorded)
         monkeypatch.setattr(maddpg, "ReplayBuffer", RecordedReplay)
         metrics = run_training(env, trainer, settings, [0, 1, 2],
@@ -584,7 +585,7 @@ def per_window_run_training(env, trainer, settings, train_days, env_rng,
     total_steps = settings.episodes * SLOTS_PER_DAY
     # Looked up on the module, as run_training does, so a test can record it.
     replay = maddpg.ReplayBuffer(settings.replay_capacity, trainer.n_ess,
-                                 len(trainer.groups), window_source(env))
+                                 len(trainer.groups), env.forecasts.windows)
     metrics = []
     step = 0
     for episode in range(settings.episodes):

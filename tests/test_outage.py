@@ -134,8 +134,8 @@ def small_env(outage_cfg):
         loads=(LoadSpec(id="L1", p_max=2.5),), costs=CostParams())
     series = synth_generator(np.random.default_rng(0), 2,
                              list(config.pv), list(config.loads))
-    table = make_forecasts(series, ForecastModel(0, 0), 4, np.random.default_rng(1),
-                           list(config.pv), list(config.loads))
+    table = make_forecasts(series, series, ForecastModel(0, 0), 4,
+                           np.random.default_rng(1), list(config.pv), list(config.loads))
     return MicrogridEnv(config, series, table, outage_cfg, horizon=4)
 
 
@@ -223,3 +223,23 @@ class TestEnvDaySchedule:
             env.step(np.zeros(1))
         with pytest.raises(RuntimeError, match="no episode in progress"):
             env.step(np.zeros(1))
+
+
+class TestResetWindows:
+    def test_windows_are_read_only(self):
+        obs = small_env(DEFAULTS).reset(0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="read-only"):
+            obs.windows[3, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            obs.window[0, 1] = 1.0
+
+    def test_two_resets_of_a_day_give_distinct_views_of_equal_bytes(self):
+        """A policy keys its day encoding on the stack's identity, so each
+        reset hands out a new view of the same table rows."""
+        env = small_env(DEFAULTS)
+        rng = np.random.default_rng(0)
+        first, second = (env.reset(1, rng).windows for _ in range(2))
+        assert first is not second
+        assert first.tobytes() == second.tobytes()
+        assert first.base is second.base is env.forecasts.windows
+        assert first.tobytes() == env.forecasts.windows[1].tobytes()

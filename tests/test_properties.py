@@ -176,7 +176,7 @@ def test_env_day_matches_hand_built_slots(config, seed, outage, rule):
     # reaches the lower clamp of the slot inputs.
     series = SeriesSet(np.abs(pv)[:, None, :], np.abs(load)[:, None, :], ("d0",))
     series.pv[:, 0], series.load[:, 0] = pv, load
-    table = make_forecasts(series, ForecastModel(0, 0), 4, rng,
+    table = make_forecasts(series, series, ForecastModel(0, 0), 4, rng,
                            list(config.pv), list(config.loads))
     onset, duration = outage or (SLOTS_PER_DAY, 0)
     env = MicrogridEnv(config, series, table,
