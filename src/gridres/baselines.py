@@ -24,7 +24,7 @@ from .grid import (
     dispatch_generators,
     mask_bounds,
 )
-from .maddpg import Trainer, TrainSettings, ddpg_groups, maddpg_groups
+from .maddpg import METHOD_GROUPS, Trainer, TrainSettings
 from .outage import grid_tie
 
 RULE_TARGET_SOC = 0.5
@@ -88,13 +88,9 @@ def build_trainer(env: MicrogridEnv, settings: TrainSettings, method: str,
                   init_rng: np.random.Generator) -> Trainer:
     """Construct the multi-agent learner or the joint single-actor variant
     on the same machinery."""
-    if method == "maddpg":
-        groups = maddpg_groups(env.n_agents)
-    elif method == "ddpg":
-        groups = ddpg_groups(env.n_agents)
-    else:
+    if method not in METHOD_GROUPS:
         raise ValueError(f"unknown learned method {method!r}")
-    return Trainer(env.config, groups, settings, init_rng)
+    return Trainer(env.config, METHOD_GROUPS[method](env.n_agents), settings, init_rng)
 
 
 # ------------------------------------------------------------------- DP

@@ -10,8 +10,10 @@ import argparse
 import json
 import sys
 
-from .config import ConfigError, default_dict, load_yaml, merge_config
-from .maddpg import TrainingDiverged
+from . import harness
+from .config import ConfigError, build_microgrid, default_dict, load_yaml, merge_config
+from .dataio import synth_generator, write_csv
+from .maddpg import METHOD_GROUPS, TrainingDiverged
 
 
 def _parse_stress(text: str) -> dict[str, float]:
@@ -73,18 +75,14 @@ def _check_counts(args) -> None:
 
 
 def cmd_train(args) -> int:
-    from .harness import train_run
-
     cfg = _resolve(args)
-    metrics = train_run(cfg, args.seed, args.out, method=args.method)
+    metrics = harness.train_run(cfg, args.seed, args.out, method=args.method)
     print(f"trained {args.method}: {len(metrics)} episodes, "
           f"final day cost ${metrics[-1].cost:.2f} -> {args.out}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    from .harness import eval_run
-
     _check_counts(args)
     if args.checkpoint is not None and (args.config or args.scenario):
         raise ConfigError(["eval: --config and --scenario do not apply to "
@@ -94,17 +92,15 @@ def cmd_eval(args) -> int:
     if args.checkpoint is None:
         cfg = _resolve(args)
         overrides = None
-    row = eval_run(args.checkpoint, args.out, args.seed, method=args.method,
-                   cfg=cfg, days=args.eval_days, fail_agents=args.fail_agents,
-                   overrides=overrides or None)
+    row = harness.eval_run(args.checkpoint, args.out, args.seed, method=args.method,
+                           cfg=cfg, days=args.eval_days, fail_agents=args.fail_agents,
+                           overrides=overrides or None)
     print(f"{row.method}: avg ${row.avg_cost_usd:.2f}/day, "
           f"shed {row.avg_shed_mwh:.2f} MWh/day over the test days -> {args.out}")
     return 0
 
 
 def cmd_compare(args) -> int:
-    from .harness import compare_run
-
     sweep = None
     if args.lambda_sweep:
         try:
@@ -112,8 +108,8 @@ def cmd_compare(args) -> int:
         except ValueError:
             raise ConfigError(["--lambda-sweep: expected a comma list of numbers, "
                                f"got {args.lambda_sweep!r}"]) from None
-    rows = compare_run(_resolve(args), args.seed, args.out,
-                       methods=args.methods.split(","), lambda_sweep=sweep)
+    rows = harness.compare_run(_resolve(args), args.seed, args.out,
+                               methods=args.methods.split(","), lambda_sweep=sweep)
     for row in rows:
         print(f"{row.method:8s} avg ${row.avg_cost_usd:8.2f} "
               f"shed {row.avg_shed_mwh:6.2f} MWh/day "
@@ -122,24 +118,18 @@ def cmd_compare(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    from .harness import audit_run
-
     _check_counts(args)
-    summary = audit_run(args.checkpoint, args.out, seed=args.seed,
-                        days=args.eval_days)
+    summary = harness.audit_run(args.checkpoint, args.out, seed=args.seed,
+                                days=args.eval_days)
     print(json.dumps(summary))
     return 0
 
 
 def cmd_synth_data(args) -> int:
-    from .config import build_microgrid
-    from .dataio import synth_generator, write_csv
-    from .harness import seed_stream
-
     cfg = _resolve(args, split=False)  # the series is written, not split
     mg = build_microgrid(cfg)
-    series = synth_generator(seed_stream(args.seed, "data"), cfg["data"]["days"],
-                             list(mg.pv), list(mg.loads))
+    series = synth_generator(harness.seed_stream(args.seed, "data"),
+                             cfg["data"]["days"], list(mg.pv), list(mg.loads))
     write_csv(args.out, series, list(mg.pv), list(mg.loads))
     print(f"wrote {series.n_days} synthetic days to {args.out}")
     return 0
@@ -164,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a dispatch policy")
     configured(p)
-    p.add_argument("--method", choices=("maddpg", "ddpg"), default="maddpg")
+    p.add_argument("--method", choices=tuple(METHOD_GROUPS), default="maddpg")
     p.add_argument("--episodes", type=int, help="override train.episodes")
     p.add_argument("--lambda-load", type=float, dest="lambda_load",
                    help="override the load-shedding penalty in $/MWh")
@@ -185,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="train/evaluate methods side by side")
     configured(p)
-    p.add_argument("--methods", default="maddpg,ddpg,rule")
+    p.add_argument("--methods", default=",".join(harness.METHODS))
     p.add_argument("--episodes", type=int)
     p.add_argument("--lambda-sweep", dest="lambda_sweep",
                    help="comma list of shedding penalties to retrain at")

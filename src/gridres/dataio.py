@@ -57,8 +57,8 @@ class SeriesSet:
 class ForecastModel:
     """Gaussian forecast errors as a fraction of device capacity."""
 
-    std_pv: float = 0.05
-    std_load: float = 0.03
+    std_pv: float
+    std_load: float
 
     def __post_init__(self) -> None:
         if self.std_pv < 0 or self.std_load < 0:

@@ -14,15 +14,16 @@ import json
 import resource
 import time
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import __version__
 from .baselines import RulePolicy, TrainedPolicy, build_trainer
-from .config import ConfigError, build_microgrid, merge_config, resolve_dict
+from .config import (ConfigError, build_microgrid, default_dict, merge_config,
+                     resolve_dict)
 from .dataio import (
     ForecastModel,
     ForecastTable,
@@ -37,7 +38,7 @@ from .dataio import (
 from .diffkit import ParamSet
 from .env import MicrogridEnv, OutageSettings
 from .grid import SLOT_HOURS
-from .maddpg import EpisodeMetrics, TrainSettings, run_training
+from .maddpg import METHOD_GROUPS, EpisodeMetrics, TrainSettings, run_training
 from .powerflow import check_dispatch, load_ieee33
 
 METRIC_COLUMNS = ("episode", "cost_usd", "shed_mwh", "critic_loss",
@@ -45,7 +46,7 @@ METRIC_COLUMNS = ("episode", "cost_usd", "shed_mwh", "critic_loss",
 REPORT_COLUMNS = ("method", "avg_cost_usd", "highest_cost_usd",
                   "lowest_cost_usd", "avg_shed_mwh")
 STREAMS = ("env", "noise", "init", "data", "replay")
-METHODS = ("maddpg", "ddpg", "rule")  # compare_run's methods; all but rule train
+METHODS = (*METHOD_GROUPS, "rule")  # compare_run's methods; all but rule train
 
 
 def seed_stream(root_seed: int, name: str) -> np.random.Generator:
@@ -140,22 +141,35 @@ def read_manifest(run_dir: Path) -> dict[str, Any]:
     return json.loads((run_dir / "manifest.json").read_text())
 
 
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """One header line, then one line per row. A cell is written as ``str``
+    gives it, None as an empty cell; callers format their floats first."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("" if c is None else str(c) for c in row) + "\n")
+
+
 def train_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
               method: str = "maddpg") -> list[EpisodeMetrics]:
     """Train one method and persist checkpoint, logs and manifest. The
     dataset is built before the output dir is made."""
+    return _train(cfg, seed, out_dir, method,
+                  build_dataset(cfg, seed_stream(seed, "data")))
+
+
+def _train(cfg: dict[str, Any], seed: int, out_dir: str | Path, method: str,
+           dataset: Dataset) -> list[EpisodeMetrics]:
+    """``train_run`` on a built dataset; its clock starts after that build."""
     t0 = time.perf_counter()
-    dataset = build_dataset(cfg, seed_stream(seed, "data"))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     env = build_env(cfg, dataset)
     settings = TrainSettings.from_dict(cfg["train"])
     trainer = build_trainer(env, settings, method, seed_stream(seed, "init"))
 
-    metrics_path = out / "metrics.csv"
-    timing_path = out / "timing.csv"
     t_episode = time.perf_counter()
-    with open(metrics_path, "w") as mfh, open(timing_path, "w") as tfh:
+    with open(out / "metrics.csv", "w") as mfh, open(out / "timing.csv", "w") as tfh:
         mfh.write(",".join(METRIC_COLUMNS) + "\n")
         tfh.write("episode,wallclock_s\n")
 
@@ -191,27 +205,31 @@ def train_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
     return metrics
 
 
+def _lacking(node: Any, tree: dict[str, Any], path: str = "") -> list[str]:
+    """The paths of ``tree``'s keys that ``node`` lacks; a lacking mapping is
+    named without its deeper keys."""
+    missing = []
+    for key, sub in tree.items():
+        if not isinstance(node, dict) or key not in node:
+            missing.append(path + key)
+        elif isinstance(sub, dict):
+            missing += _lacking(node[key], sub, f"{path}{key}.")
+    return missing
+
+
 def read_run(run_dir: str | Path) -> tuple[dict[str, Any], int, str]:
     """Config, seed and method of a training run directory. Keys that earlier
     versions wrote (train keys, generators' ``p_min``) are dropped; another
     slot length is refused, as 15-minute slots would silently change its physics.
-    A manifest missing keys that a run needs raises one ValueError naming them all."""
+    A manifest that lacks any key of the default config's mapping tree raises
+    one ValueError naming them all."""
     manifest = read_manifest(Path(run_dir))
-    missing = []
-    for path in ("config", "seed", "method",
-                 *(f"config.train.{f.name}" for f in fields(TrainSettings)),
-                 "config.microgrid.generators"):
-        node, keys = manifest, path.split(".")
-        for depth, key in enumerate(keys):
-            if not isinstance(node, dict) or key not in node:
-                missing += [".".join(keys[:depth + 1])]  # its deeper keys with it
-                break
-            node = node[key]
+    defaults = default_dict()
+    missing = _lacking(manifest, {"config": defaults, "seed": 0, "method": ""})
     if missing:
-        raise ValueError(f"{run_dir}: manifest.json lacks "
-                         + ", ".join(dict.fromkeys(missing)))
+        raise ValueError(f"{run_dir}: manifest.json lacks " + ", ".join(missing))
     cfg = manifest["config"]
-    cfg["train"] = {f.name: cfg["train"][f.name] for f in fields(TrainSettings)}
+    cfg["train"] = {key: cfg["train"][key] for key in defaults["train"]}
     for gen in cfg["microgrid"]["generators"]:
         gen.pop("p_min", None)
     slot_hours = cfg["microgrid"].pop("slot_hours", SLOT_HOURS)
@@ -221,8 +239,11 @@ def read_run(run_dir: str | Path) -> tuple[dict[str, Any], int, str]:
     return cfg, manifest["seed"], manifest["method"]
 
 
-def load_trained_policy(run_dir: str | Path, env: MicrogridEnv) -> TrainedPolicy:
-    """The greedy policy of a training run, sized on the env it will act in."""
+def load_policy(run_dir: str | Path | None, env: MicrogridEnv) -> Callable:
+    """The rule policy without a run directory, else the greedy policy of that
+    training run, sized on the env it will act in."""
+    if run_dir is None:
+        return RulePolicy(env.config)
     cfg, seed, method = read_run(run_dir)
     trainer = build_trainer(env, TrainSettings.from_dict(cfg["train"]), method,
                             seed_stream(seed, "init"))
@@ -274,34 +295,22 @@ def aggregate(method: str, records: list[DayRecord],
 
 
 def write_day_records(path: Path, records: list[DayRecord]) -> None:
-    with open(path, "w") as fh:
-        fh.write("day,cost_usd,shed_mwh,outage_onset,outage_duration\n")
-        for r in records:
-            onset = "" if r.outage_onset is None else str(r.outage_onset)
-            dur = "" if r.outage_duration is None else str(r.outage_duration)
-            fh.write(f"{r.day},{fmt(r.cost_usd)},{fmt(r.shed_mwh)},{onset},{dur}\n")
+    write_csv(path, ("day", "cost_usd", "shed_mwh", "outage_onset", "outage_duration"),
+              ([r.day, fmt(r.cost_usd), fmt(r.shed_mwh), r.outage_onset,
+                r.outage_duration] for r in records))
 
 
-def write_report(path: Path, rows: list[ReportRow],
-                 with_time: bool = False) -> None:
-    columns = REPORT_COLUMNS + (("computation_time_s",) if with_time else ())
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = [row.method, fmt(row.avg_cost_usd), fmt(row.highest_cost_usd),
-                     fmt(row.lowest_cost_usd), fmt(row.avg_shed_mwh)]
-            if with_time:
-                cells.append(f"{row.computation_time_s:.3f}")
-            fh.write(",".join(cells) + "\n")
+def _report_cells(row: ReportRow) -> list[str]:
+    return [row.method, fmt(row.avg_cost_usd), fmt(row.highest_cost_usd),
+            fmt(row.lowest_cost_usd), fmt(row.avg_shed_mwh)]
 
 
-def eval_run(run_dir: str | Path | None, out_dir: str | Path, seed: int | None,
-             method: str | None = None, cfg: dict[str, Any] | None = None,
-             days: int | None = None, fail_agents: int = 0,
-             overrides: dict[str, Any] | None = None) -> ReportRow:
-    """Evaluate a trained run directory or a config-only method ('rule').
-    Usage errors and a missing checkpoint raise before the output dir is made."""
-    t0 = time.perf_counter()
+def _setup(run_dir: str | Path | None, out_dir: str | Path, seed: int | None,
+           method: str | None = None, cfg: dict[str, Any] | None = None,
+           overrides: dict[str, Any] | None = None, fail_agents: int = 0):
+    """Eval's and audit's output dir, config, seed, method, dataset, env and
+    policy, for a training run or the rule on a config. Usage errors, a bad
+    manifest and a missing checkpoint raise before the output dir is made."""
     if run_dir is not None:
         if method is not None:
             raise ConfigError(["eval: --method does not apply to --checkpoint, "
@@ -321,15 +330,25 @@ def eval_run(run_dir: str | Path | None, out_dir: str | Path, seed: int | None,
                            f"{n_ess} ESS units of the fleet"])
     dataset = build_dataset(cfg, seed_stream(seed, "data"))
     env = build_env(cfg, dataset)
-    policy = (RulePolicy(env.config) if run_dir is None
-              else load_trained_policy(run_dir, env))
+    policy = load_policy(run_dir, env)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    return out, cfg, seed, method, dataset, env, policy
+
+
+def eval_run(run_dir: str | Path | None, out_dir: str | Path, seed: int | None,
+             method: str | None = None, cfg: dict[str, Any] | None = None,
+             days: int | None = None, fail_agents: int = 0,
+             overrides: dict[str, Any] | None = None) -> ReportRow:
+    """Evaluate a trained run directory or a config-only method ('rule')."""
+    t0 = time.perf_counter()
+    out, cfg, seed, method, dataset, env, policy = _setup(
+        run_dir, out_dir, seed, method, cfg, overrides, fail_agents)
     records, _ = run_days(env, policy, dataset.test_days[:days],
                           seed_stream(seed, "env"), fail_agents=fail_agents)
     row = aggregate(method, records, time.perf_counter() - t0)
     write_day_records(out / "days.csv", records)
-    write_report(out / "report.csv", [row])
+    write_csv(out / "report.csv", REPORT_COLUMNS, [_report_cells(row)])
     write_manifest(out, cfg, seed, f"eval-{method}", dataset.checksum,
                    row.computation_time_s,
                    {"days": len(records), "fail_agents": fail_agents,
@@ -338,13 +357,48 @@ def eval_run(run_dir: str | Path | None, out_dir: str | Path, seed: int | None,
     return row
 
 
+def audit_run(run_dir: str | Path, out_dir: str | Path,
+              seed: int | None = None, days: int | None = None) -> dict[str, Any]:
+    """Replay an evaluation through the feeder power flow and count
+    voltage-band violations and non-convergence per slot."""
+    out, _, seed, _, dataset, env, policy = _setup(run_dir, out_dir, seed)
+    _, episodes = run_days(env, policy, dataset.test_days[:days],
+                           seed_stream(seed, "env"))
+    topology = load_ieee33()
+    audited = [(rec.day, slot, check_dispatch(topology, env.config, result))
+               for rec in episodes for slot, result in enumerate(rec.results)]
+    write_csv(out / "audit.csv",
+              ("day", "slot", "converged", "violations", "v_min", "v_max", "loss_mw"),
+              ([day, slot, int(r.converged), len(r.violations), f"{r.v_min:.6f}",
+                f"{r.v_max:.6f}", f"{r.loss_mw:.6f}"] for day, slot, r in audited))
+    summary = {
+        "slots": len(audited),
+        "violations": sum(len(r.violations) for _, _, r in audited),
+        "nonconverged": sum(not r.converged for _, _, r in audited),
+        "status": "ok",
+    }
+    (out / "audit_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    return summary
+
+
+def _train_and_roll(cfg: dict[str, Any], seed: int, dataset: Dataset, method: str,
+                    run_dir: Path | None):
+    """Train ``method`` into ``run_dir`` (nothing for the rule, which has none)
+    and roll the test days with its greedy policy: (curve, records, episodes)."""
+    curve = [] if run_dir is None else _train(cfg, seed, run_dir, method, dataset)
+    env = build_env(cfg, dataset)
+    return (curve, *run_days(env, load_policy(run_dir, env), dataset.test_days,
+                             seed_stream(seed, "env")))
+
+
 def compare_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
                 methods: Sequence[str] = METHODS,
                 lambda_sweep: Sequence[float] | None = None) -> list[ReportRow]:
     """Train/evaluate each method on the identical seeded scenario and emit
-    the aligned report table, learning curves and outage-window trajectories.
-    The methods, every swept penalty and the dataset are checked before the
-    output dir is made."""
+    the aligned report table, learning curves and outage-window trajectories;
+    with a sweep, retrain MADDPG at each shedding penalty and tabulate its
+    shed. One dataset serves every training and rollout. The methods, every
+    swept penalty and the dataset are checked before the output dir is made."""
     problems = [f"--methods: unknown method {m!r} (known: {', '.join(METHODS)})"
                 for m in methods if m not in METHODS]
     problems += [f"--methods: {m!r} listed twice"
@@ -358,127 +412,44 @@ def compare_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
             problems += [f"lambda_sweep {fmt(lam)}: {p}" for p in exc.problems]
     if problems:
         raise ConfigError(problems)
+    # The sweep changes only microgrid.costs.load, which build_dataset never reads.
     dataset = build_dataset(cfg, seed_stream(seed, "data"))
-    env = build_env(cfg, dataset)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows: list[ReportRow] = []
-    curves: dict[str, list[EpisodeMetrics]] = {}
-    trajectories: dict[str, Any] = {}
-
+    rows, curves, trajectories = [], [], []
     for method in methods:
         t0 = time.perf_counter()
-        if method == "rule":
-            policy = RulePolicy(env.config)
-        else:
-            run_dir = out / f"train-{method}"
-            curves[method] = train_run(cfg, seed, run_dir, method=method)
-            policy = load_trained_policy(run_dir, env)
-        records, episodes = run_days(env, policy, dataset.test_days,
-                                     seed_stream(seed, "env"))
+        run_dir = None if method == "rule" else out / f"train-{method}"
+        curve, records, episodes = _train_and_roll(cfg, seed, dataset, method, run_dir)
         rows.append(aggregate(method, records, time.perf_counter() - t0))
         write_day_records(out / f"days-{method}.csv", records)
-        trajectories[method] = _pick_outage_episode(episodes)
+        curves += [[method, m.episode, fmt(m.cost), fmt(m.shed_mwh), fmt(m.reward)]
+                   for m in curve]
+        # An outage day's trajectory when the test days hold one.
+        rec = next((rec for rec in episodes if rec.outage), episodes[0])
+        onset, offset = ((rec.outage.onset_slot,
+                          rec.outage.onset_slot + rec.outage.duration_slots)
+                         if rec.outage else (None, None))
+        trajectories += [[method, slot, int(r.connected), onset, offset, fmt(r.alpha),
+                          fmt(r.p_grid), fmt(sum(r.p_ess)), fmt(float(np.mean(soc)))]
+                         for slot, (r, soc) in enumerate(zip(rec.results,
+                                                             rec.soc_trace[1:]))]
+    sheds = []
+    for lam, sweep_cfg in sweep:
+        _, records, _ = _train_and_roll(sweep_cfg, seed, dataset, "maddpg",
+                                        out / f"lambda-{lam}")
+        sheds.append([fmt(lam), fmt(float(np.mean([r.shed_mwh for r in records])))])
 
-    write_report(out / "report.csv", rows)
-    write_report(out / "comparison.csv", rows, with_time=True)
-    _write_curves(out / "learning_curves.csv", curves)
-    _write_trajectories(out / "trajectories.csv", trajectories)
+    write_csv(out / "report.csv", REPORT_COLUMNS, map(_report_cells, rows))
+    write_csv(out / "comparison.csv", (*REPORT_COLUMNS, "computation_time_s"),
+              [_report_cells(r) + [f"{r.computation_time_s:.3f}"] for r in rows])
+    write_csv(out / "learning_curves.csv",
+              ("method", "episode", "cost_usd", "shed_mwh", "reward"), curves)
+    write_csv(out / "trajectories.csv",
+              ("method", "slot", "connected", "outage_onset", "outage_offset",
+               "alpha", "p_grid", "p_ess_total", "soc_mean"), trajectories)
     if sweep:
-        _write_lambda_sweep(out, seed, sweep, dataset)
+        write_csv(out / "lambda_sweep.csv", ("lambda_load", "avg_shed_mwh"), sheds)
     write_manifest(out, cfg, seed, "compare", "-", 0.0,
                    {"methods": list(methods), "status": "ok"})
     return rows
-
-
-def _pick_outage_episode(episodes):
-    for rec in episodes:
-        if rec.outage is not None:
-            return rec
-    return episodes[0] if episodes else None
-
-
-def _write_curves(path: Path, curves: dict[str, list[EpisodeMetrics]]) -> None:
-    with open(path, "w") as fh:
-        fh.write("method,episode,cost_usd,shed_mwh,reward\n")
-        for method, rows in curves.items():
-            for m in rows:
-                fh.write(f"{method},{m.episode},{fmt(m.cost)},{fmt(m.shed_mwh)},"
-                         f"{fmt(m.reward)}\n")
-
-
-def _write_trajectories(path: Path, trajectories) -> None:
-    """Per-slot storage powers and SoC around the day, with outage markers."""
-    with open(path, "w") as fh:
-        fh.write("method,slot,connected,outage_onset,outage_offset,"
-                 "alpha,p_grid,p_ess_total,soc_mean\n")
-        for method, rec in trajectories.items():
-            if rec is None:
-                continue
-            onset = rec.outage.onset_slot if rec.outage else ""
-            offset = (rec.outage.onset_slot + rec.outage.duration_slots
-                      if rec.outage else "")
-            for slot, result in enumerate(rec.results):
-                soc = rec.soc_trace[slot + 1]
-                fh.write(
-                    f"{method},{slot},{int(result.connected)},{onset},{offset},"
-                    f"{fmt(result.alpha)},{fmt(result.p_grid)},"
-                    f"{fmt(sum(result.p_ess))},{fmt(float(np.mean(soc)))}\n")
-
-
-def _write_lambda_sweep(out: Path, seed: int,
-                        sweep: list[tuple[float, dict[str, Any]]],
-                        dataset: Dataset) -> None:
-    """Retrain at each shedding penalty and tabulate the resulting shed."""
-    rows = []
-    for lam, sweep_cfg in sweep:
-        run_dir = out / f"lambda-{lam}"
-        train_run(sweep_cfg, seed, run_dir, method="maddpg")
-        # Only microgrid.costs.load differs, which build_dataset never reads.
-        env = build_env(sweep_cfg, dataset)
-        records, _ = run_days(env, load_trained_policy(run_dir, env),
-                              dataset.test_days, seed_stream(seed, "env"))
-        rows.append((lam, float(np.mean([r.shed_mwh for r in records]))))
-    with open(out / "lambda_sweep.csv", "w") as fh:
-        fh.write("lambda_load,avg_shed_mwh\n")
-        for lam, shed in rows:
-            fh.write(f"{fmt(lam)},{fmt(shed)}\n")
-
-
-def audit_run(run_dir: str | Path, out_dir: str | Path,
-              seed: int | None = None, days: int | None = None) -> dict[str, Any]:
-    """Replay an evaluation through the feeder power flow and count
-    voltage-band violations and non-convergence per slot."""
-    cfg, run_seed, _ = read_run(run_dir)
-    seed = run_seed if seed is None else seed
-    dataset = build_dataset(cfg, seed_stream(seed, "data"))
-    env = build_env(cfg, dataset)
-    policy = load_trained_policy(run_dir, env)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _, episodes = run_days(env, policy, dataset.test_days[:days],
-                           seed_stream(seed, "env"))
-    topology = load_ieee33()
-
-    slots_total = 0
-    violations_total = 0
-    nonconverged = 0
-    with open(out / "audit.csv", "w") as fh:
-        fh.write("day,slot,converged,violations,v_min,v_max,loss_mw\n")
-        for rec in episodes:
-            for slot, result in enumerate(rec.results):
-                report = check_dispatch(topology, env.config, result)
-                slots_total += 1
-                violations_total += len(report.violations)
-                nonconverged += int(not report.converged)
-                fh.write(f"{rec.day},{slot},{int(report.converged)},"
-                         f"{len(report.violations)},{report.v_min:.6f},"
-                         f"{report.v_max:.6f},{report.loss_mw:.6f}\n")
-    summary = {
-        "slots": slots_total,
-        "violations": violations_total,
-        "nonconverged": nonconverged,
-        "status": "ok",
-    }
-    (out / "audit_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    return summary

@@ -425,6 +425,10 @@ def ddpg_groups(n_ess: int) -> list[AgentGroup]:
     return [AgentGroup(ess_indices=tuple(range(n_ess)), own_reward=False)]
 
 
+# The learned methods by name: each one's agent groups for a fleet of n units.
+METHOD_GROUPS = {"maddpg": maddpg_groups, "ddpg": ddpg_groups}
+
+
 def group_reward(group: AgentGroup, agent_rewards: list[float],
                  slot_cost: float) -> float:
     """An own-reward group is paid its one unit's reward; a joint group pays

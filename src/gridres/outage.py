@@ -20,7 +20,6 @@ from .grid import SLOTS_PER_DAY
 @dataclass(frozen=True)
 class DisconnectionProfile:
     peak_slot: int  # primary breakpoint
-    breakpoint_peaks: tuple[int, ...]  # primary first
     probabilities: np.ndarray  # (n_breakpoints, slots)
 
 
@@ -49,11 +48,7 @@ def build_profile(rng: np.random.Generator, peak_prob: float, width: float,
     probs = np.stack([
         peak_prob * np.exp(-((t - p) ** 2) / (2.0 * width ** 2)) for p in peaks
     ])
-    return DisconnectionProfile(
-        peak_slot=primary,
-        breakpoint_peaks=tuple(peaks),
-        probabilities=probs,
-    )
+    return DisconnectionProfile(peak_slot=primary, probabilities=probs)
 
 
 def sample_outage(rng: np.random.Generator, profile: DisconnectionProfile,

@@ -76,7 +76,7 @@ class _FeederTree:
 
 @dataclass(frozen=True)
 class PowerFlowSolution:
-    """Voltages (pu) per bus and losses (MW) per branch; the dicts are built when read."""
+    """Voltages (pu) per bus and losses (MW) per branch."""
 
     buses: tuple[int, ...]
     v_bus: np.ndarray  # in ``buses`` order
@@ -85,14 +85,6 @@ class PowerFlowSolution:
     total_loss_mw: float
     converged: bool
     iterations: int
-
-    @property
-    def v_mag(self) -> dict[int, float]:
-        return dict(zip(self.buses, self.v_bus.tolist()))
-
-    @property
-    def branch_loss_mw(self) -> dict[tuple[int, int], float]:
-        return dict(zip(self.branch_keys, self.loss.tolist()))
 
 
 @dataclass(frozen=True)

@@ -215,7 +215,7 @@ class TestMakeForecasts:
 
     def test_table_is_read_only(self):
         series = synth_generator(np.random.default_rng(1), 1, PV2, LOAD2)
-        table = make_forecasts(series, series, ForecastModel(), 4,
+        table = make_forecasts(series, series, ForecastModel(0.05, 0.03), 4,
                                np.random.default_rng(2), PV2, LOAD2)
         with pytest.raises(ValueError, match="read-only"):
             table.windows[0, 0, 0, 0] = 1.0

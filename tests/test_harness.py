@@ -1,7 +1,7 @@
 import json
 import resource
 import textwrap
-from dataclasses import fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -351,26 +351,37 @@ class TestBuildsOnce:
         import gridres.harness as harness
         calls = []
 
-        def counted(*args):
-            calls.append(1)
-            return build_dataset(*args)
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
 
         cfg = tiny_cfg()
         run = tmp_path / "run"
         train_run(cfg, 5, run)
-        monkeypatch.setattr(harness, "build_dataset", counted)
+        for name in ("build_dataset", "run_days"):
+            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
         counts = []
         for command in (
                 lambda: eval_run(run, tmp_path / "eval", None),
                 lambda: audit_run(run, tmp_path / "audit", days=1),
-                lambda: compare_run(cfg, 4, tmp_path / "cmp",
+                lambda: compare_run(cfg, 5, tmp_path / "cmp",
                                     methods=("maddpg", "ddpg", "rule"),
                                     lambda_sweep=[0.5, 30.0])):
             calls.clear()
             command()
-            counts.append(len(calls))
-        # compare: its own build plus one in each of its four training runs
-        assert counts == [1, 1, 5]
+            counts.append((calls.count("build_dataset"), calls.count("run_days")))
+        # One dataset per command, which compare's trainings share; one
+        # rollout for eval and audit, and for compare one per method and
+        # one per swept penalty.
+        assert counts == [(1, 1), (1, 1), (1, 5)]
+        # compare's MADDPG run is the standalone run at the same seed.
+        for name in ("metrics.csv", "checkpoint.npz"):
+            assert (tmp_path / "cmp" / "train-maddpg" / name).read_bytes() == \
+                (run / name).read_bytes()
+        assert read_manifest(tmp_path / "cmp" / "train-maddpg")["dataset_checksum"] \
+            == read_manifest(run)["dataset_checksum"]
 
 
 class TestRunDays:
@@ -545,10 +556,17 @@ class TestCli:
 
     def test_malformed_manifest_exits_2_naming_every_missing_key(self, tmp_path,
                                                                    capsys):
-        train_keys = [f"config.train.{f.name}" for f in fields(TrainSettings)]
+        train = asdict(TrainSettings())
+        train_keys = [f"config.train.{key}" for key in train]
+        no_fleet = {"train": train, "microgrid": {"generators": []}}
         cases = {"no-train": ({"config": {"train": {}}, "seed": 1, "method": "maddpg"},
-                              train_keys + ["config.microgrid"]),
-                 "seed-only": ({"seed": 1}, ["config", "method"])}
+                              ["config.microgrid", "config.outage", "config.data",
+                               *train_keys]),
+                 "seed-only": ({"seed": 1}, ["config", "method"]),
+                 "no-ess": ({"config": no_fleet, "seed": 1, "method": "maddpg"},
+                            [f"config.microgrid.{key}" for key in
+                             ("initial_soc", "costs", "ess", "pv", "loads")]
+                            + ["config.outage", "config.data"])}
         for case, (manifest, missing) in cases.items():
             run = tmp_path / case
             run.mkdir()

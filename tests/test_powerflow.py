@@ -152,9 +152,17 @@ def reference_check_dispatch(topology, config, result):
     )
 
 
+def bus_voltages(sol):
+    return dict(zip(sol.buses, sol.v_bus.tolist()))
+
+
+def branch_losses(sol):
+    return dict(zip(sol.branch_keys, sol.loss.tolist()))
+
+
 def solution_fields(sol):
-    return (sol.v_mag, sol.branch_loss_mw, sol.total_loss_mw, sol.converged,
-            sol.iterations)
+    return (bus_voltages(sol), branch_losses(sol), sol.total_loss_mw,
+            sol.converged, sol.iterations)
 
 
 def two_bus(r=0.01, x=0.01):
@@ -168,7 +176,8 @@ class TestSolveBfs:
         topo = load_ieee33()
         sol = solve_bfs(topo, {})
         assert sol.converged
-        assert all(v == pytest.approx(1.0, abs=1e-12) for v in sol.v_mag.values())
+        assert all(v == pytest.approx(1.0, abs=1e-12)
+                   for v in bus_voltages(sol).values())
         assert sol.total_loss_mw == pytest.approx(0.0, abs=1e-12)
 
     def test_single_branch_matches_scalar_fixed_point(self):
@@ -178,7 +187,7 @@ class TestSolveBfs:
         v = complex(1.0, 0.0)
         for _ in range(200):
             v = 1.0 - z * np.conj(complex(0.1, 0.0) / v)
-        assert sol.v_mag[2] == pytest.approx(abs(v), abs=1e-8)
+        assert bus_voltages(sol)[2] == pytest.approx(abs(v), abs=1e-8)
 
     def test_ieee33_base_case_matches_independent_oracle(self):
         topo = load_ieee33()
@@ -187,13 +196,14 @@ class TestSolveBfs:
         oracle = power_summation_sweep(topo, topo.nominal_load_mw,
                                        topo.nominal_load_mvar)
         assert sol.converged
+        v_mag = bus_voltages(sol)
         for bus in topo.buses:
-            assert sol.v_mag[bus] == pytest.approx(oracle[bus], abs=1e-4)
+            assert v_mag[bus] == pytest.approx(oracle[bus], abs=1e-4)
         # Known shape of the base case: the weakest bus is at the main
         # feeder's end and sits a little above 0.90 pu.
-        v_min_bus = min(sol.v_mag, key=sol.v_mag.get)
+        v_min_bus = min(v_mag, key=v_mag.get)
         assert v_min_bus == 18
-        assert 0.90 < sol.v_mag[18] < 0.92
+        assert 0.90 < v_mag[18] < 0.92
 
     def test_losses_nonnegative_and_injections_balance(self):
         topo = load_ieee33()
@@ -202,11 +212,11 @@ class TestSolveBfs:
             p = {b: rng.uniform(0, 0.2) for b in topo.buses if b != 1}
             sol = solve_bfs(topo, p, tol=1e-12)
             assert sol.converged
-            assert all(l >= 0 for l in sol.branch_loss_mw.values())
+            losses = branch_losses(sol)
+            assert all(l >= 0 for l in losses.values())
             # Slack supplies loads plus losses: current flows out of bus 1,
             # so the branches leaving it carry a positive loss.
-            root_loss = sum(
-                l for (up, _), l in sol.branch_loss_mw.items() if up == 1)
+            root_loss = sum(l for (up, _), l in losses.items() if up == 1)
             assert root_loss > 0
 
     def test_branch_order_invariance(self):
@@ -219,16 +229,15 @@ class TestSolveBfs:
                                nominal_load_mvar=topo.nominal_load_mvar)
         a = solve_bfs(topo, topo.nominal_load_mw, topo.nominal_load_mvar)
         b = solve_bfs(topo2, topo.nominal_load_mw, topo.nominal_load_mvar)
-        for bus in topo.buses:
-            assert a.v_mag[bus] == b.v_mag[bus]
+        assert bus_voltages(a) == bus_voltages(b)
 
     def test_voltage_drops_along_loaded_path(self):
         topo = load_ieee33()
         p = {b: 0.1 for b in topo.buses if b != 1}
-        sol = solve_bfs(topo, p)
+        v_mag = bus_voltages(solve_bfs(topo, p))
         main = list(range(1, 19))  # buses 1..18 form the trunk
         for up, down in zip(main, main[1:]):
-            assert sol.v_mag[down] < sol.v_mag[up]
+            assert v_mag[down] < v_mag[up]
 
     def test_cached_tree_per_feeder_and_slack(self):
         """Solves reuse each (feeder, slack) tree: slack A, B, then A again,
@@ -245,7 +254,8 @@ class TestSolveBfs:
             want = solve_bfs(replace(topo), p, slack_bus=slack)
             assert repr(solution_fields(got)) == repr(solution_fields(want)), (
                 topo is other, slack)
-        assert (solve_bfs(other, p).v_mag[33] != solve_bfs(base, p).v_mag[33])
+        assert bus_voltages(solve_bfs(other, p))[33] != \
+            bus_voltages(solve_bfs(base, p))[33]
 
     def test_cycle_rejected(self):
         topo = FeederTopology(
