@@ -24,7 +24,7 @@ from .grid import (
     dispatch_generators,
     mask_bounds,
 )
-from .maddpg import METHOD_GROUPS, Trainer, TrainSettings
+from .maddpg import Trainer, TrainSettings
 from .outage import grid_tie
 
 RULE_TARGET_SOC = 0.5
@@ -87,10 +87,8 @@ class TrainedPolicy:
 def build_trainer(env: MicrogridEnv, settings: TrainSettings, method: str,
                   init_rng: np.random.Generator) -> Trainer:
     """Construct the multi-agent learner or the joint single-actor variant
-    on the same machinery."""
-    if method not in METHOD_GROUPS:
-        raise ValueError(f"unknown learned method {method!r}")
-    return Trainer(env.config, METHOD_GROUPS[method](env.n_agents), settings, init_rng)
+    on the same machinery, for the env's fleet."""
+    return Trainer(env.config, method, settings, init_rng)
 
 
 # ------------------------------------------------------------------- DP

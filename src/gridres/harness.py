@@ -38,7 +38,7 @@ from .dataio import (
 from .diffkit import ParamSet
 from .env import MicrogridEnv, OutageSettings
 from .grid import SLOT_HOURS
-from .maddpg import METHOD_GROUPS, EpisodeMetrics, TrainSettings, run_training
+from .maddpg import METHODS as LEARNED, EpisodeMetrics, TrainSettings, run_training
 from .powerflow import check_dispatch, load_ieee33
 
 METRIC_COLUMNS = ("episode", "cost_usd", "shed_mwh", "critic_loss",
@@ -46,7 +46,7 @@ METRIC_COLUMNS = ("episode", "cost_usd", "shed_mwh", "critic_loss",
 REPORT_COLUMNS = ("method", "avg_cost_usd", "highest_cost_usd",
                   "lowest_cost_usd", "avg_shed_mwh")
 STREAMS = ("env", "noise", "init", "data", "replay")
-METHODS = (*METHOD_GROUPS, "rule")  # compare_run's methods; all but rule train
+METHODS = (*LEARNED, "rule")  # compare_run's methods; all but rule train
 
 
 def seed_stream(root_seed: int, name: str) -> np.random.Generator:
@@ -222,7 +222,8 @@ def read_run(run_dir: str | Path) -> tuple[dict[str, Any], int, str]:
     versions wrote (train keys, generators' ``p_min``) are dropped; another
     slot length is refused, as 15-minute slots would silently change its physics.
     A manifest that lacks any key of the default config's mapping tree raises
-    one ValueError naming them all."""
+    one ValueError naming them all; one whose values fail validation, one
+    ConfigError naming every problem."""
     manifest = read_manifest(Path(run_dir))
     defaults = default_dict()
     missing = _lacking(manifest, {"config": defaults, "seed": 0, "method": ""})
@@ -236,6 +237,10 @@ def read_run(run_dir: str | Path) -> tuple[dict[str, Any], int, str]:
     if slot_hours != SLOT_HOURS:
         raise ConfigError([f"{run_dir}: microgrid.slot_hours {slot_hours} differs "
                            f"from the fixed {SLOT_HOURS} h slot"])
+    try:
+        cfg = merge_config(cfg)
+    except ConfigError as exc:
+        raise ConfigError([f"{run_dir}: {p}" for p in exc.problems]) from None
     return cfg, manifest["seed"], manifest["method"]
 
 
@@ -306,11 +311,13 @@ def _report_cells(row: ReportRow) -> list[str]:
 
 
 def _setup(run_dir: str | Path | None, out_dir: str | Path, seed: int | None,
-           method: str | None = None, cfg: dict[str, Any] | None = None,
+           days: int | None, method: str | None = None,
+           cfg: dict[str, Any] | None = None,
            overrides: dict[str, Any] | None = None, fail_agents: int = 0):
     """Eval's and audit's output dir, config, seed, method, dataset, env and
-    policy, for a training run or the rule on a config. Usage errors, a bad
-    manifest and a missing checkpoint raise before the output dir is made."""
+    policy, for a training run or the rule on a config. Usage errors, counts
+    out of range, a bad manifest and a missing checkpoint raise before the
+    output dir is made."""
     if run_dir is not None:
         if method is not None:
             raise ConfigError(["eval: --method does not apply to --checkpoint, "
@@ -325,9 +332,16 @@ def _setup(run_dir: str | Path | None, out_dir: str | Path, seed: int | None,
     if overrides:
         cfg = merge_config(cfg, overrides)
     n_ess = len(cfg["microgrid"]["ess"])
+    problems = []
+    if fail_agents < 0:
+        problems.append("--fail-agents: must be >= 0")
     if fail_agents > n_ess:
-        raise ConfigError([f"--fail-agents: {fail_agents} exceeds the "
-                           f"{n_ess} ESS units of the fleet"])
+        problems.append(f"--fail-agents: {fail_agents} exceeds the "
+                        f"{n_ess} ESS units of the fleet")
+    if days is not None and days < 1:
+        problems.append("--eval-days: must be >= 1")
+    if problems:
+        raise ConfigError(problems)
     dataset = build_dataset(cfg, seed_stream(seed, "data"))
     env = build_env(cfg, dataset)
     policy = load_policy(run_dir, env)
@@ -343,7 +357,7 @@ def eval_run(run_dir: str | Path | None, out_dir: str | Path, seed: int | None,
     """Evaluate a trained run directory or a config-only method ('rule')."""
     t0 = time.perf_counter()
     out, cfg, seed, method, dataset, env, policy = _setup(
-        run_dir, out_dir, seed, method, cfg, overrides, fail_agents)
+        run_dir, out_dir, seed, days, method, cfg, overrides, fail_agents)
     records, _ = run_days(env, policy, dataset.test_days[:days],
                           seed_stream(seed, "env"), fail_agents=fail_agents)
     row = aggregate(method, records, time.perf_counter() - t0)
@@ -361,7 +375,7 @@ def audit_run(run_dir: str | Path, out_dir: str | Path,
               seed: int | None = None, days: int | None = None) -> dict[str, Any]:
     """Replay an evaluation through the feeder power flow and count
     voltage-band violations and non-convergence per slot."""
-    out, _, seed, _, dataset, env, policy = _setup(run_dir, out_dir, seed)
+    out, _, seed, _, dataset, env, policy = _setup(run_dir, out_dir, seed, days)
     _, episodes = run_days(env, policy, dataset.test_days[:days],
                            seed_stream(seed, "env"))
     topology = load_ieee33()
@@ -413,6 +427,7 @@ def compare_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
     if problems:
         raise ConfigError(problems)
     # The sweep changes only microgrid.costs.load, which build_dataset never reads.
+    t_start = time.perf_counter()
     dataset = build_dataset(cfg, seed_stream(seed, "data"))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -450,6 +465,7 @@ def compare_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,
                "alpha", "p_grid", "p_ess_total", "soc_mean"), trajectories)
     if sweep:
         write_csv(out / "lambda_sweep.csv", ("lambda_load", "avg_shed_mwh"), sheds)
-    write_manifest(out, cfg, seed, "compare", "-", 0.0,
+    write_manifest(out, cfg, seed, "compare", dataset.checksum,
+                   time.perf_counter() - t_start,
                    {"methods": list(methods), "status": "ok"})
     return rows

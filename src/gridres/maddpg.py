@@ -29,6 +29,7 @@ from .encoder import DayEncoding, GruEncoder, VECTOR_DIM
 from .grid import SLOT_HOURS, SLOTS_PER_DAY, MicrogridConfig, mask_bounds
 
 COUNTER_SCALE = 1.0 / SLOTS_PER_DAY  # keeps the slots-to-peak feature near unit range
+METHODS = ("maddpg", "ddpg")  # one actor per ESS unit, or one joint actor
 
 
 class TrainingDiverged(RuntimeError):
@@ -161,14 +162,6 @@ class CriticNet:
         return self._to_action(cache, dq)[1] @ cache[1][1].swapaxes(-1, -2)
 
 
-@dataclass
-class AgentGroup:
-    """One actor observing and commanding a slice of the ESS fleet."""
-
-    ess_indices: tuple[int, ...]
-    own_reward: bool  # paid its unit's own reward, else the full slot cost
-
-
 def features(socs: np.ndarray, counters: np.ndarray, v: np.ndarray,
              units: np.ndarray | None = None) -> np.ndarray:
     """Network input: (soc, scaled counter) per unit, then the shared
@@ -235,25 +228,27 @@ class Trainer:
     """Owns the networks, targets, optimizer state and the update rules;
     each group's nets and Adam moments are slices of group-axis stacks."""
 
-    def __init__(self, config: MicrogridConfig, groups: list[AgentGroup],
+    def __init__(self, config: MicrogridConfig, method: str,
                  settings: TrainSettings, init_rng: np.random.Generator):
+        if method not in METHODS:
+            raise ValueError(f"unknown learned method {method!r}")
         self.config = config
-        self.groups = groups
         self.settings = settings
         self.n_ess = config.n_agents
         self.state_dim = 2 * self.n_ess + VECTOR_DIM
 
-        # (groups, k): the units each group's actor observes and commands. Equal
-        # k lets the actors stack; in fleet order, their outputs need no scatter.
-        self.units = np.array([group.ess_indices for group in groups])
-        if not np.array_equal(self.units.ravel(), np.arange(self.n_ess)):
-            raise ValueError("groups must split the fleet in ESS order")
+        # (groups, k): the units each group's actor observes and commands, in
+        # fleet order, so the stacked actors' outputs need no scatter. A MADDPG
+        # actor is paid its own unit's reward, DDPG's joint actor the slot cost.
+        self.own_reward = method == "maddpg"
+        self.groups = np.arange(self.n_ess).reshape((-1, 1) if self.own_reward
+                                                    else (1, -1))
 
         self.encoder = GruEncoder(config.capacities, init_rng)
-        k = self.units.shape[1]
+        k = self.groups.shape[1]
         nets = [(ActorNet(init_rng, 2 * k + VECTOR_DIM, settings.hidden, k),
                  CriticNet(init_rng, self.state_dim, self.n_ess, settings.hidden))
-                for _ in groups]
+                for _ in self.groups]
         self.actor_stack, self.critic_stack = map(stack_nets, zip(*nets))
         self.target_actor_stack = copy.deepcopy(self.actor_stack)
         self.target_critic_stack = copy.deepcopy(self.critic_stack)
@@ -273,7 +268,7 @@ class Trainer:
     def joint_pis(self, actors: ActorNet, socs, counters, v):
         """Every group's raw outputs assembled in ESS order, (batch, n_ess),
         from one pass of the stacked ``actors``, and that pass's cache."""
-        x = features(socs, counters, v, self.units)
+        x = features(socs, counters, v, self.groups)
         out, cache = actors.forward(x)
         return out.transpose(1, 0, 2).reshape(x.shape[1], -1), cache
 
@@ -336,7 +331,7 @@ class Trainer:
                                    f"{np.argmin(np.isfinite(objectives))}")
 
         dact = self.critic_stack.action_grad(critic_cache, np.full(q.shape, -1.0 / batch))
-        dpi = np.take_along_axis(dact * slope, self.units[:, None, :], axis=2)
+        dpi = np.take_along_axis(dact * slope, self.groups[:, None, :], axis=2)
         grads, dfeat = self.actor_stack.backward(cache, dpi)
         dk.clip_grads(grads, s.grad_clip, stacked=True)
         dk.adam_step(self.actor_stack.params, grads, self.actor_adam, s.lr_actor)
@@ -417,27 +412,6 @@ class Trainer:
         self.gru_adam.t = int(ps.tensors["adam/gru/t"][0])
 
 
-def maddpg_groups(n_ess: int) -> list[AgentGroup]:
-    return [AgentGroup(ess_indices=(n,), own_reward=True) for n in range(n_ess)]
-
-
-def ddpg_groups(n_ess: int) -> list[AgentGroup]:
-    return [AgentGroup(ess_indices=tuple(range(n_ess)), own_reward=False)]
-
-
-# The learned methods by name: each one's agent groups for a fleet of n units.
-METHOD_GROUPS = {"maddpg": maddpg_groups, "ddpg": ddpg_groups}
-
-
-def group_reward(group: AgentGroup, agent_rewards: list[float],
-                 slot_cost: float) -> float:
-    """An own-reward group is paid its one unit's reward; a joint group pays
-    the full slot cost (the same value, by another path, with one ESS)."""
-    if group.own_reward:
-        return float(agent_rewards[group.ess_indices[0]])
-    return -slot_cost
-
-
 @dataclass
 class EpisodeMetrics:
     episode: int
@@ -491,9 +465,9 @@ def run_training(env, trainer: Trainer, settings: TrainSettings,
                 pis = explore(pis, noise_rng, step, settings, total_steps)
             actions, _ = trainer.apply_mask(pis, obs.soc)
             result, agent_rewards, next_obs, done = env.step(actions[0])
-            rewards = np.array([
-                group_reward(group, agent_rewards, result.cost_total)
-                for group in trainer.groups])
+            # With one ESS the two rewards are the same value by another path.
+            rewards = np.array(agent_rewards if trainer.own_reward
+                               else [-result.cost_total])
             ep_reward += float(rewards.sum())
             next_v = encoded.vector(next_obs.slot)
             replay.add(obs.soc, obs.counter, v, actions[0], rewards, next_obs.soc,

@@ -32,8 +32,6 @@ from gridres.maddpg import (
     CriticNet,
     Trainer,
     TrainSettings,
-    ddpg_groups,
-    maddpg_groups,
 )
 from gridres.powerflow import load_ieee33, solve_bfs
 from test_harness_helpers import fleet_config, fleet_mask
@@ -275,11 +273,11 @@ class TestCriterion8Equivalence:
         config, series, env, _ = small_scenario(800)
         settings = TrainSettings(hidden=32, batch_size=16)
 
-        def make(groups, seed):
-            return Trainer(config, groups, settings, np.random.default_rng(seed))
+        def make(method, seed):
+            return Trainer(config, method, settings, np.random.default_rng(seed))
 
-        t_multi = make(maddpg_groups(1), 7)
-        t_joint = make(ddpg_groups(1), 7)
+        t_multi = make("maddpg", 7)
+        t_joint = make("ddpg", 7)
 
         from test_maddpg import fill_replay
         replay = fill_replay(env, t_multi, steps=96, seed=8)

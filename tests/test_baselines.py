@@ -422,7 +422,7 @@ class TestDdpgBaseline:
                                  update_every=8, episodes=1)
         trainer = build_trainer(env, settings, "ddpg", np.random.default_rng(14))
         assert len(trainer.groups) == 1
-        assert trainer.groups[0].ess_indices == (0, 1)
+        assert trainer.groups.tolist() == [[0, 1]]
         obs = env.reset(0, np.random.default_rng(15))
         policy = TrainedPolicy(trainer)
         cmds = policy(obs)

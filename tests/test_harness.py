@@ -237,6 +237,32 @@ class TestEvalRun:
             eval_run(run, tmp_path / "e", None)
         assert not (tmp_path / "e").exists()
 
+    def test_counts_out_of_range_refused_before_output(self, tmp_path):
+        """The count limits hold for a Python caller as for the CLI: a
+        negative failure count, or fewer than one day, raises before the
+        output dir exists."""
+        run = tmp_path / "run"
+        train_run(tiny_cfg(), 5, run)
+        cases = {
+            "days-neg": (lambda out: eval_run(run, out, None, days=-1),
+                         "--eval-days: must be >= 1"),
+            "days-zero": (lambda out: eval_run(run, out, None, days=0),
+                          "--eval-days: must be >= 1"),
+            "fail-neg": (lambda out: eval_run(run, out, None, fail_agents=-1),
+                         "--fail-agents: must be >= 0"),
+            "rule-days": (lambda out: eval_run(None, out, 5, method="rule",
+                                               cfg=tiny_cfg(), days=0),
+                          "--eval-days: must be >= 1"),
+            "audit-days": (lambda out: audit_run(run, out, days=0),
+                           "--eval-days: must be >= 1"),
+        }
+        for case, (command, problem) in cases.items():
+            out = tmp_path / case
+            with pytest.raises(ConfigError) as exc:
+                command(out)
+            assert exc.value.problems == [problem], case
+            assert not out.exists(), case
+
     def test_rule_eval_without_checkpoint(self, tmp_path):
         cfg = small_cfg()
         row = eval_run(None, tmp_path / "rule", 5, method="rule", cfg=cfg)
@@ -382,6 +408,9 @@ class TestBuildsOnce:
                 (run / name).read_bytes()
         assert read_manifest(tmp_path / "cmp" / "train-maddpg")["dataset_checksum"] \
             == read_manifest(run)["dataset_checksum"]
+        # compare's own manifest names that one dataset.
+        assert read_manifest(tmp_path / "cmp")["dataset_checksum"] == \
+            read_manifest(tmp_path / "cmp" / "train-maddpg")["dataset_checksum"]
 
 
 class TestRunDays:
@@ -579,6 +608,23 @@ class TestCli:
                 assert err.startswith("error: ") and "Traceback" not in err
                 assert err.rstrip().endswith("manifest.json lacks " + ", ".join(missing))
                 assert not out.exists()
+
+    def test_mistyped_manifest_value_exits_1_naming_it(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        train_run(tiny_cfg(), 5, run)
+        manifest = read_manifest(run)
+        manifest["config"]["outage"]["peak_prob"] = "high"
+        manifest["config"]["train"]["gamma"] = 3.0
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        for command in ("eval", "audit"):
+            out = tmp_path / command
+            assert main([command, "--checkpoint", str(run), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+            for problem in ("outage.peak_prob: must be a number",
+                            "train.gamma: must be at most 1"):
+                assert f"{run}: {problem}" in err
+            assert not out.exists()
 
     def test_missing_data_source_exits_2_without_output(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"

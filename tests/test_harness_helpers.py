@@ -4,7 +4,7 @@ import numpy as np
 
 from gridres.config import build_microgrid, default_dict
 from gridres.grid import LoadSpec, MicrogridConfig
-from gridres.maddpg import Trainer, TrainSettings, maddpg_groups
+from gridres.maddpg import Trainer, TrainSettings
 
 
 def table_config():
@@ -22,6 +22,6 @@ def fleet_config(ess):
 def fleet_mask(ess):
     """Commands for raw outputs and SoCs, shaped (samples, units), through
     Trainer.apply_mask: the masking path every learner acts with."""
-    trainer = Trainer(fleet_config(ess), maddpg_groups(len(ess)),
+    trainer = Trainer(fleet_config(ess), "maddpg",
                       TrainSettings(hidden=4), np.random.default_rng(0))
     return lambda pis, socs: trainer.apply_mask(pis, socs)[0]

@@ -6,7 +6,7 @@ import pytest
 from gradcheck import assert_grads_close, numeric_grad
 from gridres import diffkit as dk
 from gridres import maddpg
-from gridres.baselines import TrainedPolicy
+from gridres.baselines import TrainedPolicy, build_trainer
 from gridres.config import build_microgrid, resolve_dict
 from gridres.dataio import ForecastModel, make_forecasts, synth_generator
 from gridres.encoder import VECTOR_DIM
@@ -29,11 +29,8 @@ from gridres.maddpg import (
     Trainer,
     TrainingDiverged,
     TrainSettings,
-    ddpg_groups,
     explore,
     features,
-    group_reward,
-    maddpg_groups,
     noise_sigma,
     run_training,
 )
@@ -70,12 +67,11 @@ def tiny_env(n_ess=2, days=3, seed=0, peak_prob=0.3):
     return MicrogridEnv(config, series, table, outage, horizon=4)
 
 
-def make_trainer(env, groups=None, settings=None, seed=0):
+def make_trainer(env, method="maddpg", settings=None, seed=0):
     settings = settings or TrainSettings(hidden=16, batch_size=8,
                                          warmup_steps=16, update_every=8,
                                          episodes=2)
-    groups = groups or maddpg_groups(env.n_agents)
-    return Trainer(env.config, groups, settings, np.random.default_rng(seed))
+    return Trainer(env.config, method, settings, np.random.default_rng(seed))
 
 
 class TestActorNet:
@@ -282,8 +278,7 @@ def fill_replay(env, trainer, steps=40, seed=0):
         actions, _ = trainer.apply_mask(pis, obs.soc)
         result, agent_rewards, next_obs, done = env.step(actions[0])
         next_v = encode_one(trainer, next_obs.window)
-        rewards = [group_reward(g, agent_rewards, result.cost_total)
-                   for g in trainer.groups]
+        rewards = agent_rewards if trainer.own_reward else [-result.cost_total]
         replay.add(obs.soc, obs.counter, v, actions[0], rewards, next_obs.soc,
                    next_obs.counter, next_v, done, 0, obs.slot)
         obs, v = next_obs, next_v
@@ -602,9 +597,8 @@ def per_window_run_training(env, trainer, settings, train_days, env_rng,
                 pis = explore(pis, noise_rng, step, settings, total_steps)
             actions, _ = trainer.apply_mask(pis, obs.soc)
             result, agent_rewards, next_obs, done = env.step(actions[0])
-            rewards = np.array([
-                group_reward(group, agent_rewards, result.cost_total)
-                for group in trainer.groups])
+            rewards = np.array(agent_rewards if trainer.own_reward
+                               else [-result.cost_total])
             ep_reward += float(rewards.sum())
             next_v = encode_one(trainer, next_obs.window)
             replay.add(obs.soc, obs.counter, v, actions[0], rewards, next_obs.soc,
@@ -634,10 +628,8 @@ class TestEquivalenceSingleAgent:
         env_a = tiny_env(n_ess=1)
         env_b = tiny_env(n_ess=1)
         settings = TrainSettings(hidden=16, batch_size=8)
-        t_madd = make_trainer(env_a, groups=maddpg_groups(1), settings=settings,
-                              seed=11)
-        t_ddpg = make_trainer(env_b, groups=ddpg_groups(1), settings=settings,
-                              seed=11)
+        t_madd = make_trainer(env_a, "maddpg", settings=settings, seed=11)
+        t_ddpg = make_trainer(env_b, "ddpg", settings=settings, seed=11)
         for k in t_madd.actor_stack.params:
             assert np.array_equal(t_madd.actor_stack.params[k],
                                   t_ddpg.actor_stack.params[k])
@@ -662,15 +654,15 @@ def per_group_pis(trainer, actors, socs, counters, v):
     batch = socs.shape[0]
     pis = np.zeros((batch, trainer.n_ess))
     caches = []
-    for group, actor in zip(trainer.groups, actors):
-        own = socs[:, list(group.ess_indices)]
+    for cols, actor in zip(trainer.groups, actors):
+        own = socs[:, cols]
         n = 2 * own.shape[1]
         x = np.empty((batch, n + VECTOR_DIM))
         x[:, 0:n:2] = own
         x[:, 1:n:2] = counters[:, None] * maddpg.COUNTER_SCALE
         x[:, n:] = v
         out, cache = actor.forward(x)
-        pis[:, list(group.ess_indices)] = out
+        pis[:, cols] = out
         caches.append(cache)
     return pis, caches
 
@@ -682,11 +674,16 @@ def group_net(stack, g):
     return net
 
 
-def five_unit_trainer(groups, seed):
+def group_ids(value):
+    """A parameter's test id: a method is named by its group layout."""
+    return f"{value}_groups" if isinstance(value, str) else None
+
+
+def five_unit_trainer(method, seed):
     specs = tuple(EssSpec(id=f"E{n}", p_min=-1.0 - n, p_max=1.0 + n,
                           energy_cap=4.0, soc_min=0.1, soc_max=0.9)
                   for n in range(5))
-    trainer = Trainer(fleet_config(specs), groups(5), TrainSettings(hidden=16),
+    trainer = Trainer(fleet_config(specs), method, TrainSettings(hidden=16),
                       np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
     for stack in (trainer.actor_stack, trainer.target_actor_stack,
@@ -699,13 +696,13 @@ def five_unit_trainer(groups, seed):
 class TestStackedActors:
     N_ESS = 5
 
-    @pytest.mark.parametrize("groups", [maddpg_groups, ddpg_groups])
+    @pytest.mark.parametrize("method", maddpg.METHODS, ids=group_ids)
     @pytest.mark.parametrize("batch", [1, N_ESS, 128])
-    def test_joint_pass_matches_per_group_reference(self, groups, batch):
+    def test_joint_pass_matches_per_group_reference(self, method, batch):
         """One stacked pass gives each group's outputs and actor gradients
         bit for bit, also at batch 1 and batch == groups, where a stacked
         bias that skipped the batch axis would still broadcast."""
-        trainer, rng = five_unit_trainer(groups, 31)
+        trainer, rng = five_unit_trainer(method, 31)
         socs = rng.uniform(0.1, 0.9, (batch, self.N_ESS))
         counters = rng.integers(0, SLOTS_PER_DAY, batch).astype(float)
         v = rng.standard_normal((batch, VECTOR_DIM))
@@ -716,9 +713,8 @@ class TestStackedActors:
             want, caches = per_group_pis(trainer, nets, socs, counters, v)
             assert pis.tobytes() == want.tobytes()
             grads, dx = stack.backward(cache, np.stack(
-                [dpi[:, list(group.ess_indices)] for group in trainer.groups]))
-            for g, group in enumerate(trainer.groups):
-                cols = list(group.ess_indices)
+                [dpi[:, cols] for cols in trainer.groups]))
+            for g, cols in enumerate(trainer.groups):
                 ref_grads, ref_dx = nets[g].backward(caches[g], dpi[:, cols])
                 assert dx[g].tobytes() == ref_dx.tobytes()
                 for k in ref_grads:
@@ -727,25 +723,27 @@ class TestStackedActors:
         assert trainer.raw_policy(socs[0], counters[0], v[0]).tobytes() == \
             first[0].tobytes()
 
-    def test_groups_out_of_fleet_order_rejected(self):
-        """The stacked outputs are read in ESS order, so groups that split
-        the fleet in another order are refused, not silently misassigned."""
-        groups = [maddpg.AgentGroup((1,), True), maddpg.AgentGroup((0,), True)]
-        with pytest.raises(ValueError, match="split the fleet in ESS order"):
-            Trainer(fleet_config((ESS1, ESS2)), groups, TrainSettings(hidden=4),
-                    np.random.default_rng(0))
+    def test_unknown_method_rejected(self):
+        """A learner is built for one of the named methods only."""
+        env = tiny_env()
+        for build in (lambda: build_trainer(env, TrainSettings(hidden=4), "bogus",
+                                            np.random.default_rng(0)),
+                      lambda: Trainer(env.config, "bogus", TrainSettings(hidden=4),
+                                      np.random.default_rng(0))):
+            with pytest.raises(ValueError, match="unknown learned method 'bogus'"):
+                build()
 
 
 class TestStackedCritics:
     N_ESS = 5
 
-    @pytest.mark.parametrize("groups", [maddpg_groups, ddpg_groups])
+    @pytest.mark.parametrize("method", maddpg.METHODS, ids=group_ids)
     @pytest.mark.parametrize("batch", [1, N_ESS, 128])
-    def test_stacked_pass_matches_per_group_reference(self, groups, batch):
+    def test_stacked_pass_matches_per_group_reference(self, method, batch):
         """One stacked critic forward and backward over a shared state and
         action input gives each group's values, parameter gradients,
         ``dstate`` and ``dact`` as its 2-D pass, bit for bit."""
-        trainer, rng = five_unit_trainer(groups, 41)
+        trainer, rng = five_unit_trainer(method, 41)
         state = rng.standard_normal((batch, trainer.state_dim))
         actions = rng.standard_normal((batch, self.N_ESS))
         for stack in (trainer.critic_stack, trainer.target_critic_stack):
@@ -763,12 +761,12 @@ class TestStackedCritics:
                 for k in ref_grads:
                     assert grads[k][g].tobytes() == ref_grads[k].tobytes(), (g, k)
 
-    @pytest.mark.parametrize("groups", [maddpg_groups, ddpg_groups])
+    @pytest.mark.parametrize("method", maddpg.METHODS, ids=group_ids)
     @pytest.mark.parametrize("batch", [1, N_ESS, 128])
-    def test_action_grad_matches_full_backward(self, groups, batch):
+    def test_action_grad_matches_full_backward(self, method, batch):
         """The actor step's short backward gives the full backward's
         ``dact`` bit for bit, for 5 stacked groups and for 1."""
-        trainer, rng = five_unit_trainer(groups, 43)
+        trainer, rng = five_unit_trainer(method, 43)
         state = rng.standard_normal((batch, trainer.state_dim))
         actions = rng.standard_normal((batch, self.N_ESS))
         q, cache = trainer.critic_stack.forward(state, actions)
@@ -855,7 +853,7 @@ class ReferenceTrainer(Trainer):
 
         _, _, dact = self.critics[g].backward(critic_cache,
                                               np.full(batch, -1.0 / batch))
-        cols = self.units[g]
+        cols = self.groups[g]
         grads, dfeat = self.actors[g].backward(take_group(cache, g),
                                                dact[:, cols] * slope[:, cols])
         dk.clip_grads(grads, s.grad_clip)
@@ -891,15 +889,15 @@ class ReferenceTrainer(Trainer):
 
 
 class TestReferenceRound:
-    @pytest.mark.parametrize("n_ess, groups", [(1, maddpg_groups),
-                                               (1, ddpg_groups), (5, ddpg_groups)])
-    def test_one_group_round_matches_gauss_seidel_bit_for_bit(self, n_ess, groups):
+    @pytest.mark.parametrize("n_ess, method", [(1, "maddpg"), (1, "ddpg"), (5, "ddpg")],
+                             ids=group_ids)
+    def test_one_group_round_matches_gauss_seidel_bit_for_bit(self, n_ess, method):
         """With one group the shared-minibatch round is the per-group
         round's arithmetic: 100 rounds leave every parameter, target, Adam
         moment and step count, and every loss and objective, the same bits."""
         env = tiny_env(n_ess=n_ess)
         settings = TrainSettings(hidden=16, batch_size=8)
-        trainer = make_trainer(env, groups=groups(n_ess), settings=settings, seed=51)
+        trainer = make_trainer(env, method, settings=settings, seed=51)
         reference = ReferenceTrainer(trainer)
         replay = fill_replay(env, trainer, steps=64, seed=52)
         rng_a, rng_b = np.random.default_rng(53), np.random.default_rng(53)
