@@ -216,7 +216,7 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
     return rng.uniform(-bound, bound, size=shape)
 
 
-PARAMSET_VERSION = "gridres-params-1"
+PARAMSET_VERSION = "gridres-params-2"
 
 
 @dataclass

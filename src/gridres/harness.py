@@ -222,8 +222,9 @@ def read_run(run_dir: str | Path) -> tuple[dict[str, Any], int, str]:
     versions wrote (train keys, generators' ``p_min``) are dropped; another
     slot length is refused, as 15-minute slots would silently change its physics.
     A manifest that lacks any key of the default config's mapping tree raises
-    one ValueError naming them all; one whose values fail validation, one
-    ConfigError naming every problem."""
+    one ValueError naming them all; one whose seed is not a non-negative
+    integer or whose values fail validation, one ConfigError naming every
+    problem."""
     manifest = read_manifest(Path(run_dir))
     defaults = default_dict()
     missing = _lacking(manifest, {"config": defaults, "seed": 0, "method": ""})
@@ -233,24 +234,30 @@ def read_run(run_dir: str | Path) -> tuple[dict[str, Any], int, str]:
     cfg["train"] = {key: cfg["train"][key] for key in defaults["train"]}
     for gen in cfg["microgrid"]["generators"]:
         gen.pop("p_min", None)
+    seed = manifest["seed"]
+    problems = ([] if type(seed) is int and seed >= 0 else
+                [f"seed: must be a non-negative integer, got {seed!r}"])
     slot_hours = cfg["microgrid"].pop("slot_hours", SLOT_HOURS)
     if slot_hours != SLOT_HOURS:
-        raise ConfigError([f"{run_dir}: microgrid.slot_hours {slot_hours} differs "
-                           f"from the fixed {SLOT_HOURS} h slot"])
+        problems.append(f"microgrid.slot_hours {slot_hours} differs "
+                        f"from the fixed {SLOT_HOURS} h slot")
     try:
         cfg = merge_config(cfg)
     except ConfigError as exc:
-        raise ConfigError([f"{run_dir}: {p}" for p in exc.problems]) from None
-    return cfg, manifest["seed"], manifest["method"]
+        problems += exc.problems
+    if problems:
+        raise ConfigError([f"{run_dir}: {p}" for p in problems])
+    return cfg, seed, manifest["method"]
 
 
-def load_policy(run_dir: str | Path | None, env: MicrogridEnv) -> Callable:
+def load_policy(run_dir: str | Path | None, env: MicrogridEnv, method: str,
+                train: dict[str, Any], seed: int) -> Callable:
     """The rule policy without a run directory, else the greedy policy of that
-    training run, sized on the env it will act in."""
+    training run, whose ``method``, ``train`` section and root ``seed`` the
+    caller gives; it is sized on the env it will act in."""
     if run_dir is None:
         return RulePolicy(env.config)
-    cfg, seed, method = read_run(run_dir)
-    trainer = build_trainer(env, TrainSettings.from_dict(cfg["train"]), method,
+    trainer = build_trainer(env, TrainSettings.from_dict(train), method,
                             seed_stream(seed, "init"))
     trainer.load_param_set(ParamSet.load(str(Path(run_dir) / "checkpoint.npz")))
     return TrainedPolicy(trainer)
@@ -323,12 +330,13 @@ def _setup(run_dir: str | Path | None, out_dir: str | Path, seed: int | None,
             raise ConfigError(["eval: --method does not apply to --checkpoint, "
                                "which is evaluated as the method it was trained with"])
         cfg, run_seed, method = read_run(run_dir)
-        seed = run_seed if seed is None else seed
     else:
         if method != "rule":
             raise ConfigError(["eval: give --checkpoint, or --method rule"])
         cfg = cfg if cfg is not None else resolve_dict()
-        seed = 0 if seed is None else seed
+        run_seed = 0
+    seed = run_seed if seed is None else seed
+    train = cfg["train"]  # the run's nets, whatever the overrides
     if overrides:
         cfg = merge_config(cfg, overrides)
     n_ess = len(cfg["microgrid"]["ess"])
@@ -344,7 +352,7 @@ def _setup(run_dir: str | Path | None, out_dir: str | Path, seed: int | None,
         raise ConfigError(problems)
     dataset = build_dataset(cfg, seed_stream(seed, "data"))
     env = build_env(cfg, dataset)
-    policy = load_policy(run_dir, env)
+    policy = load_policy(run_dir, env, method, train, run_seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out, cfg, seed, method, dataset, env, policy
@@ -401,8 +409,8 @@ def _train_and_roll(cfg: dict[str, Any], seed: int, dataset: Dataset, method: st
     and roll the test days with its greedy policy: (curve, records, episodes)."""
     curve = [] if run_dir is None else _train(cfg, seed, run_dir, method, dataset)
     env = build_env(cfg, dataset)
-    return (curve, *run_days(env, load_policy(run_dir, env), dataset.test_days,
-                             seed_stream(seed, "env")))
+    policy = load_policy(run_dir, env, method, cfg["train"], seed)
+    return (curve, *run_days(env, policy, dataset.test_days, seed_stream(seed, "env")))
 
 
 def compare_run(cfg: dict[str, Any], seed: int, out_dir: str | Path,

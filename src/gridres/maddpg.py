@@ -162,22 +162,17 @@ class CriticNet:
         return self._to_action(cache, dq)[1] @ cache[1][1].swapaxes(-1, -2)
 
 
-def features(socs: np.ndarray, counters: np.ndarray, v: np.ndarray,
-             units: np.ndarray | None = None) -> np.ndarray:
-    """Network input: (soc, scaled counter) per unit, then the shared
-    characteristic vector. The critic sees every unit, (batch, 2 n_ess +
-    VECTOR_DIM). Given a (groups, k) array of unit indices, each group's
-    actor input is the same layout over its own k units, stacked to
-    (groups, batch, 2 k + VECTOR_DIM)."""
+def features(socs: np.ndarray, counters: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The critics' state rows, (batch, 2 n_ess + VECTOR_DIM): (soc, scaled
+    counter) per unit, then the shared characteristic vector. Each actor's
+    input is a column slice of these rows (``Trainer.columns``)."""
     socs = np.atleast_2d(socs)
-    stacked = units is not None
-    seen = socs[:, units].transpose(1, 0, 2) if stacked else socs[None]
-    n = 2 * seen.shape[-1]
-    out = np.empty(seen.shape[:2] + (n + VECTOR_DIM,))
-    out[:, :, 0:n:2] = seen
-    out[:, :, 1:n:2] = np.atleast_1d(counters)[:, None] * COUNTER_SCALE
-    out[:, :, n:] = v
-    return out if stacked else out[0]
+    n = 2 * socs.shape[1]
+    out = np.empty((socs.shape[0], n + VECTOR_DIM))
+    out[:, 0:n:2] = socs
+    out[:, 1:n:2] = np.atleast_1d(counters)[:, None] * COUNTER_SCALE
+    out[:, n:] = v
+    return out
 
 
 class ReplayBuffer:
@@ -226,7 +221,9 @@ class ReplayBuffer:
 
 class Trainer:
     """Owns the networks, targets, optimizer state and the update rules;
-    each group's nets and Adam moments are slices of group-axis stacks."""
+    each group's nets and Adam moments are slices of group-axis stacks, and
+    each group's actor input is the columns ``columns[g]`` of the critics'
+    state rows."""
 
     def __init__(self, config: MicrogridConfig, method: str,
                  settings: TrainSettings, init_rng: np.random.Generator):
@@ -243,6 +240,11 @@ class Trainer:
         self.own_reward = method == "maddpg"
         self.groups = np.arange(self.n_ess).reshape((-1, 1) if self.own_reward
                                                     else (1, -1))
+        # (groups, 2k + VECTOR_DIM): each group's units' (soc, counter) pairs,
+        # then the characteristic vector, as columns of a ``features`` row.
+        pairs = (2 * self.groups[..., None] + [0, 1]).reshape(len(self.groups), -1)
+        vector = np.arange(2 * self.n_ess, self.state_dim)
+        self.columns = np.hstack([pairs, np.tile(vector, (len(self.groups), 1))])
 
         self.encoder = GruEncoder(config.capacities, init_rng)
         k = self.groups.shape[1]
@@ -265,16 +267,17 @@ class Trainer:
         slope = (up - low) / 2.0
         return slope * (np.atleast_2d(pis) + 1.0) + low, slope
 
-    def joint_pis(self, actors: ActorNet, socs, counters, v):
-        """Every group's raw outputs assembled in ESS order, (batch, n_ess),
-        from one pass of the stacked ``actors``, and that pass's cache."""
-        x = features(socs, counters, v, self.groups)
+    def joint_pis(self, actors: ActorNet, states: np.ndarray):
+        """Every group's raw outputs in ESS order, (batch, n_ess), from one pass
+        of the stacked ``actors`` over their ``columns`` of the (batch, state_dim)
+        ``states``, gathered contiguous (groups, batch, ·); and its cache."""
+        x = np.ascontiguousarray(states[:, self.columns].swapaxes(0, 1))
         out, cache = actors.forward(x)
-        return out.transpose(1, 0, 2).reshape(x.shape[1], -1), cache
+        return out.transpose(1, 0, 2).reshape(len(states), -1), cache
 
     def raw_policy(self, socs, counter, v) -> np.ndarray:
         """The behaviour actors' raw outputs in ESS order, one sample."""
-        return self.joint_pis(self.actor_stack, socs, counter, v)[0][0]
+        return self.joint_pis(self.actor_stack, features(socs, counter, v))[0][0]
 
     # ----------------------------------------------------------- updates
 
@@ -284,13 +287,10 @@ class Trainer:
         Returns the (groups,) losses."""
         s = self.settings
         next_socs = replay.next_socs[idx]
-        next_counters = replay.next_counters[idx]
-        next_v = replay.next_v[idx]
-        next_pis, _ = self.joint_pis(self.target_actor_stack, next_socs,
-                                     next_counters, next_v)
+        next_state = features(next_socs, replay.next_counters[idx], replay.next_v[idx])
+        next_pis, _ = self.joint_pis(self.target_actor_stack, next_state)
         next_actions, _ = self.apply_mask(next_pis, next_socs)
-        q_next, _ = self.target_critic_stack.forward(
-            features(next_socs, next_counters, next_v), next_actions)
+        q_next, _ = self.target_critic_stack.forward(next_state, next_actions)
         y = replay.rewards[idx].T + s.gamma * (1.0 - replay.dones[idx]) * q_next
 
         q, cache = self.critic_stack.forward(state, replay.actions[idx])
@@ -319,9 +319,9 @@ class Trainer:
         s = self.settings
         batch = len(idx)
         socs = replay.socs[idx]
-        counters = replay.counters[idx]
         v_live, gru_cache = self.encoder.forward(replay.windows(idx))
-        pis, cache = self.joint_pis(self.actor_stack, socs, counters, v_live)
+        pis, cache = self.joint_pis(self.actor_stack,
+                                    features(socs, replay.counters[idx], v_live))
         actions, slope = self.apply_mask(pis, socs)
 
         q, critic_cache = self.critic_stack.forward(state, actions)
@@ -360,25 +360,18 @@ class Trainer:
     # ------------------------------------------------------- persistence
 
     def _checkpoint_entries(self) -> list[tuple[str, dict[str, np.ndarray]]]:
-        """Every checkpointed tensor dict with its key prefix, in file order;
-        a group's are views of its slices of the stacks. An optimizer's step
-        count is stored as ``adam/<net>/t`` after its moments, per group for
-        a stack; its one-element dict here is a copy, restored separately."""
-        at = lambda params, g: {k: p[g] for k, p in params.items()}
-        entries = [("gru", self.encoder.params)]
-        adams = []
-        for g in range(len(self.groups)):
-            entries += [(f"actor{g}", at(self.actor_stack.params, g)),
-                        (f"critic{g}", at(self.critic_stack.params, g)),
-                        (f"target_actor{g}", at(self.target_actor_stack.params, g)),
-                        (f"target_critic{g}", at(self.target_critic_stack.params, g))]
-            adams += [(f"{net}{g}", at(state.m, g), at(state.v, g), state.t)
-                      for net, state in (("actor", self.actor_adam),
-                                         ("critic", self.critic_adam))]
-        adams.append(("gru", self.gru_adam.m, self.gru_adam.v, self.gru_adam.t))
-        for name, m, v, t in adams:
-            entries += [(f"adam/{name}/m", m), (f"adam/{name}/v", v),
-                        (f"adam/{name}", {"t": np.array([t], dtype=float)})]
+        """Every checkpointed tensor dict with its key prefix, in file order:
+        the encoder, then the stacks with their leading group axis, then each
+        optimizer's moments and its step count ``adam/<net>/t``, whose
+        one-element dict here is a copy, restored separately."""
+        entries = [("gru", self.encoder.params), ("actor", self.actor_stack.params),
+                   ("critic", self.critic_stack.params),
+                   ("target_actor", self.target_actor_stack.params),
+                   ("target_critic", self.target_critic_stack.params)]
+        for net in ("actor", "critic", "gru"):
+            state = getattr(self, f"{net}_adam")
+            entries += [(f"adam/{net}/m", state.m), (f"adam/{net}/v", state.v),
+                        (f"adam/{net}", {"t": np.array([state.t], dtype=float)})]
         return entries
 
     def param_set(self) -> dk.ParamSet:
@@ -394,13 +387,6 @@ class Trainer:
         if missing or unexpected:
             raise ValueError("checkpoint does not match the model: missing "
                              f"{missing or 'none'}, unexpected {unexpected or 'none'}")
-        # A stack has one step count, so the groups' counts must agree.
-        for net, state in (("actor", self.actor_adam), ("critic", self.critic_adam)):
-            counts = {ps.tensors[f"adam/{net}{g}/t"][0] for g in range(len(self.groups))}
-            if len(counts) != 1:
-                raise ValueError(f"unreadable checkpoint: adam/{net}<g>/t differ "
-                                 f"across groups: {sorted(counts)}")
-            state.t = int(counts.pop())
         for prefix, params in self._checkpoint_entries():
             for name in params:
                 src = ps.tensors[f"{prefix}/{name}"]
@@ -409,7 +395,8 @@ class Trainer:
                         f"{prefix}/{name}: checkpoint {src.shape} vs "
                         f"model {params[name].shape}")
                 params[name][...] = src
-        self.gru_adam.t = int(ps.tensors["adam/gru/t"][0])
+        for net in ("actor", "critic", "gru"):
+            getattr(self, f"{net}_adam").t = int(ps.tensors[f"adam/{net}/t"][0])
 
 
 @dataclass

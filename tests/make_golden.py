@@ -7,9 +7,10 @@ each plain and stressed), ``audit``, ``compare`` with a lambda sweep and
 ``synth-data`` through ``cli.main`` on a small config in which updates do
 run, plus two ``dp_oracle`` days: one ESS, and two ESS whose 25-point
 refinement pass spans several row blocks. ``tests/test_golden.py`` reruns
-it and compares every digest with the committed file. Rewrite the file only
-in a change that alters run outputs on purpose, and name each digest that
-moved, and why, in CHANGES.md.
+it and compares every digest with the committed file. Before writing, the
+script prints each digest it adds, removes or changes against that file.
+Rewrite the file only in a change that alters run outputs on purpose, and
+name each digest that moved, and why, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -116,6 +117,15 @@ def pipeline(work: Path) -> dict[str, str]:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         record = {"environment": environment(), "digests": pipeline(Path(tmp))}
+    old = json.loads(GOLDEN.read_text())["digests"] if GOLDEN.exists() else {}
+    new = record["digests"]
+    for name in sorted(old.keys() | new.keys()):
+        if name not in new:
+            print(f"removed {name}")
+        elif name not in old:
+            print(f"added {name}")
+        elif old[name] != new[name]:
+            print(f"changed {name}")
     GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(record['digests'])} digests to {GOLDEN}")
     return 0

@@ -386,7 +386,7 @@ class TestBuildsOnce:
         cfg = tiny_cfg()
         run = tmp_path / "run"
         train_run(cfg, 5, run)
-        for name in ("build_dataset", "run_days"):
+        for name in ("build_dataset", "run_days", "read_manifest"):
             monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
         counts = []
         for command in (
@@ -397,11 +397,13 @@ class TestBuildsOnce:
                                     lambda_sweep=[0.5, 30.0])):
             calls.clear()
             command()
-            counts.append((calls.count("build_dataset"), calls.count("run_days")))
+            counts.append(tuple(map(calls.count,
+                                    ("build_dataset", "run_days", "read_manifest"))))
         # One dataset per command, which compare's trainings share; one
         # rollout for eval and audit, and for compare one per method and
-        # one per swept penalty.
-        assert counts == [(1, 1), (1, 1), (1, 5)]
+        # one per swept penalty. eval and audit read the run's manifest
+        # once; compare hands its own config to each policy and reads none.
+        assert counts == [(1, 1, 1), (1, 1, 1), (1, 5, 0)]
         # compare's MADDPG run is the standalone run at the same seed.
         for name in ("metrics.csv", "checkpoint.npz"):
             assert (tmp_path / "cmp" / "train-maddpg" / name).read_bytes() == \
@@ -563,15 +565,22 @@ class TestCli:
         np.savez(tmp_path / "missing.npz", **tensors)
         with np.load(path) as data:
             tensors = {k: data[k] for k in data.files}
-        tensors["adam/actor1/t"] = tensors["adam/actor1/t"] + 1.0
-        np.savez(tmp_path / "steps.npz", **tensors)
+        groups = tensors["actor/W1"]  # one more group than the fleet has units
+        tensors["actor/W1"] = np.concatenate([groups, groups[:1]])
+        np.savez(tmp_path / "groups.npz", **tensors)
+        with np.load(path) as data:
+            tensors = {k: data[k] for k in data.files}
+        tensors["__version__"] = np.array("gridres-params-1")
+        np.savez(tmp_path / "v1.npz", **tensors)
         np.save(tmp_path / "array.npy", np.zeros(3))
         cases = {"truncated": (good[: len(good) // 2], "unreadable checkpoint"),
                  "npy": ((tmp_path / "array.npy").read_bytes(), "unreadable checkpoint"),
                  "missing": ((tmp_path / "missing.npz").read_bytes(),
                              "missing ['gru/emb/W'], unexpected ['extra']"),
-                 "steps": ((tmp_path / "steps.npz").read_bytes(),
-                           "adam/actor<g>/t differ across groups")}
+                 "groups": ((tmp_path / "groups.npz").read_bytes(),
+                            f"actor/W1: checkpoint {(len(groups) + 1,) + groups.shape[1:]}"),
+                 "v1": ((tmp_path / "v1.npz").read_bytes(),
+                        "unsupported checkpoint version 'gridres-params-1'")}
         for case, (blob, problem) in cases.items():
             path.write_bytes(blob)
             for command in ("eval", "audit"):
@@ -625,6 +634,23 @@ class TestCli:
                             "train.gamma: must be at most 1"):
                 assert f"{run}: {problem}" in err
             assert not out.exists()
+
+    def test_manifest_seed_not_a_count_exits_1_naming_it(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        train_run(tiny_cfg(), 5, run)
+        manifest = read_manifest(run)
+        for case, seed in (("float", 1.5), ("null", None), ("string", "7"),
+                           ("negative", -1), ("bool", True)):
+            manifest["seed"] = seed
+            (run / "manifest.json").write_text(json.dumps(manifest))
+            for command in ("eval", "audit"):
+                out = tmp_path / f"{command}-{case}"
+                assert main([command, "--checkpoint", str(run),
+                             "--out", str(out)]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and "Traceback" not in err
+                assert f"{run}: seed: must be a non-negative integer, got {seed!r}" in err
+                assert not out.exists()
 
     def test_missing_data_source_exits_2_without_output(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"

@@ -709,7 +709,7 @@ class TestStackedActors:
         dpi = rng.standard_normal((batch, self.N_ESS))
         for stack in (trainer.actor_stack, trainer.target_actor_stack):
             nets = [group_net(stack, g) for g in range(len(trainer.groups))]
-            pis, cache = trainer.joint_pis(stack, socs, counters, v)
+            pis, cache = trainer.joint_pis(stack, features(socs, counters, v))
             want, caches = per_group_pis(trainer, nets, socs, counters, v)
             assert pis.tobytes() == want.tobytes()
             grads, dx = stack.backward(cache, np.stack(
@@ -719,7 +719,8 @@ class TestStackedActors:
                 assert dx[g].tobytes() == ref_dx.tobytes()
                 for k in ref_grads:
                     assert grads[k][g].tobytes() == ref_grads[k].tobytes(), (g, k)
-        first, _ = trainer.joint_pis(trainer.actor_stack, socs[:1], counters[:1], v[:1])
+        first, _ = trainer.joint_pis(trainer.actor_stack,
+                                     features(socs[:1], counters[:1], v[:1]))
         assert trainer.raw_policy(socs[0], counters[0], v[0]).tobytes() == \
             first[0].tobytes()
 
@@ -806,13 +807,10 @@ class ReferenceTrainer(Trainer):
         """Temporal-difference regression toward the target networks."""
         s = self.settings
         next_socs = replay.next_socs[idx]
-        next_counters = replay.next_counters[idx]
-        next_v = replay.next_v[idx]
-        next_pis, _ = self.joint_pis(self.target_actor_stack, next_socs,
-                                     next_counters, next_v)
+        next_state = features(next_socs, replay.next_counters[idx], replay.next_v[idx])
+        next_pis, _ = self.joint_pis(self.target_actor_stack, next_state)
         next_actions, _ = self.apply_mask(next_pis, next_socs)
-        q_next, _ = self.target_critics[g].forward(
-            features(next_socs, next_counters, next_v), next_actions)
+        q_next, _ = self.target_critics[g].forward(next_state, next_actions)
         y = replay.rewards[idx, g] + s.gamma * (1.0 - replay.dones[idx]) * q_next
 
         state = features(replay.socs[idx], replay.counters[idx], replay.v[idx])
@@ -842,7 +840,7 @@ class ReferenceTrainer(Trainer):
         socs = replay.socs[idx]
         counters = replay.counters[idx]
         v_live, gru_cache = self.encoder.forward(replay.windows(idx))
-        pis, cache = self.joint_pis(self.actor_stack, socs, counters, v_live)
+        pis, cache = self.joint_pis(self.actor_stack, features(socs, counters, v_live))
         actions, slope = self.apply_mask(pis, socs)
 
         state = features(socs, counters, replay.v[idx])
@@ -925,34 +923,39 @@ class TestReferenceRound:
 
 
 class TestCheckpoint:
-    def test_param_set_round_trip(self, tmp_path):
-        env = tiny_env()
-        trainer = make_trainer(env, seed=21)
+    @pytest.mark.parametrize("n_ess", [1, 2])
+    @pytest.mark.parametrize("method", maddpg.METHODS)
+    def test_param_set_round_trip(self, tmp_path, method, n_ess):
+        env = tiny_env(n_ess=n_ess)
+        trainer = make_trainer(env, method, seed=21)
         replay = fill_replay(env, trainer)
         trainer.update(replay, np.random.default_rng(0))
         path = str(tmp_path / "ckpt.npz")
         trainer.param_set().save(path)
 
-        fresh = make_trainer(env, seed=99)
+        fresh = make_trainer(env, method, seed=99)
         fresh.load_param_set(dk.ParamSet.load(path))
         obs = env.reset(0, np.random.default_rng(1))
         a = TrainedPolicy(trainer)(obs)
         b = TrainedPolicy(fresh)(obs)
         assert a.tobytes() == b.tobytes()
-        assert fresh.gru_adam.t == trainer.gru_adam.t
+        for net in ("actor", "critic", "gru"):
+            assert getattr(fresh, f"{net}_adam").t == getattr(trainer, f"{net}_adam").t
 
-    def test_loaded_checkpoint_keeps_actor_stacks_live(self, tmp_path):
+    @pytest.mark.parametrize("n_ess", [1, 2])
+    @pytest.mark.parametrize("method", maddpg.METHODS)
+    def test_loaded_checkpoint_keeps_actor_stacks_live(self, tmp_path, method, n_ess):
         """A loaded trainer learns on from the loaded values: its next
         update matches the saved trainer's byte for byte, which needs the
         load to reach the actor stacks that the forward passes run on."""
-        env = tiny_env()
-        trainer = make_trainer(env, seed=21)
+        env = tiny_env(n_ess=n_ess)
+        trainer = make_trainer(env, method, seed=21)
         replay = fill_replay(env, trainer)
         trainer.update(replay, np.random.default_rng(0))
         path = str(tmp_path / "ckpt.npz")
         trainer.param_set().save(path)
 
-        fresh = make_trainer(env, seed=99)
+        fresh = make_trainer(env, method, seed=99)
         fresh.load_param_set(dk.ParamSet.load(path))
         for t in (trainer, fresh):
             t.update(replay, np.random.default_rng(1))
@@ -966,6 +969,8 @@ class TestCheckpoint:
                 assert a.params[k].tobytes() == b.params[k].tobytes(), k
 
     def test_key_names_and_order_for_two_ess(self):
+        """The checkpoint holds the stacks: one key per tensor, each net's
+        with its leading group axis, and one step count per optimizer."""
         trainer = make_trainer(tiny_env(n_ess=2))
         actor = ["W1", "b1", "g1", "be1", "W2", "b2", "g2", "be2", "W3", "b3"]
         critic = ["Ws", "bs", "gs", "bes", "Wa", "ba",
@@ -976,12 +981,20 @@ class TestCheckpoint:
         gru += ["head/W", "head/b"]
 
         expected = [f"gru/{k}" for k in gru]
-        for g in (0, 1):
-            for net, names in (("actor", actor), ("critic", critic),
-                               ("target_actor", actor), ("target_critic", critic)):
-                expected += [f"{net}{g}/{k}" for k in names]
-        for net, names in (("actor0", actor), ("critic0", critic),
-                           ("actor1", actor), ("critic1", critic), ("gru", gru)):
+        for net, names in (("actor", actor), ("critic", critic),
+                           ("target_actor", actor), ("target_critic", critic)):
+            expected += [f"{net}/{k}" for k in names]
+        for net, names in (("actor", actor), ("critic", critic), ("gru", gru)):
             expected += [f"adam/{net}/{moment}/{k}" for moment in "mv" for k in names]
             expected.append(f"adam/{net}/t")
-        assert list(trainer.param_set().tensors) == expected
+        tensors = trainer.param_set().tensors
+        assert list(tensors) == expected
+        # Two groups of one unit: each actor sees 2 + VECTOR_DIM columns and
+        # commands one unit; each critic sees the whole fleet's state and action.
+        assert tensors["actor/W1"].shape == (2, 2 + VECTOR_DIM, 16)
+        assert tensors["actor/W3"].shape == tensors["adam/actor/m/W3"].shape == (2, 16, 1)
+        assert tensors["target_critic/Ws"].shape == (2, 4 + VECTOR_DIM, 16)
+        assert tensors["critic/Wa"].shape == tensors["adam/critic/v/Wa"].shape == (2, 2, 16)
+        assert tensors["gru/head/W"].ndim == 2
+        for net in ("actor", "critic", "gru"):
+            assert tensors[f"adam/{net}/t"].shape == (1,)
