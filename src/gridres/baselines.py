@@ -46,13 +46,11 @@ class RulePolicy:
         self._units = [(min(max(RULE_TARGET_SOC, s.soc_min), s.soc_max), s.energy_cap,
                         s.p_min, s.p_max) for s in config.ess]  # target SoC, cap, limits
 
-    def __call__(self, obs: Observation) -> np.ndarray:
+    def __call__(self, obs: Observation) -> list[float]:
         if obs.connected:
-            out = []
-            for (target, cap, p_min, p_max), soc in zip(self._units, obs.soc.tolist()):
-                move = (target - soc) * cap / SLOT_HOURS
-                out.append(p_min if move < p_min else p_max if move > p_max else move)
-            return np.array(out)
+            return [p_min if move < p_min else p_max if move > p_max else move
+                    for (target, cap, p_min, p_max), soc in zip(self._units, obs.soc)
+                    for move in ((target - soc) * cap / SLOT_HOURS,)]
         low, _ = mask_bounds(self.config.ess_limits, obs.soc, SLOT_HOURS)
         now = obs.window[:, 0].tolist()  # the slot's raw values, PV rows first
         n_pv = len(self.config.pv)
@@ -63,8 +61,8 @@ class RulePolicy:
         headroom = -low
         total = headroom.sum()
         if residual <= 0.0 or total <= 0.0:
-            return np.zeros(len(self.config.ess))
-        return -min(residual, total) * headroom / total
+            return [0.0] * len(self.config.ess)
+        return (-min(residual, total) * headroom / total).tolist()
 
 
 class TrainedPolicy:

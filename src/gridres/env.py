@@ -12,6 +12,7 @@ agent knows the risk profile but not the actual onset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,9 +30,8 @@ from .grid import (
 from .outage import OutageDraw, build_profile, grid_tie, sample_outage
 
 
-@dataclass
-class Observation:
-    soc: np.ndarray  # per ESS
+class Observation(NamedTuple):
+    soc: list[float]  # per ESS; the env's own list, shared with soc_trace: do not mutate
     counter: int  # slots until the primary risk peak, same for all agents
     slot: int  # the slot whose window this is; 95 on the terminal observation
     windows: np.ndarray  # the day's read-only (SLOTS_PER_DAY, devices, horizon) stack
@@ -125,26 +125,23 @@ class MicrogridEnv:
         return self._observe()
 
     def _observe(self) -> Observation:
-        slot = min(self._slot, SLOTS_PER_DAY - 1)
-        return Observation(
-            soc=np.array(self._soc),
-            counter=self._counters[slot],
-            slot=slot,
-            windows=self._windows,
-            connected=self._inputs.connected[slot],
-        )
+        slot = self._slot if self._slot < SLOTS_PER_DAY else SLOTS_PER_DAY - 1
+        return Observation(self._soc, self._counters[slot], slot, self._windows,
+                           self._inputs.connected[slot])
 
-    def step(self, commands_mw: np.ndarray):
+    def step(self, commands_mw: list[float] | np.ndarray):
         """Resolve the current slot. Returns (result, rewards,
-        next_observation, done), with every agent's reward in fleet order."""
+        next_observation, done), with every agent's reward in fleet order. A
+        list of floats goes to ``resolve_slot`` as it is, an array row as a list."""
         if self._slot >= SLOTS_PER_DAY:
             raise RuntimeError("no episode in progress; call reset")
-        result = resolve_slot(self.config, self._inputs, self._slot,
-                              np.asarray(commands_mw, float).tolist())
+        if not isinstance(commands_mw, list):
+            commands_mw = np.asarray(commands_mw, float).tolist()
+        result = resolve_slot(self.config, self._inputs, self._slot, commands_mw)
         rewards = reward_for_agent(result, self.config.costs)
         self._soc = step_soc(self.config.ess, self._soc, result.p_ess, SLOT_HOURS).soc
         self._slot += 1
-        done = self._slot >= SLOTS_PER_DAY
-        self.record.results.append(result)
-        self.record.soc_trace.append(self._soc)
-        return result, rewards, self._observe(), done
+        record = self.record
+        record.results.append(result)
+        record.soc_trace.append(self._soc)
+        return result, rewards, self._observe(), self._slot >= SLOTS_PER_DAY

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -27,9 +28,10 @@ class DispatchError(ValueError):
 
 
 def _not_finite(**values: float) -> None:
-    """Raise for the first of ``values``, in keyword order, that is not finite."""
-    name, value = next((k, v) for k, v in values.items() if not math.isfinite(v))
-    raise ValueError(f"{name} must be finite, got {value!r}")
+    """Raise for the first of ``values``, in keyword order, that is not finite, if any."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -126,9 +128,11 @@ class MicrogridConfig:
     loads: tuple[LoadSpec, ...]
     costs: CostParams = field(default_factory=CostParams)
     initial_soc: float = 0.5
-    # Compiled from the specs, read-only and shared: ESS limits in fleet order,
+    # Compiled from the specs, read-only and shared: ESS limits in fleet order
+    # (as arrays, and each unit's (p_min, p_max) as floats for the slot loop),
     # and PV then load capacities in the row order of ``dataio.ForecastTable``.
     ess_limits: EssArrays = field(init=False, repr=False, compare=False)
+    ess_power: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     capacities: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -146,6 +150,7 @@ class MicrogridConfig:
         for a in (*limits, caps):
             a.flags.writeable = False
         object.__setattr__(self, "ess_limits", limits)
+        object.__setattr__(self, "ess_power", tuple(zip(limits.p_min.tolist(), limits.p_max.tolist())))
         object.__setattr__(self, "capacities", caps)
 
     @property
@@ -174,11 +179,11 @@ def day_inputs(config: MicrogridConfig, pv: np.ndarray, load: np.ndarray,
     if not pv.shape[1] == load.shape[1] == len(connected):
         raise ValueError("pv, load and connected must cover the same slots")
     fields = [np.asarray(connected, dtype=bool).tolist()]
-    n_pv = len(config.pv)
+    n_pv, slots = len(config.pv), len(connected)
     for raw, caps in ((pv, config.capacities[:n_pv]), (load, config.capacities[n_pv:])):
         clamped = np.minimum(np.where(raw < 0.0, 0.0, raw), caps[:, None])
-        fields += [list(map(tuple, clamped.T.tolist())),
-                   sum(clamped, np.zeros(raw.shape[1])).tolist()]
+        fields += [list(struct.iter_unpack(f"{len(caps)}d", clamped.T.tobytes()))
+                   if len(caps) else [()] * slots, sum(clamped, np.zeros(slots)).tolist()]
     return DayInputs(*fields)
 
 
@@ -217,14 +222,15 @@ def step_soc(ess: Sequence[EssSpec], socs: Sequence[float], p_ess: Sequence[floa
     Charging applies ``eff_charge``, discharging (p_ess <= 0) applies
     ``eff_discharge``. Each SoC is clamped to its window, as the comparisons
     of ``min(max(raw, soc_min), soc_max)`` without the calls; the clamped
-    excess is reported so callers can tell saturation from a clean step.
+    excess is reported so callers can tell saturation from a clean step. A
+    non-finite input makes the step non-finite: only then are the inputs checked.
     """
     soc_out, excess = [], []
     for spec, soc, p in zip(ess, socs, p_ess):
-        if not (math.isfinite(soc) and math.isfinite(p) and math.isfinite(dt)):
+        raw = soc + (spec.eff_charge if p > 0.0 else spec.eff_discharge) * p * dt \
+            / spec.energy_cap
+        if not math.isfinite(raw):
             _not_finite(soc=soc, p_ess=p, dt=dt)
-        eff = spec.eff_charge if p > 0.0 else spec.eff_discharge
-        raw = soc + eff * p * dt / spec.energy_cap
         lo, hi = spec.soc_min, spec.soc_max
         clamped = lo if raw < lo else hi if raw > hi else raw
         soc_out.append(clamped)
@@ -279,27 +285,33 @@ def resolve_slot(config: MicrogridConfig, inputs: DayInputs, slot: int,
     """
     if len(ess_commands) != len(config.ess):
         raise ValueError(f"expected {len(config.ess)} commands, got {len(ess_commands)}")
+    costs, lambda_ess = config.costs, config.costs.lambda_ess
     p_ess = []
-    for spec, cmd in zip(config.ess, ess_commands):
-        if not math.isfinite(cmd):
-            _not_finite(command=cmd)
-        if cmd > spec.p_max + COMMAND_TOL or cmd < spec.p_min - COMMAND_TOL:
-            raise DispatchError(
-                f"{spec.id}: command {cmd} outside [{spec.p_min}, {spec.p_max}]")
-        p_ess.append(min(max(cmd, spec.p_min), spec.p_max))
+    ess_net = wear = 0.0
+    for (p_min, p_max), cmd in zip(config.ess_power, ess_commands):
+        if not p_min - COMMAND_TOL <= cmd <= p_max + COMMAND_TOL:  # also NaN and inf
+            if not math.isfinite(cmd):
+                _not_finite(command=cmd)
+            spec = config.ess[len(p_ess)]
+            raise DispatchError(f"{spec.id}: command {cmd} outside [{spec.p_min}, {spec.p_max}]")
+        p = p_min if cmd < p_min else p_max if cmd > p_max else cmd
+        p_ess.append(p)
+        ess_net += p
+        if p < 0.0:
+            wear += lambda_ess * -p
 
     connected = inputs.connected[slot]
     pv_sum, load_sum = inputs.pv_sum[slot], inputs.load_sum[slot]
-    ess_net = sum(p_ess)
 
-    alpha = pv_curtailed = 0.0
+    alpha = pv_curtailed = gen_cost = shed = 0.0
     if connected:
-        p_gen, gen_sum = [0.0] * len(config.generators), 0.0
+        p_gen, gen_sum = (0.0,) * len(config.generators), 0.0
         p_grid = load_sum + ess_net - pv_sum
     else:
         p_grid = 0.0
         p_gen = dispatch_generators(config.generators, load_sum)
         gen_sum = sum(p_gen)
+        gen_cost = sum(costs.lambda_gen * p for p in p_gen if p) * SLOT_HOURS
         gap = load_sum + ess_net - pv_sum - gen_sum
         if gap < 0.0:
             pv_curtailed = min(-gap, pv_sum)
@@ -321,31 +333,24 @@ def resolve_slot(config: MicrogridConfig, inputs: DayInputs, slot: int,
         else:
             alpha = gap / load_sum if load_sum > 0.0 else 0.0
         ess_net = sum(p_ess)
+        wear = sum(lambda_ess * -p for p in p_ess if p < 0.0)
+        if alpha:
+            shed = sum(alpha * costs.lambda_load * p for p in inputs.load[slot]) * SLOT_HOURS
 
     pv_used = pv_sum - pv_curtailed
     residual = (1.0 - alpha) * load_sum - pv_used + ess_net - gen_sum - p_grid
-
-    breakdown = price_slot(config.costs, p_ess, p_gen, p_grid, alpha, inputs.load[slot])
+    breakdown = CostBreakdown(wear * SLOT_HOURS, gen_cost,
+                              costs.lambda_grid * abs(p_grid) * SLOT_HOURS, shed)
     return DispatchResult(tuple(p_ess), tuple(p_gen), p_grid, alpha, inputs.load[slot],
                           inputs.pv[slot], pv_curtailed, connected, residual,
                           sum(breakdown), breakdown)
 
 
-def price_slot(costs: CostParams, p_ess: Sequence[float], p_gen: Sequence[float],
-               p_grid: float, alpha: float, p_load: Sequence[float]) -> CostBreakdown:
-    """The slot's cost in $ by term; skipping exact-zero terms changes no bit."""
-    return CostBreakdown(
-        ess=sum(costs.lambda_ess * -p for p in p_ess if p < 0.0) * SLOT_HOURS,
-        gen=sum(costs.lambda_gen * p for p in p_gen if p) * SLOT_HOURS,
-        grid=costs.lambda_grid * abs(p_grid) * SLOT_HOURS,
-        shed=sum(alpha * costs.lambda_load * p for p in p_load) * SLOT_HOURS
-        if alpha else 0.0,
-    )
-
-
 def reward_for_agent(result: DispatchResult, costs: CostParams) -> list[float]:
     """Every agent's reward in fleet order: negative slot cost where the
-    storage-wear term counts only the agent's own discharge."""
-    b = result.cost_breakdown
+    storage-wear term counts only the agent's own discharge, bit for bit
+    ``-(lambda_ess * abs(min(p, 0.0)) * SLOT_HOURS + shared)``."""
+    b, lam = result.cost_breakdown, costs.lambda_ess
     shared = b.gen + b.grid + b.shed
-    return [-(costs.lambda_ess * abs(min(p, 0.0)) * SLOT_HOURS + shared) for p in result.p_ess]
+    idle = -(lam * 0.0 * SLOT_HOURS + shared)
+    return [-(lam * -p * SLOT_HOURS + shared) if p < 0.0 else idle for p in result.p_ess]

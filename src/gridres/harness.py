@@ -276,9 +276,9 @@ def run_days(env: MicrogridEnv, policy: Callable, days: Sequence[int],
         obs = env.reset(int(day), env_rng)
         done = False
         while not done:
-            cmds = np.asarray(policy(obs), dtype=float).copy()
+            cmds = policy(obs)
             if fail_agents:
-                cmds[:fail_agents] = 0.0
+                cmds = [0.0] * fail_agents + np.asarray(cmds, float)[fail_agents:].tolist()
             _, _, obs, done = env.step(cmds)
         rec = env.record
         records.append(DayRecord(

@@ -17,12 +17,11 @@ from gridres.grid import (
     SocUpdate,
     day_inputs,
     dispatch_generators,
-    price_slot,
     reward_for_agent,
     resolve_slot,
     step_soc,
 )
-from test_harness_helpers import table_config
+from test_harness_helpers import reference_price, table_config
 
 
 def ess(p_min=-2.0, p_max=2.0, cap=6.0, eff_ch=0.999, eff_dis=1.001, **kw):
@@ -231,7 +230,7 @@ class TestResolveSlot:
 
 
 def price(out, costs):
-    return price_slot(costs, out.p_ess, out.p_gen, out.p_grid, out.alpha, out.p_load)
+    return reference_price(costs, out.p_ess, out.p_gen, out.p_grid, out.alpha, out.p_load)
 
 
 def discharge_result():
@@ -241,7 +240,7 @@ def discharge_result():
     hand-picked powers.
     """
     cfg = small_config()
-    breakdown = price_slot(cfg.costs, (-2.0,), (3.0,), 0.0, 0.2, (5.0,))
+    breakdown = reference_price(cfg.costs, (-2.0,), (3.0,), 0.0, 0.2, (5.0,))
     out = DispatchResult(
         p_ess=(-2.0,), p_gen=(3.0,), p_grid=0.0, alpha=0.2, p_load=(5.0,),
         p_pv=(0.0,), pv_curtailed=0.0, connected=False,

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from gridres import config
+from gridres.baselines import RulePolicy, TrainedPolicy, build_trainer
 from gridres.cli import _resolve, build_parser, main
 from gridres.config import ConfigError, default_dict, resolve_dict
 from gridres.harness import (
@@ -16,6 +17,7 @@ from gridres.harness import (
     audit_run,
     build_dataset,
     build_env,
+    DayRecord,
     compare_run,
     eval_run,
     read_manifest,
@@ -415,7 +417,61 @@ class TestBuildsOnce:
             read_manifest(tmp_path / "cmp" / "train-maddpg")["dataset_checksum"]
 
 
+def reference_run_days(env, policy, days, env_rng, fail_agents):
+    """The rollout as it was written before commands travelled as lists: each
+    policy output copied into a float array, the failed units zeroed there."""
+    records, episodes = [], []
+    for day in days:
+        obs = env.reset(int(day), env_rng)
+        done = False
+        while not done:
+            cmds = np.asarray(policy(obs), dtype=float).copy()
+            if fail_agents:
+                cmds[:fail_agents] = 0.0
+            _, _, obs, done = env.step(cmds)
+        rec = env.record
+        records.append(DayRecord(
+            day=int(day), cost_usd=rec.cost, shed_mwh=rec.shed_mwh,
+            outage_onset=rec.outage.onset_slot if rec.outage else None,
+            outage_duration=rec.outage.duration_slots if rec.outage else None))
+        episodes.append(rec)
+    return records, episodes
+
+
 class TestRunDays:
+    @pytest.mark.parametrize("kind", ["rule", "trained"])
+    @pytest.mark.parametrize("fail_agents", [1, 3])
+    def test_failed_agents_match_the_array_path(self, kind, fail_agents):
+        """With k failed agents the first k units dispatch exactly 0.0 MW, and
+        every day record, result and SoC trace is, by repr, the one of the
+        array-copy rollout, for the rule's lists and a greedy policy's arrays."""
+        cfg = small_cfg({"outage": {"peak_prob": 0.9}})
+        dataset = build_dataset(cfg, seed_stream(9, "data"))
+
+        def rollout(run):
+            env = build_env(cfg, dataset)
+            if kind == "rule":
+                policy = RulePolicy(env.config)
+            else:
+                policy = TrainedPolicy(build_trainer(
+                    env, TrainSettings.from_dict(cfg["train"]), "maddpg",
+                    seed_stream(9, "init")))
+            return run(env, policy, dataset.test_days, seed_stream(9, "env"),
+                       fail_agents=fail_agents)
+
+        records, episodes = rollout(run_days)
+        want_records, want_episodes = rollout(reference_run_days)
+        assert repr(records) == repr(want_records)
+        islanded = 0
+        for rec, want in zip(episodes, want_episodes, strict=True):
+            assert repr(rec.results) == repr(want.results)
+            assert repr(rec.soc_trace) == repr(want.soc_trace)
+            for result in rec.results:
+                assert repr(result.p_ess[:fail_agents]) == repr((0.0,) * fail_agents)
+                assert all(type(p) is float for p in result.p_ess)
+                islanded += not result.connected
+        assert islanded > 0
+
     def test_failed_agents_never_move(self, tmp_path):
         cfg = small_cfg()
         dataset = build_dataset(cfg, seed_stream(9, "data"))

@@ -243,3 +243,28 @@ class TestResetWindows:
         assert first.tobytes() == second.tobytes()
         assert first.base is second.base is env.forecasts.windows
         assert first.tobytes() == env.forecasts.windows[1].tobytes()
+
+
+class TestEnvBindings:
+    def test_step_and_reset_call_the_module_bindings_once(self, monkeypatch):
+        """A step calls the slot physics through ``env``'s own bindings of
+        ``resolve_slot``, ``reward_for_agent`` and ``step_soc``, once each,
+        and a reset calls its ``build_window`` once: the names a tracer
+        wraps to time those layers."""
+        from gridres import env as envmod
+
+        physics = ("resolve_slot", "reward_for_agent", "step_soc")
+        calls = dict.fromkeys((*physics, "build_window"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(envmod, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(envmod, name, counted)
+        env = small_env(OutageSettings(forced_onset=40, forced_duration=12))
+        for day in range(2):
+            calls.update(dict.fromkeys(calls, 0))
+            env.reset(day, np.random.default_rng(day))
+            assert calls == {**dict.fromkeys(physics, 0), "build_window": 1}
+            for slot in range(96):
+                env.step([0.0] if slot % 2 else np.zeros(1))
+                assert calls == {**dict.fromkeys(physics, slot + 1), "build_window": 1}

@@ -4,6 +4,8 @@ against the slot core on hand-built one-slot days."""
 
 import numpy as np
 import pytest
+import dataclasses
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from gridres.dataio import ForecastModel, SeriesSet, make_forecasts
 from gridres.env import MicrogridEnv, Observation, OutageSettings
 from gridres.grid import (
     BALANCE_TOL,
+    CostParams,
     SLOT_HOURS,
     SLOTS_PER_DAY,
     EssSpec,
@@ -24,7 +27,7 @@ from gridres.grid import (
     resolve_slot,
     step_soc,
 )
-from test_harness_helpers import fleet_mask
+from test_harness_helpers import fleet_mask, reference_price
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -137,13 +140,13 @@ def test_connected_rule_is_the_target_move_clipped_into_the_mask(fleet):
     unclamped move clipped into the mask's [low, up]."""
     config, socs = fleet
     soc = np.array(socs)
-    obs = Observation(soc=soc, counter=0, slot=0,
+    obs = Observation(soc=socs, counter=0, slot=0,
                       windows=np.zeros((1, 2, 1)), connected=True)
     limits = config.ess_limits
     low, up = mask_bounds(limits, soc, SLOT_HOURS)
     raw = (RULE_TARGET_SOC - soc) * limits.energy_cap / SLOT_HOURS
     want = np.minimum(np.maximum(raw, low), up)
-    assert repr(RulePolicy(config)(obs).tolist()) == repr(want.tolist())
+    assert repr(RulePolicy(config)(obs)) == repr(want.tolist())
 
 
 def _device_day(rng, specs):
@@ -208,3 +211,60 @@ def test_env_day_matches_hand_built_slots(config, seed, outage, rule):
         assert repr(result) == repr(resolve_slot(config, one, 0, commands))
         soc = step_soc(config.ess, soc, result.p_ess, SLOT_HOURS).soc
         assert repr(env.record.soc_trace[t + 1]) == repr(soc)
+
+
+@st.composite
+def priced_slots(draw):
+    """(config, inputs, commands, corner) for one slot of a random fleet at
+    random cost coefficients. ``corner`` picks the case: a connected or an
+    islanded slot with commands anywhere in the power windows (exact zeros
+    and limits mixed in), or an islanded slot forced into one of the two
+    rescales: ``surplus`` discharges more than the load left after
+    generation absorbs, with every PV output curtailed; ``deficit`` charges
+    more than PV and generation can supply, with all load shed."""
+    config = draw(fleets())
+    config = dataclasses.replace(config, costs=CostParams(
+        *(draw(between(0.0, 2.0)) for _ in range(4))))
+    corner = draw(st.sampled_from(["connected", "islanded", "surplus", "deficit"]))
+    units = config.ess
+    if corner == "surplus":
+        cmds = [draw(between(s.p_min, 0.05 * s.p_min)) for s in units]
+    elif corner == "deficit":
+        cmds = [draw(between(0.05 * s.p_max, s.p_max)) for s in units]
+    else:
+        cmds = [draw(st.one_of(st.just(0.0), st.just(s.p_min), st.just(s.p_max),
+                               between(s.p_min, s.p_max))) for s in units]
+    net = abs(sum(cmds))
+
+    def device(spec, n):
+        frac = draw(between(0.0, 1.0))
+        if corner == "surplus" and spec in config.loads:
+            return frac * net / (2 * n)  # loads below the discharge
+        if corner == "deficit":
+            return frac * net / (4 * n)  # PV plus loads below half the charge
+        return draw(between(-0.5, 1.5)) * spec.p_max
+
+    inputs = day_inputs(config, [[device(s, len(config.pv))] for s in config.pv],
+                        [[device(s, len(config.loads))] for s in config.loads],
+                        [corner == "connected"])
+    return config, inputs, cmds, corner
+
+
+@PROPERTY
+@given(priced_slots())
+def test_resolve_slot_prices_by_the_four_term_reference(slot):
+    """resolve_slot prices in the pass that clips the commands; its cost
+    terms and total are, by repr, the four sums over the resolved powers
+    and their sum, on connected, islanded and both rescaled islanded slots."""
+    config, inputs, cmds, corner = slot
+    result = resolve_slot(config, inputs, 0, cmds)
+    want = reference_price(config.costs, result.p_ess, result.p_gen, result.p_grid,
+                           result.alpha, result.p_load)
+    assert repr(result.cost_breakdown) == repr(want)
+    assert repr(result.cost_total) == repr(sum(want))
+    if corner == "surplus":
+        assert result.pv_curtailed == inputs.pv_sum[0]
+        assert all(abs(p) < abs(c) for p, c in zip(result.p_ess, cmds))
+    elif corner == "deficit":
+        assert result.alpha == 1.0
+        assert all(p < c for p, c in zip(result.p_ess, cmds))
