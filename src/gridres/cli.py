@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import harness
-from .config import ConfigError, build_microgrid, default_dict, load_yaml, merge_config
+from .config import ConfigError, build_microgrid, load_yaml, merge_config
 from .dataio import synth_generator, write_csv
 from .maddpg import METHODS, TrainingDiverged
 
@@ -58,9 +58,8 @@ def _config_overrides(args) -> dict:
 
 def _resolve(args, split: bool = True) -> dict:
     """Defaults < --config < --scenario < flags; each later source wins."""
-    return merge_config(default_dict(), load_yaml(args.config),
-                        load_yaml(args.scenario), _config_overrides(args),
-                        split=split)
+    return merge_config(load_yaml(args.config), load_yaml(args.scenario),
+                        _config_overrides(args), split=split)
 
 
 def cmd_train(args) -> int:
@@ -75,14 +74,11 @@ def cmd_eval(args) -> int:
     if args.checkpoint is not None and (args.config or args.scenario):
         raise ConfigError(["eval: --config and --scenario do not apply to "
                            "--checkpoint, which carries its own config"])
-    overrides = _config_overrides(args)
-    cfg = None
-    if args.checkpoint is None:
-        cfg = _resolve(args)
-        overrides = None
+    # A checkpoint carries its own config, and the flags overlay it.
+    cfg = None if args.checkpoint is not None else _resolve(args)
     row = harness.eval_run(args.checkpoint, args.out, args.seed, method=args.method,
                            cfg=cfg, days=args.eval_days, fail_agents=args.fail_agents,
-                           overrides=overrides or None)
+                           overrides=_config_overrides(args) if cfg is None else None)
     print(f"{row.method}: avg ${row.avg_cost_usd:.2f}/day, "
           f"shed {row.avg_shed_mwh:.2f} MWh/day over the test days -> {args.out}")
     return 0

@@ -152,16 +152,16 @@ def _merge(base: dict, override: dict, path: str, problems: list[str]) -> dict:
     return out
 
 
-def merge_config(base: dict[str, Any], *overlays: dict[str, Any],
-                 split: bool = True) -> dict[str, Any]:
-    """``base`` with each overlay merged over it in turn, then validated.
+def merge_config(*overlays: dict[str, Any], split: bool = True) -> dict[str, Any]:
+    """The defaults with each overlay merged over them in turn, then validated:
+    the one path from a YAML file, flags, a run's manifest or a swept value.
 
     Collects every problem before raising ConfigError, so a bad file is
     fixed in one round trip. ``split=False`` drops the train/test split's
     minimum day count, for writing a series that nothing splits.
     """
     problems: list[str] = []
-    resolved = base
+    resolved = default_dict()
     for overlay in overlays:
         resolved = _merge(resolved, overlay, "", problems)
     _validate(resolved, problems, split)
@@ -187,7 +187,7 @@ def load_yaml(path: str | None) -> dict[str, Any]:
 def resolve_dict(path: str | None = None,
                  overrides: dict[str, Any] | None = None) -> dict[str, Any]:
     """Defaults merged with an optional YAML file and programmatic overrides."""
-    return merge_config(default_dict(), load_yaml(path), overrides or {})
+    return merge_config(load_yaml(path), overrides or {})
 
 
 def _is_int(x: Any) -> bool:

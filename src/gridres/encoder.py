@@ -81,7 +81,6 @@ class GruEncoder:
         dh[-1] = dh_last
         for t in reversed(range(horizon)):
             emb_cache, relu_cache, cell_caches = steps[t]
-            d_inp = np.zeros((batch, self.hidden))
             for layer in reversed(range(self.layers)):
                 dx, dh_prev, cell_grads = dk.gru_cell_backward(
                     self.params, cell_caches[layer], dh[layer],

@@ -37,7 +37,6 @@ from .dataio import (
 )
 from .diffkit import ParamSet
 from .env import MicrogridEnv, OutageSettings
-from .grid import SLOT_HOURS
 from .maddpg import METHODS as LEARNED, EpisodeMetrics, TrainSettings, run_training
 from .powerflow import check_dispatch, load_ieee33
 
@@ -138,7 +137,11 @@ def write_manifest(out_dir: Path, cfg: dict[str, Any], seed: int, method: str,
 
 
 def read_manifest(run_dir: Path) -> dict[str, Any]:
-    return json.loads((run_dir / "manifest.json").read_text())
+    path = run_dir / "manifest.json"
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: unreadable manifest: {exc}") from None
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
@@ -218,31 +221,20 @@ def _lacking(node: Any, tree: dict[str, Any], path: str = "") -> list[str]:
 
 
 def read_run(run_dir: str | Path) -> tuple[dict[str, Any], int, str]:
-    """Config, seed and method of a training run directory. Keys that earlier
-    versions wrote (train keys, generators' ``p_min``) are dropped; another
-    slot length is refused, as 15-minute slots would silently change its physics.
-    A manifest that lacks any key of the default config's mapping tree raises
-    one ValueError naming them all; one whose seed is not a non-negative
-    integer or whose values fail validation, one ConfigError naming every
-    problem."""
+    """Config, seed and method of a training run directory. A manifest that
+    lacks any key of the default config's mapping tree raises one ValueError
+    naming them all. Its config is then one more overlay of ``merge_config``,
+    checked as a ``--config`` file is; a seed that is not a non-negative
+    integer and every config problem raise one ConfigError naming each."""
     manifest = read_manifest(Path(run_dir))
-    defaults = default_dict()
-    missing = _lacking(manifest, {"config": defaults, "seed": 0, "method": ""})
+    missing = _lacking(manifest, {"config": default_dict(), "seed": 0, "method": ""})
     if missing:
         raise ValueError(f"{run_dir}: manifest.json lacks " + ", ".join(missing))
-    cfg = manifest["config"]
-    cfg["train"] = {key: cfg["train"][key] for key in defaults["train"]}
-    for gen in cfg["microgrid"]["generators"]:
-        gen.pop("p_min", None)
     seed = manifest["seed"]
     problems = ([] if type(seed) is int and seed >= 0 else
                 [f"seed: must be a non-negative integer, got {seed!r}"])
-    slot_hours = cfg["microgrid"].pop("slot_hours", SLOT_HOURS)
-    if slot_hours != SLOT_HOURS:
-        problems.append(f"microgrid.slot_hours {slot_hours} differs "
-                        f"from the fixed {SLOT_HOURS} h slot")
     try:
-        cfg = merge_config(cfg)
+        cfg = merge_config(manifest["config"])
     except ConfigError as exc:
         problems += exc.problems
     if problems:

@@ -243,7 +243,8 @@ def check_dispatch(topology: FeederTopology, config: MicrogridConfig,
 
     When islanded the slack moves to the bus of the largest online generator
     (falling back to the largest-capacity generator, then the ESS fleet's
-    first bus) since the grid tie is open.
+    first bus) since the grid tie is open. The slack absorbs its own
+    devices and the losses: the solve reads no injection at the slack bus.
     """
     slack = topology.slack_bus
     if not result.connected:
@@ -256,7 +257,6 @@ def check_dispatch(topology: FeederTopology, config: MicrogridConfig,
         else:
             slack = config.ess[0].bus
     inj = dispatch_injections(topology, config, result)
-    inj[slack] = 0.0  # slack bus absorbs its own injection plus losses
     sol = solve_bfs(topology, inj, slack_bus=slack)
     lo, hi = V_BAND
     mags = sol.v_bus.tolist()

@@ -207,27 +207,37 @@ class TestEvalRun:
         assert (tmp_path / "e1" / "days.csv").read_bytes() == \
             (tmp_path / "e2" / "days.csv").read_bytes()
 
-    def test_manifest_with_removed_train_key_still_loads(self, tmp_path):
-        cfg = small_cfg()
+    def test_manifest_with_a_legacy_key_exits_1_naming_it(self, tmp_path, capsys):
+        """Earlier versions wrote train.gru_shared, train.updates_per,
+        microgrid.slot_hours and each generator's p_min; a manifest is
+        checked as a --config file is, so each is an unknown key."""
         run = tmp_path / "run"
-        train_run(cfg, 5, run)
-        stress = {"data": {"stress_pv": 0.85, "stress_load": 1.15}}
-        eval_run(run, tmp_path / "e1", None)
-        eval_run(run, tmp_path / "s1", None, overrides=stress)
-        # Earlier versions wrote train.gru_shared, train.updates_per,
-        # microgrid.slot_hours and each generator's p_min into every manifest.
-        manifest = read_manifest(run)
-        manifest["config"]["train"]["gru_shared"] = True
-        manifest["config"]["train"]["updates_per"] = 1
-        manifest["config"]["microgrid"]["slot_hours"] = 0.25
-        for gen in manifest["config"]["microgrid"]["generators"]:
-            gen["p_min"] = 0.0
-        (run / "manifest.json").write_text(json.dumps(manifest))
-        eval_run(run, tmp_path / "e2", None)
-        eval_run(run, tmp_path / "s2", None, overrides=stress)
-        for old, new in (("e1", "e2"), ("s1", "s2")):
-            assert (tmp_path / old / "days.csv").read_bytes() == \
-                (tmp_path / new / "days.csv").read_bytes()
+        train_run(tiny_cfg(), 5, run)
+        good = read_manifest(run)
+        cases = {"gru_shared": (("train", "gru_shared"), True,
+                                "train.gru_shared: unknown key"),
+                 "updates_per": (("train", "updates_per"), 1,
+                                 "train.updates_per: unknown key"),
+                 "slot_hours": (("microgrid", "slot_hours"), 0.25,
+                                "microgrid.slot_hours: unknown key"),
+                 "p_min": (("microgrid", "generators", 0, "p_min"), 0.0,
+                           "microgrid.generators[0]: GeneratorSpec.__init__() "
+                           "got an unexpected keyword argument 'p_min'")}
+        for case, (path, value, problem) in cases.items():
+            manifest = json.loads(json.dumps(good))
+            node = manifest["config"]
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            (run / "manifest.json").write_text(json.dumps(manifest))
+            for command in ("eval", "audit"):
+                out = tmp_path / f"{command}-{case}"
+                assert main([command, "--checkpoint", str(run),
+                             "--out", str(out)]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and "Traceback" not in err
+                assert f"{run}: {problem}" in err
+                assert not out.exists()
 
     def test_manifest_with_another_slot_length_is_refused(self, tmp_path):
         run = tmp_path / "run"
@@ -235,7 +245,7 @@ class TestEvalRun:
         manifest = read_manifest(run)
         manifest["config"]["microgrid"]["slot_hours"] = 0.5
         (run / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ConfigError, match="slot_hours 0.5"):
+        with pytest.raises(ConfigError, match="microgrid.slot_hours: unknown key"):
             eval_run(run, tmp_path / "e", None)
         assert not (tmp_path / "e").exists()
 
@@ -672,6 +682,23 @@ class TestCli:
                 err = capsys.readouterr().err
                 assert err.startswith("error: ") and "Traceback" not in err
                 assert err.rstrip().endswith("manifest.json lacks " + ", ".join(missing))
+                assert not out.exists()
+
+    def test_unreadable_manifest_exits_2_naming_the_file(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        train_run(tiny_cfg(), 5, run)
+        path = run / "manifest.json"
+        good = path.read_bytes()
+        for case, blob in (("truncated", good[: len(good) // 2]), ("empty", b""),
+                           ("not-utf8", b"\xff" + good)):
+            path.write_bytes(blob)
+            for command in ("eval", "audit"):
+                out = tmp_path / f"{command}-{case}"
+                assert main([command, "--checkpoint", str(run),
+                             "--out", str(out)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: {path}: unreadable manifest: ")
+                assert "Traceback" not in err
                 assert not out.exists()
 
     def test_mistyped_manifest_value_exits_1_naming_it(self, tmp_path, capsys):
